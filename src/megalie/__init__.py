@@ -61,13 +61,12 @@ from .automorphisms import (
     enumerate_coordinate_megaideals,
     inner_consistency,
     shape_from_flag,
-    solve_automorphisms,
     solve_in_adapted_basis,
     structure_equations,
     substitute_parameters,
     triangular_solve,
 )
-from .poly import Poly, PolyError, differentiate, parse_poly
+from .poly import Poly, PolyError, parse_poly
 from .vectorfield import (
     FAMILY_VARIABLES,
     LinearlyDependent,

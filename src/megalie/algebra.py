@@ -88,9 +88,10 @@ def algebra_from_brackets(
     basis_names: Sequence[str],
     brackets: Mapping[tuple[int, int], Mapping[int, object]],
 ) -> LieAlgebra:
-    """Build an algebra from sparse brackets {(i, j): {k: coeff}} with i < j.
+    """Build an algebra from sparse brackets {(i, j): {k: coeff}}.
 
-    The antisymmetric counterparts are filled in automatically.
+    The antisymmetric counterparts are filled in automatically; this is the
+    one builder of the structure tensor, used by every loader.
     """
     names = tuple(basis_names)
     n = len(names)
@@ -264,27 +265,18 @@ def lower_central_series(g: LieAlgebra) -> SeriesReport:
 
 
 def upper_central_series(g: LieAlgebra) -> SeriesReport:
-    """Ascending central series Z_1 <= Z_2 <= ... via quotient centers."""
+    """Ascending central series Z_1 <= Z_2 <= ... with Z_{k+1} = {x : [x, g] <= Z_k}.
+
+    Each term is one transporter solve; Z_1 is the center.
+    """
+    full = g.full_space()
     terms = [center(g)]
-    while True:
-        current = terms[-1]
-        if current.is_full():
-            return SeriesReport("upper_central", tuple(terms), True)
-        quot, proj = quotient(g, current)
-        zq = center(quot)
-        constraints = zq.constraint_matrix() @ proj
-        nxt = Subspace.spanned_by(g.dim, constraints.kernel_rows())
-        if nxt == current:
-            return SeriesReport("upper_central", tuple(terms), True)
+    while not terms[-1].is_full():
+        nxt = transporter(g, full, full, terms[-1])
+        if nxt == terms[-1]:
+            break
         terms.append(nxt)
-
-
-def is_solvable(g: LieAlgebra) -> bool:
-    return derived_series(g).last.is_zero()
-
-
-def is_nilpotent(g: LieAlgebra) -> bool:
-    return lower_central_series(g).last.is_zero()
+    return SeriesReport("upper_central", tuple(terms), True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +363,23 @@ def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad_i ad_j); symmetric and invariant."""
+    """K[i][j] = trace(ad_i ad_j); symmetric and invariant.
+
+    The trace is summed straight from the structure constants,
+    sum over k, l of c[i][l][k] c[j][k][l], skipping zero constants.
+    """
     n = g.dim
-    ads = [ad(g, g.basis_vector(i)) for i in range(n)]
-    k = [[Fraction(0)] * n for _ in range(n)]
+    nonzero = [
+        [(l, k, g.c[i][l][k]) for l in range(n) for k in range(n) if g.c[i][l][k] != 0]
+        for i in range(n)
+    ]
+    form = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = (ads[i] @ ads[j]).trace()
-            k[i][j] = t
-            k[j][i] = t
-    return Matrix(k)
+            t = sum((q * g.c[j][k][l] for l, k, q in nonzero[i]), Fraction(0))
+            form[i][j] = t
+            form[j][i] = t
+    return Matrix(form)
 
 
 def radical(g: LieAlgebra, provenance: str = "rad(g)") -> Subspace:
@@ -557,20 +556,15 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
         if (i, j) in seen:
             raise FormatError(f"{context}: bracket ({names[i]},{names[j]}) supplied twice")
         seen[(i, j)] = value
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for (i, j), value in seen.items():
-        if (j, i) in seen:
-            opposite = seen[(j, i)]
-            if any(a != -b for a, b in zip(value, opposite)):
-                raise FormatError(
-                    f"brackets ({names[i]},{names[j]}) and ({names[j]},{names[i]}) are inconsistent"
-                )
-        for k in range(n):
-            c[i][j][k] = value[k]
-            if (j, i) not in seen:
-                c[j][i][k] = -value[k]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return LieAlgebra(name, names, tensor)
+        opposite = seen.get((j, i))
+        if opposite is not None and any(a != -b for a, b in zip(value, opposite)):
+            raise FormatError(
+                f"brackets ({names[i]},{names[j]}) and ({names[j]},{names[i]}) are inconsistent"
+            )
+    return algebra_from_brackets(
+        name, names, {pair: dict(enumerate(value)) for pair, value in seen.items()}
+    )
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import __version__
-from .algebra import (
-    LieAlgebra,
-    algebra_to_dict,
-    derived_series,
-    lower_central_series,
-    upper_central_series,
-    validate,
-)
+from .algebra import LieAlgebra, algebra_to_dict, derivations, validate
 from .automorphisms import enumerate_coordinate_megaideals, inner_consistency, solve_in_adapted_basis
 from .linalg import Matrix, Subspace, format_rat
 from .megaideals import (
@@ -91,18 +84,15 @@ def analyze(g: LieAlgebra, options: AnalyzeOptions = AnalyzeOptions(), input_dig
         report["note"] = "analysis skipped: the structure constants are not a Lie algebra"
         return report
 
-    report["series"] = {
-        "derived": _series_dict(derived_series(g)),
-        "lower_central": _series_dict(lower_central_series(g)),
-        "upper_central": _series_dict(upper_central_series(g)),
-    }
-
     lattice = essential_filter(
         closure(g, budget=options.budget, full_transporter=options.full_transporter)
     )
+    report["series"] = {series.kind: _series_dict(series) for series in lattice.series}
+
+    derivs = derivations(g)
     members = []
     for entry in lattice.entries:
-        verdict = verify_megaideal(g, entry.subspace)
+        verdict = verify_megaideal(g, entry.subspace, derivs)
         members.append(
             {
                 "dim": entry.subspace.dim,

@@ -17,7 +17,7 @@ can be matched against the parametrization as a consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -78,8 +78,8 @@ class AutParametrization:
     residual_equations are the constraints elimination could not touch
     (empty means fully solved); division_audit records every division by a
     non-constant factor together with the side condition justifying it.
-    The shape is attached by solve_automorphisms; a bare triangular_solve
-    leaves it None.
+    The shape is attached by solve_in_adapted_basis; a bare
+    triangular_solve leaves it None.
     """
 
     shape: AutShape | None
@@ -449,24 +449,6 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
     )
 
 
-def solve_automorphisms(g: LieAlgebra, shape: AutShape) -> AutParametrization:
-    """structure_equations followed by triangular_solve, shape attached.
-
-    g must be expressed in the same coordinates the shape refers to (for a
-    shape built from an adapted basis, that is the adapted basis).
-    """
-    system = structure_equations(g, shape)
-    partial = triangular_solve(system)
-    return AutParametrization(
-        shape=shape,
-        assignments=partial.assignments,
-        free_parameters=partial.free_parameters,
-        residual_equations=partial.residual_equations,
-        side_conditions=partial.side_conditions,
-        division_audit=partial.division_audit,
-    )
-
-
 def solve_in_adapted_basis(
     g: LieAlgebra, lattice: MegaidealLattice
 ) -> tuple[AdaptedBasis, AutShape, PolySystem, AutParametrization]:
@@ -480,15 +462,7 @@ def solve_in_adapted_basis(
     adapted = change_basis(g, basis.change_of_basis)
     shape = shape_from_flag(basis)
     system = structure_equations(adapted, shape)
-    partial = triangular_solve(system)
-    param = AutParametrization(
-        shape=shape,
-        assignments=partial.assignments,
-        free_parameters=partial.free_parameters,
-        residual_equations=partial.residual_equations,
-        side_conditions=partial.side_conditions,
-        division_audit=partial.division_audit,
-    )
+    param = replace(triangular_solve(system), shape=shape)
     return basis, shape, system, param
 
 

@@ -258,6 +258,13 @@ def _cmd_vf_pushforward(args) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="megalie",
@@ -274,14 +281,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("file")
     p_analyze.add_argument("--text", action="store_true", help="human-readable projection")
     p_analyze.add_argument("--out", default=None)
-    p_analyze.add_argument("--budget", type=int, default=4, help="closure pass budget")
+    p_analyze.add_argument(
+        "--budget", type=_non_negative_int, default=4, help="closure pass budget"
+    )
     p_analyze.add_argument(
         "--full-prop34",
         action="store_true",
         help="enumerate all transporter triples (no dimension pruning)",
     )
     p_analyze.add_argument(
-        "--max-enum-dim", type=int, default=16, help="cap for the 2^n invariance scan"
+        "--max-enum-dim",
+        type=_non_negative_int,
+        default=16,
+        help="cap for the 2^n invariance scan",
     )
     p_analyze.set_defaults(func=_cmd_analyze)
 

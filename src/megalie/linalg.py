@@ -141,11 +141,6 @@ class Matrix:
             cols=self.rows,
         )
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -249,16 +244,6 @@ class Matrix:
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix([row[n:] for row in reduced.entries], cols=n)
-
-
-def stack(matrices: Sequence[Matrix]) -> Matrix:
-    cols = matrices[0].cols
-    rows: list[Vector] = []
-    for m in matrices:
-        if m.cols != cols:
-            raise ValueError("column mismatch in stack")
-        rows.extend(m.entries)
-    return Matrix(rows, cols=cols)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:

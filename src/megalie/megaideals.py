@@ -4,8 +4,9 @@ A megaideal (fully characteristic ideal) is a subspace invariant under
 every automorphism of the algebra.  The engine grows a lattice of such
 subspaces from constructors that are invariant by construction: the
 structural series, center, radical, exact nilradical approximations,
-pairwise Lie products, sums, intersections, centralizers, normalizers,
-and the general transporter {x in i0 : [x, i1] <= i2}.
+pairwise Lie products, sums, intersections, and the transporter
+{x in i0 : [x, i1] <= i2}, whose special cases i2 = 0 and i2 = i1 are the
+centralizer and the normalizer.
 
 The constructor family is sound but not complete: a subspace can be
 invariant under every automorphism without arising from any constructor
@@ -17,25 +18,23 @@ TRANSPORTER_COMPLETENESS_NOTE.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     LieAlgebra,
     NotAnIdeal,
+    SeriesReport,
     bracket_subspaces,
-    center,
-    centralizer,
     derivations,
     derived_series,
     is_ideal,
     lower_central_series,
     nilradical_approx,
-    normalizer,
     radical,
     transporter,
     upper_central_series,
 )
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 
 TRANSPORTER_COMPLETENESS_NOTE = (
     "transporter(i0, i1, i2) = {x in i0 : [x, i1] subset of i2} is evaluated "
@@ -61,6 +60,7 @@ class MegaidealLattice:
     entries: tuple[LatticeEntry, ...]  # sorted by (dim, lexicographic RREF)
     reached_fixpoint: bool
     passes_used: int
+    series: tuple[SeriesReport, ...]  # derived, lower central, upper central
 
     @property
     def members(self) -> tuple[Subspace, ...]:
@@ -85,16 +85,19 @@ class MegaidealVerdict:
         return self.is_ideal and self.is_derivation_invariant
 
 
-def verify_megaideal(g: LieAlgebra, s: Subspace) -> MegaidealVerdict:
+def verify_megaideal(
+    g: LieAlgebra, s: Subspace, derivs: Sequence[Matrix] | None = None
+) -> MegaidealVerdict:
     """Necessary conditions: ideal, and invariant under every derivation.
 
     Derivation invariance covers the connected component of the
     automorphism group; it is necessary for megaideal status, not
-    sufficient.
+    sufficient.  derivs is the basis of derivations(g); it is computed
+    when not given.
     """
     ideal_ok = is_ideal(g, s)
     deriv_ok = True
-    for d in derivations(g):
+    for d in derivations(g) if derivs is None else derivs:
         for row in s.basis.entries:
             if not s.contains(d.matvec(row)):
                 deriv_ok = False
@@ -178,9 +181,11 @@ def closure(
     lower central, and upper central series, the center, the radical, and
     the nilradical approximation (exact results only).  Constructors
     iterated over the current members each pass: pairwise Lie products,
-    sums, intersections, centralizers, normalizers, and transporters over
-    member triples.  Transporter triples are restricted to
-    dim(i2) <= dim(i1) unless full_transporter is set.
+    sums, intersections, and transporters tp(a, b, c) over member triples,
+    of which the centralizer C(a;b) = tp(a, b, 0) and the normalizer
+    N(a;b) = tp(a, b, b) are named cases.  Transporter triples are
+    restricted to dim(c) <= dim(b) unless full_transporter is set; the
+    restriction always keeps C and N.  Each member triple is solved once.
 
     Stops at a fixpoint or after `budget` passes; a truncated run is
     reported through reached_fixpoint=False on the result.
@@ -196,14 +201,16 @@ def closure(
             raise NotAnIdeal(f"seed {pos} is not an ideal")
         builder.add(seed, ("seed", pos))
 
-    for k, term in enumerate(derived_series(g).terms):
+    series = (derived_series(g), lower_central_series(g), upper_central_series(g))
+    derived, lower, upper = series
+    for k, term in enumerate(derived.terms):
         if k:
             builder.add(term, ("derived", k))
-    for k, term in enumerate(lower_central_series(g).terms):
+    for k, term in enumerate(lower.terms):
         if k:
             builder.add(term, ("lcs", k + 1))
-    builder.add(center(g), ("center",))
-    for k, term in enumerate(upper_central_series(g).terms):
+    builder.add(upper.terms[0], ("center",))
+    for k, term in enumerate(upper.terms):
         if k:
             builder.add(term, ("ucs", k + 1))
     builder.add(radical(g), ("radical",))
@@ -219,37 +226,33 @@ def closure(
         count = len(builder.spaces)
         members = list(builder.spaces)
         candidates: list[tuple[Subspace, tuple]] = []
+        solved: dict[tuple[int, int, int], Subspace] = {}  # this pass only
 
-        def emit(op: tuple, space: Subspace) -> None:
+        def tp(a: int, b: int, c: int) -> Subspace:
+            if (a, b, c) not in solved:
+                solved[(a, b, c)] = transporter(g, members[a], members[b], members[c])
+            return solved[(a, b, c)]
+
+        def emit(op: tuple, build: Callable[[], Subspace]) -> None:
             if op not in done:
                 done.add(op)
-                candidates.append((space, op))
+                candidates.append((build(), op))
 
         for a in range(count):
             for b in range(a, count):
-                if ("bracket", a, b) not in done:
-                    emit(("bracket", a, b), bracket_subspaces(g, members[a], members[b]))
-                if a < b and ("sum", a, b) not in done:
-                    emit(("sum", a, b), members[a].sum(members[b]))
-                if a < b and ("intersect", a, b) not in done:
-                    emit(("intersect", a, b), members[a].intersect(members[b]))
+                emit(("bracket", a, b), lambda: bracket_subspaces(g, members[a], members[b]))
+                if a < b:
+                    emit(("sum", a, b), lambda: members[a].sum(members[b]))
+                    emit(("intersect", a, b), lambda: members[a].intersect(members[b]))
         for a in range(count):
             for b in range(count):
-                if ("centralizer", a, b) not in done:
-                    emit(("centralizer", a, b), centralizer(g, members[a], members[b]))
-                if ("normalizer", a, b) not in done:
-                    emit(("normalizer", a, b), normalizer(g, members[a], members[b]))
+                emit(("centralizer", a, b), lambda: tp(a, b, 0))
+                emit(("normalizer", a, b), lambda: tp(a, b, b))
         for a in range(count):
             for b in range(count):
                 for c in range(count):
-                    if not full_transporter and members[c].dim > members[b].dim:
-                        continue
-                    if ("transporter", a, b, c) in done:
-                        continue
-                    emit(
-                        ("transporter", a, b, c),
-                        transporter(g, members[a], members[b], members[c]),
-                    )
+                    if full_transporter or members[c].dim <= members[b].dim:
+                        emit(("transporter", a, b, c), lambda: tp(a, b, c))
 
         added = False
         for space, op in candidates:
@@ -276,7 +279,7 @@ def closure(
         entries.append(
             LatticeEntry(builder.spaces[old].with_provenance(prov), prov, aliases)
         )
-    return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes)
+    return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes, series)
 
 
 def essential_filter(lattice: MegaidealLattice) -> MegaidealLattice:
@@ -305,6 +308,4 @@ def essential_filter(lattice: MegaidealLattice) -> MegaidealLattice:
             if inessential:
                 break
         flagged.append(replace(entry, essential=not inessential))
-    return MegaidealLattice(
-        lattice.algebra, tuple(flagged), lattice.reached_fixpoint, lattice.passes_used
-    )
+    return replace(lattice, entries=tuple(flagged))

@@ -452,8 +452,3 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     if kind != "end":
         raise PolyError(f"trailing input {value!r}", pos)
     return result
-
-
-def differentiate(p: Poly, variable: str) -> Poly:
-    """Formal partial derivative."""
-    return p.derivative(variable)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import LieAlgebra, validate
+from .algebra import LieAlgebra, algebra_from_brackets, validate
 from .linalg import Matrix, format_rat, rat, solve as linear_solve
 from .poly import Poly, parse_poly
 
@@ -244,17 +244,13 @@ def extract_structure(named_fields: Sequence[tuple[str, PolyVectorField]], name:
         raise LinearlyDependent(
             {names[k]: witness[k] for k in range(m) if witness[k] != 0}
         )
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    constants = {}
     for (i, j), br in brackets.items():
-        target = _flatten(br, keys)
-        coords = linear_solve(transposed, target)
+        coords = linear_solve(transposed, _flatten(br, keys))
         if coords is None:
             raise NotClosed(names[i], names[j], br)
-        for k in range(m):
-            c[i][j][k] = coords[k]
-            c[j][i][k] = -coords[k]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    algebra = LieAlgebra(name or ",".join(names), tuple(names), tensor)
+        constants[(i, j)] = dict(enumerate(coords))
+    algebra = algebra_from_brackets(name or ",".join(names), names, constants)
     report = validate(algebra)
     if not report.ok:
         raise RuntimeError("extracted constants failed the Jacobi cross-check")
@@ -362,27 +358,47 @@ def verify_homomorphism(
 # file formats
 
 
-def fields_from_dict(data: Mapping) -> tuple[tuple[str, ...], list[tuple[str, PolyVectorField]]]:
-    """Vector-field file: {"variables": [...], "fields": [{"name", "components"}]}."""
+def _variables(data) -> tuple[str, ...]:
+    if not isinstance(data, Mapping):
+        raise ValueError("file must be a JSON object")
     variables = data.get("variables")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ValueError("'variables' must be a list of strings")
-    variables = tuple(variables)
+    return tuple(variables)
+
+
+def _polys(raw, variables: tuple[str, ...], context: str) -> dict[str, Poly]:
+    """Parse a {variable: polynomial string} object found at the JSON path `context`."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{context}: must be an object")
+    out = {}
+    for var, text in raw.items():
+        if var not in variables:
+            raise ValueError(f"{context}: unknown variable {var!r}")
+        if not isinstance(text, str):
+            raise ValueError(f"{context}.{var}: must be a polynomial string")
+        out[var] = parse_poly(text, variables)
+    return out
+
+
+def fields_from_dict(data: Mapping) -> tuple[tuple[str, ...], list[tuple[str, PolyVectorField]]]:
+    """Vector-field file: {"variables": [...], "fields": [{"name", "components"}]}."""
+    variables = _variables(data)
+    entries = data.get("fields", [])
+    if not isinstance(entries, list):
+        raise ValueError("'fields' must be a list")
     out = []
     seen = set()
-    for pos, entry in enumerate(data.get("fields", [])):
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"fields[{pos}]: must be an object")
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ValueError(f"fields[{pos}]: missing name")
         if name in seen:
             raise ValueError(f"fields[{pos}]: duplicate field name {name!r}")
         seen.add(name)
-        raw = entry.get("components", {})
-        components = {}
-        for var, text in raw.items():
-            if var not in variables:
-                raise ValueError(f"fields[{pos}] ({name}): unknown component variable {var!r}")
-            components[var] = parse_poly(text, variables)
+        components = _polys(entry.get("components", {}), variables, f"fields[{pos}].components")
         out.append((name, PolyVectorField(variables, components)))
     return variables, out
 
@@ -401,23 +417,10 @@ def fields_to_dict(variables: Sequence[str], named_fields: Sequence[tuple[str, P
 
 def pointmap_from_dict(data: Mapping) -> PointMap:
     """Point-map file: {"variables": [...], "forward": {...}, "inverse": {...}}."""
-    variables = data.get("variables")
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise ValueError("'variables' must be a list of strings")
-    variables = tuple(variables)
-
-    def read(section: str) -> dict[str, Poly]:
-        raw = data.get(section, {})
-        if not isinstance(raw, Mapping):
-            raise ValueError(f"'{section}' must be an object")
-        out = {}
-        for var, text in raw.items():
-            if var not in variables:
-                raise ValueError(f"{section}: unknown variable {var!r}")
-            out[var] = parse_poly(text, variables)
-        return out
-
-    return PointMap(variables, read("forward"), read("inverse"))
+    variables = _variables(data)
+    forward = _polys(data.get("forward", {}), variables, "forward")
+    inverse = _polys(data.get("inverse", {}), variables, "inverse")
+    return PointMap(variables, forward, inverse)
 
 
 def pointmap_to_dict(pm: PointMap) -> dict:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 ARGS = [sys.executable, "-m", "megalie"]
 
 
@@ -125,6 +127,24 @@ class TestAnalyze:
         assert report["automorphisms"]["invariant_coordinate_subspaces"] is None
         assert "cap" in report["automorphisms"]["note"]
 
+    def test_negative_budget_rejected(self, fixtures_dir):
+        result = run("analyze", str(fixtures_dir / "m5.json"), "--budget", "-1")
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+        assert result.stdout == ""
+
+    def test_negative_max_enum_dim_rejected(self, fixtures_dir):
+        result = run("analyze", str(fixtures_dir / "m5.json"), "--max-enum-dim", "-3")
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+        assert result.stdout == ""
+
+    def test_zero_budget_reports_truncation(self, fixtures_dir):
+        result = run("analyze", str(fixtures_dir / "m5.json"), "--budget", "0")
+        report = json.loads(result.stdout)
+        assert report["lattice"]["reached_fixpoint"] is False
+        assert report["lattice"]["passes"] == 0
+
     def test_full_prop34_flag_same_m5_lattice(self, fixtures_dir):
         plain = json.loads(run("analyze", str(fixtures_dir / "m5.json")).stdout)
         full = json.loads(
@@ -209,6 +229,31 @@ class TestVf:
         assert result.returncode == 0
         data = json.loads(result.stdout)
         assert data["fields"] == [{"name": "G1", "components": {"u": "2"}}]
+
+    def test_bracket_table_non_object_field_exit_2(self, tmp_path):
+        bad = tmp_path / "bad_fields.json"
+        bad.write_text(json.dumps({"variables": ["x"], "fields": [1]}))
+        result = run("vf", "bracket-table", str(bad))
+        assert result.returncode == 2
+        assert "fields[0]: must be an object" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["bracket-table", "pushforward"])
+    def test_non_string_component_exit_2(self, command, fixtures_dir, tmp_path):
+        bad = tmp_path / "bad_fields.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "variables": ["t", "x", "u", "u_x", "f", "g"],
+                    "fields": [{"name": "X", "components": {"x": 5}}],
+                }
+            )
+        )
+        maps = [str(fixtures_dir / "maps" / "uscale.json")] if command == "pushforward" else []
+        result = run("vf", command, str(bad), *maps)
+        assert result.returncode == 2
+        assert "fields[0].components.x: must be a polynomial string" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_pushforward_bad_map_exit_2(self, fixtures_dir, tmp_path):
         bad = tmp_path / "bad_map.json"

@@ -1,7 +1,10 @@
 import itertools
+import sys
+from collections import Counter
 
 import pytest
 
+import megalie.algebra
 from megalie.algebra import (
     NotAnIdeal,
     algebra_from_brackets,
@@ -20,6 +23,19 @@ from megalie.megaideals import (
 
 def span(n, *rows):
     return Subspace.spanned_by(n, rows)
+
+
+def filiform(n):
+    """L_n: [e1, ei] = e(i+1) for 2 <= i < n."""
+    names = [f"e{i}" for i in range(1, n + 1)]
+    return algebra_from_brackets(f"L{n}", names, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace every binding of `original` inside the megalie package."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "megalie"]:
+        for attr in [a for a, value in vars(module).items() if value is original]:
+            monkeypatch.setattr(module, attr, replacement)
 
 
 def m5_chain(m5):
@@ -209,3 +225,50 @@ class TestNote:
 
         report = analyze(m5)
         assert TRANSPORTER_COMPLETENESS_NOTE in report["lattice"]["notes"]
+
+
+class TestComputedOnce:
+    def test_analyze_solves_derivations_once(self, m5, monkeypatch):
+        from megalie.analysis import analyze
+
+        calls = []
+        original = megalie.algebra.derivations
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        rebind(monkeypatch, original, counted)
+        analyze(m5)
+        assert len(calls) == 1
+
+    def test_closure_solves_each_member_triple_once(self, monkeypatch):
+        # The structural series run their own transporter solves before the
+        # passes; only the solves made by the passes themselves are counted.
+        solved = []
+        in_series = []
+        original = megalie.algebra.transporter
+
+        def recorded(g, within, of, into, provenance=""):
+            if not in_series:
+                solved.append((within, of, into))
+            return original(g, within, of, into, provenance)
+
+        def guarded(fn):
+            def call(*args, **kwargs):
+                in_series.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    in_series.pop()
+
+            return call
+
+        for fn in (megalie.algebra.upper_central_series, megalie.algebra.center):
+            rebind(monkeypatch, fn, guarded(fn))
+        rebind(monkeypatch, original, recorded)
+        lattice = closure(filiform(6))
+        assert lattice.reached_fixpoint
+        repeated = [triple for triple, count in Counter(solved).items() if count > 1]
+        assert solved
+        assert not repeated, f"{len(repeated)} member triples solved more than once"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,32 @@ class TestFileFormats:
             "inverse": {"t": "t + 2"},
         }
         with pytest.raises(ValueError):
+            pointmap_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ([], "file"),
+            ({"variables": ["x"], "fields": {"X": {}}}, "'fields'"),
+            ({"variables": ["x"], "fields": [1]}, "fields[0]"),
+            ({"variables": ["x"], "fields": [{"name": "X", "components": ["x"]}]}, "fields[0].components"),
+            ({"variables": ["x"], "fields": [{"name": "X", "components": {"x": 5}}]}, "fields[0].components.x"),
+        ],
+    )
+    def test_malformed_fields_file_names_its_path(self, data, path):
+        with pytest.raises(ValueError, match=re.escape(path)):
+            fields_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ("x", "file"),
+            ({"variables": ["x"], "forward": ["x"]}, "forward"),
+            ({"variables": ["x"], "inverse": {"x": None}}, "inverse.x"),
+        ],
+    )
+    def test_malformed_map_file_names_its_path(self, data, path):
+        with pytest.raises(ValueError, match=re.escape(path)):
             pointmap_from_dict(data)
 
 
