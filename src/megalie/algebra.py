@@ -20,12 +20,11 @@ from .linalg import (
     Subspace,
     Vector,
     format_rat,
+    kernel,
     rat,
     unit_vector,
     vec,
-    vec_add,
-    vec_scale,
-    zero_vector,
+    vec_dot,
 )
 
 
@@ -99,6 +98,9 @@ def algebra_from_brackets(
     for (i, j), result in brackets.items():
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"bracket index ({i},{j}) out of range")
+        for k in result:
+            if not 0 <= k < n:
+                raise FormatError(f"bracket ({i},{j}) component index {k} out of range")
         if i == j:
             if any(rat(v) != 0 for v in result.values()):
                 raise FormatError(f"bracket [{names[i]},{names[i]}] must be zero")
@@ -185,34 +187,17 @@ def transporter(
 ) -> Subspace:
     """{x in `within` : [x, b] in `into` for every basis vector b of `of`}.
 
-    One exact linear solve: parametrize x over the basis of `within` and
-    impose the membership constraints of `into` on each bracket.  This is
-    the workhorse behind centralizers (into = 0), normalizers (into = of)
-    and the general invariant-subspace constructor.
+    One kernel solve: x = sum t_i w_i over the basis of `within`, and
+    [x, b] lies in `into` exactly when its remainder against `into`,
+    sum t_i into.reduce([w_i, b]), is zero.  This is the workhorse behind
+    centralizers (into = 0), normalizers (into = of), the upper central
+    series and the general invariant-subspace constructor.
     """
-    da = within.dim
-    if da == 0:
-        return Subspace.zero(g.dim, provenance)
-    constraints = into.constraint_matrix()
-    rows = []
-    for b in of.basis.entries:
-        images = [g.bracket(w, b) for w in within.basis.entries]
-        for w_row in constraints.entries:
-            rows.append(tuple(
-                sum((w_row[k] * images[i][k] for k in range(g.dim)), Fraction(0))
-                for i in range(da)
-            ))
-    if not rows:
-        return within.with_provenance(provenance)
-    system = Matrix(rows, cols=da)
-    vectors = []
-    for t in system.kernel_rows():
-        combo = zero_vector(g.dim)
-        for i in range(da):
-            if t[i] != 0:
-                combo = vec_add(combo, vec_scale(t[i], within.basis.entries[i]))
-        vectors.append(combo)
-    return Subspace.spanned_by(g.dim, vectors, provenance)
+    images = [
+        tuple(x for b in of.basis.entries for x in into.reduce(g.bracket(w, b)))
+        for w in within.basis.entries
+    ]
+    return within.where_zero(images, provenance)
 
 
 def center(g: LieAlgebra, provenance: str = "Z(g)") -> Subspace:
@@ -293,7 +278,7 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     if not is_ideal(g, ideal):
         raise NotAnIdeal("quotient requires an ideal")
     n = g.dim
-    _, pivots = ideal.basis.rref_with_pivots()
+    pivots = ideal.pivots
     pivot_set = set(pivots)
     complement = [j for j in range(n) if j not in pivot_set]
     m = len(complement)
@@ -382,38 +367,41 @@ def killing_form(g: LieAlgebra) -> Matrix:
     return Matrix(form)
 
 
+def _killing_orthogonal(
+    k: Matrix, within: Subspace, against: Subspace, provenance: str = ""
+) -> Subspace:
+    """{x in `within` : K(x, y) = 0 for every basis vector y of `against`}."""
+    k_against = [k.matvec(y) for y in against.basis.entries]
+    images = [tuple(vec_dot(w, ky) for ky in k_against) for w in within.basis.entries]
+    return within.where_zero(images, provenance)
+
+
 def radical(g: LieAlgebra, provenance: str = "rad(g)") -> Subspace:
     """Maximal solvable ideal, via K-orthogonality to the derived algebra.
 
     Over a field of characteristic zero the radical equals
     {x : K(x, [g, g]) = 0}, which is one exact kernel computation.
     """
-    k = killing_form(g)
-    derived = bracket_subspaces(g, g.full_space(), g.full_space())
-    rows = [k.matvec(d) for d in derived.basis.entries]
-    if not rows:
-        return g.full_space().with_provenance(provenance)
-    constraints = Matrix(rows, cols=g.dim)
-    return Subspace.spanned_by(g.dim, constraints.kernel_rows(), provenance)
+    full = g.full_space()
+    return _killing_orthogonal(
+        killing_form(g), full, bracket_subspaces(g, full, full), provenance
+    )
 
 
 def nilradical_approx(g: LieAlgebra, provenance: str = "nil(g)") -> tuple[Subspace, str]:
     """Iterative over-approximation of the nilradical.
 
-    Start from the radical and repeatedly intersect with the Killing-trace
-    conditions trace(ad_x ad_y) = 0 against the current term's basis.  Each
-    term is an ideal containing the nilradical.  Status is 'exact' when the
-    fixed point is nilpotent, otherwise 'stalled' (the over-approximation is
-    still returned).
+    Start from the radical and repeatedly keep the part of the current term
+    that is K-orthogonal to the whole term, trace(ad_x ad_y) = 0 for y in
+    its basis.  Each term is an ideal containing the nilradical.  Status is
+    'exact' when the fixed point is nilpotent, otherwise 'stalled' (the
+    over-approximation is still returned).
     """
     k = killing_form(g)
-    current = radical(g)
-    while True:
-        if current.is_zero():
-            break
-        rows = [k.matvec(y) for y in current.basis.entries]
-        constraint_space = Subspace.spanned_by(g.dim, Matrix(rows, cols=g.dim).kernel_rows())
-        nxt = current.intersect(constraint_space)
+    full = g.full_space()
+    current = _killing_orthogonal(k, full, bracket_subspaces(g, full, full))
+    while not current.is_zero():
+        nxt = _killing_orthogonal(k, current, current)
         if nxt == current:
             break
         current = nxt
@@ -452,39 +440,32 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
                         row[l * n + i] -= g.c[l][j][m]
                     if g.c[i][l][m] != 0:
                         row[l * n + j] -= g.c[i][l][m]
-                if any(x != 0 for x in row):
-                    rows.append(tuple(row))
-    if not rows:
-        return [
-            Matrix([[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
-            for i in range(n)
-            for j in range(n)
-        ]
-    solution_rows = Matrix(rows, cols=n * n).kernel_rows()
-    canonical = Matrix(solution_rows, cols=n * n).rref() if solution_rows else Matrix([], cols=n * n)
+                rows.append(row)
+    solutions = kernel(Matrix(rows, cols=n * n))
     return [
         Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
-        for row in canonical.entries
+        for row in solutions.basis.entries
     ]
 
 
 def exp_ad_nilpotent(g: LieAlgebra, x: Sequence, t) -> Matrix:
-    """exp(t ad_x) as an exact rational matrix; requires (ad_x)^dim = 0."""
+    """exp(t ad_x) as an exact rational matrix; requires (ad_x)^dim = 0.
+
+    The series is summed until a power of ad_x vanishes; when none of the
+    first dim powers does, ad_x is not nilpotent.
+    """
     t = rat(t)
     a = ad(g, x)
-    n = g.dim
-    if not a.power(n).is_zero():
-        raise NotNilpotent("ad_x is not nilpotent")
-    result = Matrix.identity(n)
-    term = Matrix.identity(n)
+    result = Matrix.identity(g.dim)
+    term = result
     factorial = 1
-    for k in range(1, n):
+    for k in range(1, g.dim + 1):
         term = term @ a
         if term.is_zero():
-            break
+            return result
         factorial *= k
         result = result + term.scaled(t**k / factorial)
-    return result
+    raise NotNilpotent("ad_x is not nilpotent")
 
 
 # ---------------------------------------------------------------------------

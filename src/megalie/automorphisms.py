@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .algebra import LieAlgebra, ad, change_basis, exp_ad_nilpotent
+from .algebra import LieAlgebra, NotNilpotent, change_basis, exp_ad_nilpotent
 from .linalg import Matrix, Subspace, format_rat
 from .megaideals import MegaidealLattice
 from .poly import Poly
@@ -491,8 +491,8 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
     """Whether A maps s into s identically in the free parameters.
 
     s is given in the coordinates the parametrization acts on (the adapted
-    basis).  For every basis vector v of s the complement components of
-    A v must be the zero polynomial.
+    basis).  A v lies in s identically exactly when, for every monomial
+    in the parameters, the vector of its coefficients in A v lies in s.
     """
     if not param.solved:
         raise ResidualSystem("parametrization has residual equations")
@@ -500,22 +500,15 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
     if s.ambient_dim != n:
         raise ValueError("subspace has wrong ambient dimension")
     entries = param.matrix_entries()
-    constraints = s.constraint_matrix()
     for v in s.basis.entries:
-        image = []
+        by_monomial: dict[tuple[int, ...], list[Fraction]] = {}
         for i in range(n):
-            total = Poly.zero(param.shape.unknowns)
             for j in range(n):
-                if v[j] != 0 and not entries[i][j].is_zero():
-                    total = total + entries[i][j].scaled(v[j])
-            image.append(total)
-        for w in constraints.entries:
-            combo = Poly.zero(param.shape.unknowns)
-            for i in range(n):
-                if w[i] != 0 and not image[i].is_zero():
-                    combo = combo + image[i].scaled(w[i])
-            if not combo.is_zero():
-                return False
+                if v[j] != 0:
+                    for exps, coeff in entries[i][j].terms.items():
+                        by_monomial.setdefault(exps, [Fraction(0)] * n)[i] += coeff * v[j]
+        if not all(s.contains(column) for column in by_monomial.values()):
+            return False
     return True
 
 
@@ -528,23 +521,25 @@ def enumerate_coordinate_megaideals(
     """All coordinate spans (in the adapted basis) fixed by every A.
 
     Scans all 2^n subsets in (popcount, index) order and returns the
-    invariant ones, converted back to ambient coordinates.  The zero and
-    full spans are included; they are invariant trivially.
+    invariant ones, converted back to ambient coordinates.  The span of
+    the coordinates J is invariant exactly when A[i][j] is the zero
+    polynomial for every j in J and every i outside J.  The zero and full
+    spans are included; they are invariant trivially.
     """
     if not param.solved:
         raise ResidualSystem("parametrization has residual equations")
     n = param.shape.dim
     if n > max_dim:
         raise ValueError(f"enumeration capped at dimension {max_dim}")
+    entries = param.matrix_entries()
+    # bit i of leaks[j] is set when A[i][j] is not the zero polynomial
+    leaks = [sum(1 << i for i in range(n) if not entries[i][j].is_zero()) for j in range(n)]
     results = []
-    subsets = []
     for size in range(n + 1):
-        subsets.extend(combinations(range(n), size))
-    for subset in subsets:
-        span = Subspace.spanned_by(
-            n, [tuple(Fraction(1 if k == j else 0) for k in range(n)) for j in subset]
-        )
-        if check_invariant(param, span):
+        for subset in combinations(range(n), size):
+            inside = sum(1 << j for j in subset)
+            if any(leaks[j] & ~inside for j in subset):
+                continue
             ambient_rows = [basis.change_of_basis.entries[j] for j in subset]
             results.append(
                 Subspace.spanned_by(
@@ -590,12 +585,12 @@ def inner_consistency(
     checks = []
     ok = True
     for idx in range(n):
-        a = ad(g, g.basis_vector(idx))
-        if not a.power(n).is_zero():
-            continue
         for t in t_values:
             t = Fraction(t)
-            exp = exp_ad_nilpotent(g, g.basis_vector(idx), t)
+            try:
+                exp = exp_ad_nilpotent(g, g.basis_vector(idx), t)
+            except NotNilpotent:
+                break
             adapted = b_t_inv @ exp @ b_t
             values = {
                 name: adapted.entries[i][j] for name, (i, j) in free_positions.items()

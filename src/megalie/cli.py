@@ -95,8 +95,11 @@ def _load_pointmap(path: str):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_FORMAT, f"{out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -4,11 +4,16 @@ Dense matrices with Fraction entries, reduced row echelon form, kernels,
 and canonical subspace arithmetic.  All values are immutable, all results
 are exact; no floating point enters anywhere.  Subspaces are kept in RREF
 with leading coefficient 1, so two subspaces are equal precisely when
-their basis matrices are entry-wise equal.
+their basis matrices are entry-wise equal.  A Subspace is row-reduced
+once, when it is built, and keeps its pivot columns for reduction and
+coordinates.  Subspace.where_zero -- the part of a space that a linear
+map sends to zero -- is the one kernel solve behind intersections,
+kernels and every constructor in the algebra module.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -201,12 +206,13 @@ class Matrix:
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = Fraction(1) / m[r][c]
-            m[r] = [x * inv for x in m[r]]
+            if m[r][c] != 1:
+                inv = Fraction(1) / m[r][c]
+                m[r] = [x * inv for x in m[r]]
             for i in range(len(m)):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
             if r == len(m):
@@ -266,8 +272,10 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Linear subspace of Q^n with a canonical RREF basis.
+    """Linear subspace of Q^n, kept as the RREF of its basis.
 
+    The constructor row-reduces the basis it is given, once, and stores
+    the pivot columns next to it; every later operation reads those.
     Equality and hashing look only at the ambient dimension and the basis
     matrix; the provenance string records how the space was constructed
     and never affects identity.
@@ -276,21 +284,21 @@ class Subspace:
     ambient_dim: int
     basis: Matrix
     provenance: str = field(default="", compare=False)
+    pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.basis.cols != self.ambient_dim:
             raise AmbientMismatch("basis width does not match ambient dimension")
-        if self.basis.rref() != self.basis:
-            raise ValueError("subspace basis must be the reduced row echelon form")
+        basis, pivots = self.basis.rref_with_pivots()
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", pivots)
 
     @staticmethod
     def spanned_by(ambient_dim: int, vectors: Iterable[Sequence], provenance: str = "") -> "Subspace":
-        rows = [vec(v) for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise AmbientMismatch("generator length does not match ambient dimension")
-        basis = Matrix(rows, cols=ambient_dim).rref()
-        return Subspace(ambient_dim, basis, provenance)
+        rows = [tuple(v) for v in vectors]
+        if any(len(row) != ambient_dim for row in rows):
+            raise AmbientMismatch("generator length does not match ambient dimension")
+        return Subspace(ambient_dim, Matrix(rows, cols=ambient_dim), provenance)
 
     @staticmethod
     def zero(ambient_dim: int, provenance: str = "0") -> "Subspace":
@@ -324,7 +332,10 @@ class Subspace:
         return (self.dim, tuple(x for row in self.basis.entries for x in row))
 
     def with_provenance(self, provenance: str) -> "Subspace":
-        return Subspace(self.ambient_dim, self.basis, provenance)
+        """The same space under another name; basis and pivots are shared."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "provenance", provenance)
+        return twin
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -340,15 +351,14 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of v after elimination against the RREF basis."""
-        v = list(vec(v))
+        v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
-        for row in self.basis.entries:
-            p = next(i for i, x in enumerate(row) if x == 1)
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        for p, row in zip(self.pivots, self.basis.entries):
+            f = v[p]
+            if f != 0:
+                v = tuple(a - f * b if b else a for a, b in zip(v, row))
+        return v
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
@@ -358,21 +368,38 @@ class Subspace:
         return all(self.contains(row) for row in other.basis.entries)
 
     def coordinates(self, v: Sequence) -> Vector | None:
-        """Coefficients of v over the RREF basis rows, or None if outside."""
+        """Coefficients of v over the RREF basis rows, or None if outside.
+
+        The coefficient of row r is v at pivot r, since every other row is
+        zero there.
+        """
         v = vec(v)
-        coeffs = []
-        residue = list(v)
-        for row in self.basis.entries:
-            p = next(i for i, x in enumerate(row) if x == 1)
-            c = residue[p]
-            coeffs.append(c)
-            if c != 0:
-                residue = [a - c * b for a, b in zip(residue, row)]
-        if any(x != 0 for x in residue):
+        if not self.contains(v):
             return None
-        return tuple(coeffs)
+        return tuple(v[p] for p in self.pivots)
 
     # -- lattice operations ---------------------------------------------------
+
+    def where_zero(self, images: Sequence[Sequence], provenance: str = "") -> "Subspace":
+        """{sum t_i b_i : sum t_i images[i] = 0} over the basis rows b_i.
+
+        images[i] is the image of basis row i under some linear map, and
+        the result is the part of this space that the map sends to zero:
+        one kernel solve in the coordinates of this space, mapped back.
+        Every subspace constructor that cuts out a space by linear
+        conditions goes through here.
+        """
+        rows = [row for row in zip(*images) if any(x != 0 for x in row)]
+        if not rows:
+            return self.with_provenance(provenance)
+        vectors = []
+        for t in Matrix(rows, cols=self.dim).kernel_rows():
+            combo = zero_vector(self.ambient_dim)
+            for ti, b in zip(t, self.basis.entries):
+                if ti != 0:
+                    combo = vec_add(combo, vec_scale(ti, b))
+            vectors.append(combo)
+        return Subspace(self.ambient_dim, Matrix(vectors, cols=self.ambient_dim), provenance)
 
     def sum(self, other: "Subspace", provenance: str = "") -> "Subspace":
         self._check_ambient(other)
@@ -383,41 +410,11 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace", provenance: str = "") -> "Subspace":
-        """Intersection via the kernel of the stacked coordinate system.
-
-        Solve x . A - y . B = 0 over the joint coefficient space and map the
-        solutions back through A.
-        """
+        """The part of this space whose remainder against `other` is zero."""
         self._check_ambient(other)
-        da, db = self.dim, other.dim
-        if da == 0 or db == 0:
-            return Subspace.zero(self.ambient_dim, provenance)
-        system = Matrix(
-            [
-                [self.basis.entries[i][c] for i in range(da)]
-                + [-other.basis.entries[j][c] for j in range(db)]
-                for c in range(self.ambient_dim)
-            ],
-            cols=da + db,
-        )
-        vectors = []
-        for w in system.kernel_rows():
-            combo = zero_vector(self.ambient_dim)
-            for i in range(da):
-                if w[i] != 0:
-                    combo = vec_add(combo, vec_scale(w[i], self.basis.entries[i]))
-            vectors.append(combo)
-        return Subspace.spanned_by(self.ambient_dim, vectors, provenance)
-
-    def constraint_matrix(self) -> Matrix:
-        """Matrix W with {v : W @ v = 0} equal to this subspace.
-
-        Rows of W span the orthogonal complement under the standard dot
-        product, which over Q cuts out exactly the original row space.
-        """
-        return Matrix(self.basis.kernel_rows(), cols=self.ambient_dim)
+        return self.where_zero([other.reduce(w) for w in self.basis.entries], provenance)
 
 
 def kernel(m: Matrix, provenance: str = "") -> Subspace:
     """Null space {v : m @ v = 0} as a canonical subspace of Q^cols."""
-    return Subspace.spanned_by(m.cols, m.kernel_rows(), provenance)
+    return Subspace.full(m.cols).where_zero([m.col(j) for j in range(m.cols)], provenance)

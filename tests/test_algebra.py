@@ -280,6 +280,9 @@ class TestDerivationsExp:
     def test_exp_ad_not_nilpotent(self, sl2):
         with pytest.raises(NotNilpotent):
             exp_ad_nilpotent(sl2, [0, 1, 0], 1)
+        # decided from the powers of ad_x, not from the scaled series
+        with pytest.raises(NotNilpotent):
+            exp_ad_nilpotent(sl2, [0, 1, 0], 0)
 
     def test_exp_ad_is_automorphism(self, m5, heisenberg):
         for g in (m5, heisenberg):
@@ -322,6 +325,11 @@ class TestFileFormat:
             {"name": "h", "basis": ["a", "b", "c"], "brackets": [{"left": 0, "right": 1, "result": {"2": "1"}}]}
         )
         assert g.bracket([1, 0, 0], [0, 1, 0]) == (0, 0, 1)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_builder_rejects_component_index_out_of_range(self, k):
+        with pytest.raises(FormatError, match="component index"):
+            algebra_from_brackets("bad", ["a", "b", "c"], {(0, 1): {k: 1}})
 
     def test_inconsistent_double_supply(self):
         data = {

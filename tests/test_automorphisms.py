@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -256,6 +257,24 @@ class TestInvariantEnumeration:
         }
         assert set(proper) == expected
         assert len(proper) == 5
+
+    @pytest.mark.parametrize("name", ["m5", "L8"])
+    def test_matches_check_invariant_scan(self, name, m5):
+        # filiform L8: [e1, ei] = e(i+1) for 2 <= i <= 7
+        filiform = algebra_from_brackets(
+            "L8", [f"e{i}" for i in range(1, 9)], {(0, i): {i + 1: 1} for i in range(1, 7)}
+        )
+        g = m5 if name == "m5" else filiform
+        basis, _, _, param = solve_in_adapted_basis(g, closure(g))
+        scanned = []
+        for size in range(g.dim + 1):
+            for subset in combinations(range(g.dim), size):
+                if check_invariant(param, span(g.dim, *[g.basis_vector(j) for j in subset])):
+                    rows = [basis.change_of_basis.entries[j] for j in subset]
+                    scanned.append((Subspace.spanned_by(g.dim, rows), f"aut-invariant{list(subset)}"))
+        found = enumerate_coordinate_megaideals(g, param, basis)
+        assert [(s, s.provenance) for s in found] == scanned
+        assert len(found) > 2
 
     def test_enumerated_spaces_pass_verification(self, m5, m5_solution):
         from megalie.megaideals import verify_megaideal

@@ -116,6 +116,25 @@ class TestAnalyze:
         assert result.stdout == ""
         assert json.loads(out.read_text())["algebra"]["name"] == "m5"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "m5.json"],
+            ["analyze", "m5.json"],
+            ["vf", "bracket-table", "wave_eq_family.json"],
+            ["vf", "extract", "wave_eq_family.json", "--fields", "F1,F2"],
+            ["vf", "pushforward", "wave_eq_family.json", "maps/uscale.json"],
+        ],
+    )
+    def test_unwritable_out_exit_2(self, argv, fixtures_dir, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+        result = run(*argv, "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {out}: ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_budget_flag(self, fixtures_dir):
         result = run("analyze", str(fixtures_dir / "m5.json"), "--budget", "1")
         report = json.loads(result.stdout)

@@ -84,12 +84,49 @@ class TestSubspaceOps:
         with pytest.raises(AmbientMismatch):
             a.contains([1, 0, 0])
 
-    def test_constraint_matrix_cuts_out_space(self):
+    def test_where_zero_maps_kernel_back(self):
+        # basis rows (1,2,0,0), (0,0,1,-1); the map sends them to 1 and 2
         s = Subspace.spanned_by(4, [[1, 2, 0, 0], [0, 0, 1, -1]])
-        w = s.constraint_matrix()
-        for row in s.basis.entries:
-            assert all(x == 0 for x in w.matvec(row))
-        assert w.rows + s.dim == 4
+        cut = s.where_zero([(F(1),), (F(2),)], provenance="cut")
+        assert cut == Subspace.spanned_by(4, [[2, 4, -1, 1]])
+        assert cut.provenance == "cut"
+
+    def test_where_zero_of_zero_map_is_whole_space(self):
+        s = Subspace.spanned_by(3, [[1, 1, 0]])
+        assert s.where_zero([(F(0), F(0))], provenance="p") == s
+        assert s.where_zero([()]) == s
+        assert Subspace.zero(3).where_zero([]) == Subspace.zero(3)
+
+    def test_coordinates(self):
+        s = Subspace.spanned_by(3, [[1, 1, 0], [0, 0, 1]])
+        assert s.coordinates([2, 2, 5]) == (F(2), F(5))
+        assert s.coordinates([1, 0, 0]) is None
+
+
+class TestCanonicalForm:
+    def test_constructor_canonicalizes_basis(self):
+        s = Subspace(3, Matrix([[2, 4, 0], [1, 2, 1], [3, 6, 1]]))
+        assert s.basis == Matrix([[1, 2, 0], [0, 0, 1]])
+        assert s.pivots == (0, 2)
+        assert s == Subspace.spanned_by(3, [[0, 0, 1], [1, 2, 0]])
+
+    def test_spanned_by_reduces_once(self, monkeypatch):
+        calls = []
+        original = Matrix.rref_with_pivots
+
+        def counting(self):
+            calls.append(self.rows)
+            return original(self)
+
+        monkeypatch.setattr(Matrix, "rref_with_pivots", counting)
+        s = Subspace.spanned_by(4, [[1, 2, 0, 0], [2, 4, 1, 0], [0, 0, 3, 0]])
+        assert len(calls) == 1
+        renamed = s.with_provenance("renamed")
+        s.reduce([1, 1, 1, 1])
+        s.coordinates([1, 2, 1, 0])
+        assert len(calls) == 1
+        assert renamed == s and renamed.pivots == s.pivots == (0, 2)
+        assert renamed.provenance == "renamed" and s.provenance == ""
 
 
 entry = st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4)
