@@ -4,14 +4,17 @@ A LieAlgebra is a tensor c[i][j][k] with [Q_i, Q_j] = sum_k c[i][j][k] Q_k.
 The module validates antisymmetry and the Jacobi identity exactly, and
 provides the bracket calculus used everywhere else: adjoint matrices,
 brackets of subspaces, centralizers/normalizers, the three structural
-series, quotients, the Killing form, the radical, a nilradical
-approximation, derivations, and exponentials of nilpotent adjoints.
+series, quotients, subalgebras and changes of basis, the Killing form,
+the radical, a nilradical approximation, derivations, and exponentials of
+nilpotent adjoints.  Every structure tensor is built by
+algebra_from_brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -268,6 +271,19 @@ def upper_central_series(g: LieAlgebra) -> SeriesReport:
 # quotients and subalgebras
 
 
+def _induced_algebra(g: LieAlgebra, name: str, names, vectors, coordinates) -> LieAlgebra:
+    """g's bracket on the new basis `vectors`, read back through `coordinates`.
+
+    coordinates maps an ambient vector to its coefficients over `vectors`;
+    only the pairs i < j are bracketed.
+    """
+    brackets = {
+        (i, j): dict(enumerate(coordinates(g.bracket(vectors[i], vectors[j]))))
+        for i, j in combinations(range(len(vectors)), 2)
+    }
+    return algebra_from_brackets(name, names, brackets)
+
+
 def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """Quotient algebra on the non-pivot coordinates plus the projection map.
 
@@ -281,9 +297,8 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     pivots = ideal.pivots
     pivot_set = set(pivots)
     complement = [j for j in range(n) if j not in pivot_set]
-    m = len(complement)
     proj_rows = []
-    for idx, q in enumerate(complement):
+    for q in complement:
         row = [Fraction(0)] * n
         row[q] = Fraction(1)
         for r, p in enumerate(pivots):
@@ -291,15 +306,8 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
         proj_rows.append(row)
     proj = Matrix(proj_rows, cols=n)
     names = tuple(g.basis_names[q] for q in complement)
-    c = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            br = g.bracket(g.basis_vector(complement[a]), g.basis_vector(complement[b]))
-            image = proj.matvec(br)
-            for k in range(m):
-                c[a][b][k] = image[k]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return LieAlgebra(f"{g.name}/{ideal.dim}d", names, tensor), proj
+    vectors = [g.basis_vector(q) for q in complement]
+    return _induced_algebra(g, f"{g.name}/{ideal.dim}d", names, vectors, proj.matvec), proj
 
 
 def subalgebra(g: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, Matrix]:
@@ -308,39 +316,19 @@ def subalgebra(g: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, Matrix]:
     Returns the small algebra on the RREF basis rows of s and the embedding
     matrix whose rows are those basis vectors.
     """
+    if not s.contains_subspace(bracket_subspaces(g, s, s)):
+        raise ValueError("subspace is not closed under the bracket")
     d = s.dim
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            br = g.bracket(s.basis.entries[a], s.basis.entries[b])
-            coords = s.coordinates(br)
-            if coords is None:
-                raise ValueError("subspace is not closed under the bracket")
-            for k in range(d):
-                c[a][b][k] = coords[k]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
     names = tuple(f"{g.name}.s{k}" for k in range(d))
-    return LieAlgebra(f"{g.name}|{d}d", names, tensor), Matrix(s.basis.entries, cols=g.dim)
+    small = _induced_algebra(g, f"{g.name}|{d}d", names, s.basis.entries, s.coordinates)
+    return small, Matrix(s.basis.entries, cols=g.dim)
 
 
 def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
     """Structure constants in the new basis given by the rows of b."""
     if b.rows != g.dim or b.cols != g.dim:
         raise ValueError("change of basis must be square of the algebra dimension")
-    b_inv = b.inverse()
-    n = g.dim
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            br = g.bracket(b.entries[i], b.entries[j])
-            coords = tuple(
-                sum((br[k] * b_inv.entries[k][l] for k in range(n)), Fraction(0))
-                for l in range(n)
-            )
-            for k in range(n):
-                c[i][j][k] = coords[k]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return LieAlgebra(g.name, g.basis_names, tensor)
+    return _induced_algebra(g, g.name, g.basis_names, b.entries, b.inverse().transpose().matvec)
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +436,36 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
     ]
 
 
-def exp_ad_nilpotent(g: LieAlgebra, x: Sequence, t) -> Matrix:
-    """exp(t ad_x) as an exact rational matrix; requires (ad_x)^dim = 0.
+def _exp_ad(g: LieAlgebra, x: Sequence):
+    """t -> exp(t ad_x), with the nonzero powers of ad_x multiplied once.
 
-    The series is summed until a power of ad_x vanishes; when none of the
-    first dim powers does, ad_x is not nilpotent.
+    NotNilpotent is raised here when none of the first dim powers vanishes.
     """
-    t = rat(t)
     a = ad(g, x)
-    result = Matrix.identity(g.dim)
-    term = result
-    factorial = 1
-    for k in range(1, g.dim + 1):
+    powers = []
+    term = Matrix.identity(g.dim)
+    for _ in range(g.dim):
         term = term @ a
         if term.is_zero():
-            return result
-        factorial *= k
-        result = result + term.scaled(t**k / factorial)
-    raise NotNilpotent("ad_x is not nilpotent")
+            break
+        powers.append(term)
+    else:
+        raise NotNilpotent("ad_x is not nilpotent")
+
+    def at(t: Fraction) -> Matrix:
+        result = Matrix.identity(g.dim)
+        factorial = 1
+        for k, power in enumerate(powers, 1):
+            factorial *= k
+            result = result + power.scaled(t**k / factorial)
+        return result
+
+    return at
+
+
+def exp_ad_nilpotent(g: LieAlgebra, x: Sequence, t) -> Matrix:
+    """exp(t ad_x) as an exact rational matrix; requires (ad_x)^dim = 0."""
+    return _exp_ad(g, x)(rat(t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Parametrized automorphism groups from invariant-subspace constraints.
 
 Pipeline: pick a maximal chain of lattice members and build a basis in
-which every chain member is a coordinate prefix (adapted basis); deduce
+which every chain member is a coordinate prefix (adapted basis), inverting
+the change of basis once and re-expressing the algebra in it once; deduce
 the zero pattern this forces on automorphism matrices plus nonvanishing
 block-determinant side conditions; generate the quadratic bracket
 compatibility equations A[Qi,Qj] = [AQi,AQj]; and run a sound triangular
@@ -12,7 +13,8 @@ way is reported as a residual system rather than forced.
 
 With a solved parametrization the invariant coordinate subspaces can be
 enumerated exhaustively (2^n scans), and inner automorphisms exp(t ad_x)
-can be matched against the parametrization as a consistency check.
+can be matched against the parametrization as a consistency check; they
+are computed inside the adapted algebra, so no matrix is conjugated back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .algebra import LieAlgebra, NotNilpotent, change_basis, exp_ad_nilpotent
+from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra
 from .linalg import Matrix, Subspace, format_rat
 from .megaideals import MegaidealLattice
 from .poly import Poly
@@ -36,14 +38,21 @@ class ResidualSystem(ValueError):
 class AdaptedBasis:
     """Basis in which a chain of invariant subspaces sits as prefixes.
 
-    change_of_basis rows are the new basis vectors in the old coordinates.
-    flag is the chosen chain (old coordinates, ascending, ending at the
-    full space).  extra_coordinate_members are new-coordinate index sets of
-    non-chain lattice members that happen to be coordinate subspaces in
-    the new basis.
+    change_of_basis (B) rows are the new basis vectors in the old
+    coordinates; inverse is B^-1, so a row vector's new coordinates are
+    that row times inverse, and row i of inverse is old basis vector i in
+    the new coordinates.  algebra is the algebra re-expressed in the new
+    basis; the basis change is computed once, here, and the shape,
+    equations and inner-automorphism check all work in it.  flag is the
+    chosen chain (old coordinates, ascending, ending at the full space).
+    extra_coordinate_members are new-coordinate index sets of non-chain
+    lattice members that happen to be coordinate subspaces in the new
+    basis.
     """
 
     change_of_basis: Matrix
+    inverse: Matrix
+    algebra: LieAlgebra
     flag: tuple[Subspace, ...]
     block_sizes: tuple[int, ...]
     extra_coordinate_members: tuple[tuple[int, ...], ...] = ()
@@ -167,26 +176,14 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
     for member in lattice.members:
         if member in chain_set or member.is_zero():
             continue
-        new_rows = [
-            tuple(
-                sum((row[k] * inverse.entries[k][l] for k in range(n)), Fraction(0))
-                for l in range(n)
-            )
-            for row in member.basis.entries
-        ]
-        transformed = Subspace.spanned_by(n, new_rows)
-        coords = []
-        coordinate_like = True
-        for row in transformed.basis.entries:
-            support = [idx for idx, x in enumerate(row) if x != 0]
-            if len(support) != 1 or row[support[0]] != 1:
-                coordinate_like = False
-                break
-            coords.append(support[0])
-        if coordinate_like:
-            extras.append(tuple(sorted(coords)))
-    extras = sorted(set(extras))
-    return AdaptedBasis(basis, tuple(chain), tuple(block_sizes), tuple(extras))
+        # an RREF basis spans a coordinate subspace when each row is a unit vector
+        transformed = Subspace(n, member.basis @ inverse)
+        if all(sum(x != 0 for x in row) == 1 for row in transformed.basis.entries):
+            extras.append(transformed.pivots)
+    algebra = _induced_algebra(g, g.name, g.basis_names, basis.entries, inverse.transpose().matvec)
+    return AdaptedBasis(
+        basis, inverse, algebra, tuple(chain), tuple(block_sizes), tuple(sorted(set(extras)))
+    )
 
 
 def _symbolic_det(entries: list[list[Poly]], variables: tuple[str, ...]) -> Poly:
@@ -454,14 +451,13 @@ def solve_in_adapted_basis(
 ) -> tuple[AdaptedBasis, AutShape, PolySystem, AutParametrization]:
     """Full chain: adapted basis, shape, equations, elimination.
 
-    The algebra is re-expressed in the adapted basis before the equations
-    are generated, so the shape's zero pattern and the structure constants
+    The equations are generated from basis.algebra, the algebra in the
+    adapted basis, so the shape's zero pattern and the structure constants
     agree.
     """
     basis = adapted_basis(g, lattice)
-    adapted = change_basis(g, basis.change_of_basis)
     shape = shape_from_flag(basis)
-    system = structure_equations(adapted, shape)
+    system = structure_equations(basis.algebra, shape)
     param = replace(triangular_solve(system), shape=shape)
     return basis, shape, system, param
 
@@ -555,6 +551,24 @@ def enumerate_coordinate_megaideals(
 # consistency against inner automorphisms
 
 
+def _mismatch(entries, matrix: Matrix, values: dict, conditions) -> dict | None:
+    """The first matrix entry or side condition that `values` violate, or None."""
+    for i, row in enumerate(matrix.entries):
+        for j, actual in enumerate(row):
+            expected = entries[i][j].evaluate(values)
+            if expected != actual:
+                return {
+                    "row": i + 1,
+                    "col": j + 1,
+                    "expected": format_rat(expected),
+                    "actual": format_rat(actual),
+                }
+    for condition in conditions:
+        if condition.evaluate(values) == 0:
+            return {"side_condition": condition.to_str()}
+    return None
+
+
 def inner_consistency(
     g: LieAlgebra,
     param: AutParametrization,
@@ -568,52 +582,35 @@ def inner_consistency(
     positions, so candidate values can be read off directly and then
     verified against every entry and side condition.  Any mismatch is a
     soundness failure and is reported.
+
+    The check runs inside basis.algebra: the change of basis is an algebra
+    isomorphism, so exp(t ad e_i) in the adapted basis is exp(t ad' x_i)
+    there, where x_i is row i of basis.inverse.  The powers of ad' x_i are
+    multiplied once per basis element and summed for each t.
     """
     if not param.solved:
         raise ResidualSystem("parametrization has residual equations")
-    n = g.dim
-    b_t = basis.change_of_basis.transpose()
-    b_t_inv = b_t.inverse()
-    free_positions = {}
-    for i in range(n):
-        for j in range(n):
-            name = param.shape.pattern[i][j]
-            if name is not None and name in param.free_parameters:
-                free_positions[name] = (i, j)
+    free_positions = {
+        name: (i, j)
+        for i, row in enumerate(param.shape.pattern)
+        for j, name in enumerate(row)
+        if name in param.free_parameters
+    }
     entries = param.matrix_entries()
     conditions = [c.substitute(param.assignments) for c in param.side_conditions]
     checks = []
-    ok = True
-    for idx in range(n):
+    for idx in range(g.dim):
+        try:
+            exp_at = _exp_ad(basis.algebra, basis.inverse.entries[idx])
+        except NotNilpotent:
+            continue
         for t in t_values:
             t = Fraction(t)
-            try:
-                exp = exp_ad_nilpotent(g, g.basis_vector(idx), t)
-            except NotNilpotent:
-                break
-            adapted = b_t_inv @ exp @ b_t
+            adapted = exp_at(t)
             values = {
                 name: adapted.entries[i][j] for name, (i, j) in free_positions.items()
             }
-            mismatch = None
-            for i in range(n):
-                for j in range(n):
-                    expected = entries[i][j].evaluate(values)
-                    if expected != adapted.entries[i][j]:
-                        mismatch = {
-                            "row": i + 1,
-                            "col": j + 1,
-                            "expected": format_rat(expected),
-                            "actual": format_rat(adapted.entries[i][j]),
-                        }
-                        break
-                if mismatch:
-                    break
-            if mismatch is None:
-                for condition in conditions:
-                    if condition.evaluate(values) == 0:
-                        mismatch = {"side_condition": condition.to_str()}
-                        break
+            mismatch = _mismatch(entries, adapted, values, conditions)
             entry = {
                 "element": g.basis_names[idx],
                 "t": format_rat(t),
@@ -625,6 +622,5 @@ def inner_consistency(
                 }
             else:
                 entry["mismatch"] = mismatch
-                ok = False
             checks.append(entry)
-    return {"ok": ok, "checks": checks}
+    return {"ok": all(c["matched"] for c in checks), "checks": checks}

@@ -62,10 +62,6 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(q: Fraction, a: Vector) -> Vector:
     return tuple(q * x for x in a)
 
@@ -130,9 +126,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rat(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)

@@ -43,7 +43,7 @@ def _monomial_sort_key(exps: Exponents) -> tuple:
 class Poly:
     """Immutable sparse polynomial over a fixed variable tuple."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_lead")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
         object.__setattr__(self, "variables", tuple(variables))
@@ -57,6 +57,7 @@ class Poly:
                 if coeff != 0:
                     clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -99,10 +100,6 @@ class Poly:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        return max((e[idx] for e in self.terms), default=0)
 
     def mentions(self, name: str) -> bool:
         idx = self.variables.index(name)
@@ -154,12 +151,18 @@ class Poly:
         return Poly(self.variables, {e: q * c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
+        """By repeated squaring: about 2*log2(k) products, never more than k."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.variables, 1)
-        for _ in range(k):
-            result = result * self
-        return result
+        result = None
+        square = self
+        while k:
+            if k & 1:
+                result = square if result is None else result * square
+            k >>= 1
+            if k:
+                square = square * square
+        return Poly.const(self.variables, 1) if result is None else result
 
     # -- calculus ----------------------------------------------------------
 
@@ -175,33 +178,31 @@ class Poly:
         return Poly(self.variables, out)
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
-        """Composite polynomial; unmapped variables stay themselves.
+        """Composite polynomial: each variable the mapping names is replaced.
 
-        All images must share one variable tuple, which becomes the
-        variable tuple of the result.
+        Images must be polynomials over self.variables, which stay the
+        variables of the result; the exponents of unmapped variables are
+        copied through unchanged.
         """
-        target = None
-        for image in mapping.values():
-            if target is None:
-                target = image.variables
-            elif image.variables != target:
-                raise ValueError("substitution images over different variable lists")
-        if target is None:
-            target = self.variables
-        images = []
-        for name in self.variables:
-            if name in mapping:
-                images.append(mapping[name])
-            else:
-                images.append(Poly.var(target, name))
-        result = Poly.zero(target)
+        if any(image.variables != self.variables for image in mapping.values()):
+            raise ValueError("substitution images must be over the polynomial's variables")
+        mapped = [(idx, mapping[name]) for idx, name in enumerate(self.variables) if name in mapping]
+        powers: dict[tuple[int, int], Poly] = {}
+        out: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
-            term = Poly.const(target, coeff)
-            for image, e in zip(images, exps):
+            kept = list(exps)
+            for idx, _ in mapped:
+                kept[idx] = 0
+            term = Poly(self.variables, {tuple(kept): coeff})
+            for idx, image in mapped:
+                e = exps[idx]
                 if e:
-                    term = term * image**e
-            result = result + term
-        return result
+                    if (idx, e) not in powers:
+                        powers[idx, e] = image**e
+                    term = term * powers[idx, e]
+            for key, c in term.terms.items():
+                out[key] = out.get(key, Fraction(0)) + c
+        return Poly(self.variables, out)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -233,10 +234,13 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
+        """Graded-lex leading (exponents, coefficient); scanned once, then cached."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = min(self.terms, key=_monomial_sort_key)
-        return exps, self.terms[exps]
+        if self._lead is None:
+            exps = min(self.terms, key=_monomial_sort_key)
+            object.__setattr__(self, "_lead", (exps, self.terms[exps]))
+        return self._lead
 
     def linear_decompose(self, name: str) -> tuple["Poly", "Poly"] | None:
         """Write self = coeff * name + rest when degree in name is 1.

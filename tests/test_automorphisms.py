@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from megalie.algebra import algebra_from_brackets, change_basis
+from megalie.algebra import NotNilpotent, algebra_from_brackets, change_basis, exp_ad_nilpotent
 from megalie.automorphisms import (
     ResidualSystem,
     adapted_basis,
@@ -415,3 +415,57 @@ class TestInnerConsistency:
         basis, shape, system, param = solve_in_adapted_basis(heisenberg, closure(heisenberg))
         report = inner_consistency(heisenberg, param, basis)
         assert report["ok"]
+
+
+def _wave6():
+    from megalie.vectorfield import FAMILY_VARIABLES, extract_structure, realize_family
+
+    fields = [(k, realize_family(k)) for k in ("Du", "Dt", "Pt", "F1", "F2")]
+    fields.append(("G1", realize_family("G", parse_poly("1", FAMILY_VARIABLES))))
+    return extract_structure(fields, name="wave6")
+
+
+class TestAdaptedAlgebra:
+    @pytest.mark.parametrize("name", ["m5", "L8", "wave6"])
+    def test_inner_automorphisms_match_in_adapted_basis(self, name, m5):
+        # B^-T exp(t ad e_i) B^T, conjugated in the original basis, is
+        # exp(t ad' x_i) in the adapted algebra with x_i = row i of B^-1
+        if name == "m5":
+            g = m5
+        elif name == "L8":
+            g = algebra_from_brackets(
+                "L8", [f"e{i}" for i in range(1, 9)], {(0, i): {i + 1: 1} for i in range(1, 7)}
+            )
+        else:
+            g = _wave6()
+        basis = adapted_basis(g, closure(g))
+        b = basis.change_of_basis
+        assert basis.inverse == b.inverse()
+        assert basis.algebra.c == change_basis(g, b).c
+        b_t, b_t_inv = b.transpose(), b.inverse().transpose()
+        matched = 0
+        for i in range(g.dim):
+            for t in (1, -1, Fraction(1, 2)):
+                try:
+                    reference = b_t_inv @ exp_ad_nilpotent(g, g.basis_vector(i), t) @ b_t
+                except NotNilpotent:
+                    with pytest.raises(NotNilpotent):
+                        exp_ad_nilpotent(basis.algebra, basis.inverse.entries[i], t)
+                    continue
+                assert exp_ad_nilpotent(basis.algebra, basis.inverse.entries[i], t) == reference
+                matched += 1
+        assert matched > 0
+
+    def test_analyze_inverts_once(self, m5, monkeypatch):
+        from megalie.analysis import analyze
+
+        calls = []
+        original = Matrix.inverse
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Matrix, "inverse", counted)
+        analyze(m5)
+        assert len(calls) == 1

@@ -86,6 +86,65 @@ class TestArithmetic:
         assert (-P("x - 2")).content_normalized() == P("x - 2")
 
 
+class TestComputedOnce:
+    def test_leading_term_scanned_once(self, monkeypatch):
+        import megalie.poly
+
+        calls = []
+        original = megalie.poly._monomial_sort_key
+
+        def counted(exps):
+            calls.append(exps)
+            return original(exps)
+
+        monkeypatch.setattr(megalie.poly, "_monomial_sort_key", counted)
+        p = P("x*y + 3*z^2 - x + 1")
+        assert p.leading_term() == ((1, 1, 0), Fraction(1))
+        assert calls
+        calls.clear()
+        assert p.leading_term() == ((1, 1, 0), Fraction(1))
+        assert calls == []
+
+    def test_substitute_rejects_images_over_other_variables(self):
+        with pytest.raises(ValueError):
+            P("x + y").substitute({"x": P("u", ("u", "x", "y", "z"))})
+
+    def test_substitute_makes_no_variable_polynomials(self, monkeypatch):
+        calls = []
+        original = Poly.var
+
+        def counted(variables, name):
+            calls.append(name)
+            return original(variables, name)
+
+        p, image = P("x^2*y + y*z - 3"), P("y + 1")
+        expected = P("y^3 + 2*y^2 + y + y*z - 3")
+        monkeypatch.setattr(Poly, "var", staticmethod(counted))
+        assert p.substitute({"x": image}) == expected
+        assert calls == []
+
+    def test_power_by_squaring(self, monkeypatch):
+        calls = []
+        original = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        x = P("x")
+        binomial = P("x + 2*y")
+        expected = [P("1")]
+        for _ in range(20):
+            expected.append(expected[-1] * binomial)
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        assert x**4096 == Poly(VARS, {(4096, 0, 0): 1})
+        assert len(calls) <= 2 * 13
+        for k in range(21):
+            calls.clear()
+            assert binomial**k == expected[k]
+            assert len(calls) <= k  # never more products than k repeated ones
+
+
 class TestPrinting:
     @pytest.mark.parametrize(
         "text,expected",
