@@ -207,7 +207,11 @@ def _symbolic_det(entries: list[list[Poly]], variables: tuple[str, ...]) -> Poly
         memo[cols] = total
         return total
 
-    return minor(tuple(range(size)))
+    det = minor(tuple(range(size)))
+    # minor refers to itself through its closure, a reference cycle that
+    # would keep every memoized minor alive until the next full collection
+    memo.clear()
+    return det
 
 
 def shape_from_flag(basis: AdaptedBasis) -> AutShape:

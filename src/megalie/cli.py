@@ -8,10 +8,12 @@ Commands:
     megalie vf extract <fields.json> --fields A,B,... [--name NAME] [--out P]
     megalie vf pushforward <fields.json> <map.json> [--fields A,B,...] [--out P]
 
-Exit codes: 0 success, 1 validation failure, 2 parse/format error,
-3 analysis incompleteness (bracket escapes the span, or residual
-equations remain).  All machine output is JSON; --text is a human
-projection and is never parsed back.
+Exit codes: 0 success, 1 validation failure (not a Lie algebra),
+2 parse/format error (malformed input or options, unwritable --out),
+3 analysis incompleteness (bracket escapes the span, fields are
+linearly dependent, or residual equations remain), 4 internal error (any
+other exception; a one-line JSON diagnostic goes to stderr).  All machine
+output is JSON; --text is a human projection and is never parsed back.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import traceback
 
 from .algebra import FormatError, algebra_from_dict, algebra_to_dict, validate
 from .analysis import AnalyzeOptions, analyze, canonical_json, validation_dict
@@ -39,6 +43,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_FORMAT = 2
 EXIT_INCOMPLETE = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -113,6 +118,8 @@ def _select_fields(named_fields, csv: str | None, path: str):
         name = name.strip()
         if name not in table:
             raise CliError(EXIT_FORMAT, f"{path}: no field named {name!r}")
+        if any(name == seen for seen, _ in chosen):
+            raise CliError(EXIT_FORMAT, f"{path}: field {name!r} selected twice")
         chosen.append((name, table[name]))
     return chosen
 
@@ -223,6 +230,8 @@ def _cmd_vf_bracket_table(args) -> int:
 def _cmd_vf_extract(args) -> int:
     variables, named_fields = _load_fields(args.file)
     chosen = _select_fields(named_fields, args.fields, args.file)
+    if not chosen:
+        raise CliError(EXIT_FORMAT, f"{args.file}: no fields given")
     name = args.name if args.name else ",".join(n for n, _ in chosen)
     try:
         algebra = extract_structure(chosen, name=name)
@@ -334,6 +343,18 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except Exception as exc:
+        # Last resort: a defect, not an input problem.  SystemExit and
+        # KeyboardInterrupt are not Exceptions and pass through.
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = {
+            "error": "InternalError",
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }
+        sys.stderr.write(json.dumps(detail, ensure_ascii=False) + "\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

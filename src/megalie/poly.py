@@ -16,6 +16,7 @@ digits ['/' digits].
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd
@@ -40,6 +41,20 @@ def _monomial_sort_key(exps: Exponents) -> tuple:
     return (-sum(exps), tuple(-e for e in exps))
 
 
+Terms = Mapping[Exponents, Fraction]
+
+
+def _mul_terms(left: Terms, right: Terms) -> dict[Exponents, Fraction]:
+    """Product of two term dicts; cancelled terms stay in as zero coefficients."""
+    out: dict[Exponents, Fraction] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(operator.add, e1, e2))
+            c = out.get(key)
+            out[key] = c1 * c2 if c is None else c + c1 * c2
+    return out
+
+
 class Poly:
     """Immutable sparse polynomial over a fixed variable tuple."""
 
@@ -58,6 +73,20 @@ class Poly:
                     clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_lead", None)
+
+    @staticmethod
+    def _from_terms(variables: tuple[str, ...], terms: Terms) -> "Poly":
+        """Trusted constructor for code that built the term dict itself.
+
+        The keys must already be exponent tuples as wide as `variables` and
+        the values Fractions; zero coefficients are dropped, nothing else is
+        checked or coerced.  Outside input goes through Poly(...).
+        """
+        p = object.__new__(Poly)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "_lead", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -128,27 +157,23 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(self.variables, out)
+            c = out.get(exps)
+            out[exps] = coeff if c is None else c + coeff
+        return Poly._from_terms(self.variables, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._from_terms(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.variables, out)
+        return Poly._from_terms(self.variables, _mul_terms(self.terms, other.terms))
 
     def scaled(self, q) -> "Poly":
         q = Fraction(q)
-        return Poly(self.variables, {e: q * c for e, c in self.terms.items()})
+        return Poly._from_terms(self.variables, {e: q * c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         """By repeated squaring: about 2*log2(k) products, never more than k."""
@@ -171,11 +196,10 @@ class Poly:
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
             e = exps[idx]
-            if e == 0:
-                continue
-            key = tuple(x - 1 if i == idx else x for i, x in enumerate(exps))
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return Poly(self.variables, out)
+            if e:
+                # distinct monomials stay distinct when one exponent drops by one
+                out[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = coeff * e
+        return Poly._from_terms(self.variables, out)
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Composite polynomial: each variable the mapping names is replaced.
@@ -187,22 +211,23 @@ class Poly:
         if any(image.variables != self.variables for image in mapping.values()):
             raise ValueError("substitution images must be over the polynomial's variables")
         mapped = [(idx, mapping[name]) for idx, name in enumerate(self.variables) if name in mapping]
-        powers: dict[tuple[int, int], Poly] = {}
+        powers: dict[tuple[int, int], dict[Exponents, Fraction]] = {}
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
             kept = list(exps)
             for idx, _ in mapped:
                 kept[idx] = 0
-            term = Poly(self.variables, {tuple(kept): coeff})
+            term = {tuple(kept): coeff}
             for idx, image in mapped:
                 e = exps[idx]
                 if e:
                     if (idx, e) not in powers:
-                        powers[idx, e] = image**e
-                    term = term * powers[idx, e]
-            for key, c in term.terms.items():
-                out[key] = out.get(key, Fraction(0)) + c
-        return Poly(self.variables, out)
+                        powers[idx, e] = (image**e).terms
+                    term = _mul_terms(term, powers[idx, e])
+            for key, c in term.items():
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+        return Poly._from_terms(self.variables, out)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -229,7 +254,7 @@ class Poly:
             for pos, e in zip(positions, exps):
                 key[pos] = e
             out[tuple(key)] = coeff
-        return Poly(variables, out)
+        return Poly._from_terms(variables, out)
 
     # -- structure ---------------------------------------------------------
 
@@ -263,7 +288,7 @@ class Poly:
                 return None
         if not saw_linear:
             return None
-        return Poly(self.variables, coeff), Poly(self.variables, rest)
+        return Poly._from_terms(self.variables, coeff), Poly._from_terms(self.variables, rest)
 
     def exact_div(self, divisor: "Poly") -> "Poly | None":
         """Quotient self / divisor when the division is exact, else None."""

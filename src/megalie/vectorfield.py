@@ -10,13 +10,14 @@ fields forward under explicit invertible polynomial point maps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, algebra_from_brackets, validate
 from .linalg import Matrix, format_rat, rat, solve as linear_solve
-from .poly import Poly, parse_poly
+from .poly import Exponents, Poly, parse_poly
 
 FAMILY_VARIABLES = ("t", "x", "u", "u_x", "f", "g")
 
@@ -62,9 +63,6 @@ class PolyVectorField:
     def __setattr__(self, name, value):
         raise AttributeError("PolyVectorField is immutable")
 
-    def component(self, name: str) -> Poly:
-        return self.components.get(name, Poly.zero(self.variables))
-
     def is_zero(self) -> bool:
         return not self.components
 
@@ -85,12 +83,30 @@ class PolyVectorField:
         return f"PolyVectorField({body or '0'})"
 
     def apply_to(self, h: Poly) -> Poly:
-        """Directional derivative sum_v component_v * dh/dv."""
+        """Directional derivative Q(h) = sum_v component_v * dh/dv."""
         if h.variables != self.variables:
             h = h.lift(self.variables)
-        out = Poly.zero(self.variables)
+        return Poly._from_terms(self.variables, self._add_applied({}, h, 1))
+
+    def _add_applied(self, out: dict[Exponents, Fraction], h: Poly, sign: int) -> dict:
+        """Add sign * Q(h) into the term dict `out` and return it.
+
+        Each product term goes straight into `out`; h must be over
+        self.variables.  No derivative, product or sum polynomial is built,
+        and cancelled terms stay in `out` as zeros.
+        """
         for name, p in self.components.items():
-            out = out + p * h.derivative(name)
+            idx = self.variables.index(name)
+            for exps, coeff in h.terms.items():
+                e = exps[idx]
+                if not e:
+                    continue
+                lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
+                d = coeff * (sign * e)
+                for pe, pc in p.terms.items():
+                    key = tuple(map(operator.add, pe, lowered))
+                    c = out.get(key)
+                    out[key] = pc * d if c is None else c + pc * d
         return out
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
@@ -98,7 +114,7 @@ class PolyVectorField:
             raise ValueError("fields over different variable lists")
         merged = dict(self.components)
         for name, p in other.components.items():
-            merged[name] = merged.get(name, Poly.zero(self.variables)) + p
+            merged[name] = merged[name] + p if name in merged else p
         return PolyVectorField(self.variables, merged)
 
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
@@ -121,7 +137,12 @@ def lie_bracket(q1: PolyVectorField, q2: PolyVectorField) -> PolyVectorField:
         raise ValueError("fields over different variable lists")
     components = {}
     for name in q1.variables:
-        p = q1.apply_to(q2.component(name)) - q2.apply_to(q1.component(name))
+        terms: dict[Exponents, Fraction] = {}
+        if name in q2.components:
+            q1._add_applied(terms, q2.components[name], 1)
+        if name in q1.components:
+            q2._add_applied(terms, q1.components[name], -1)
+        p = Poly._from_terms(q1.variables, terms)
         if not p.is_zero():
             components[name] = p
     return PolyVectorField(q1.variables, components)
@@ -316,20 +337,12 @@ class PointMap:
 
 
 def pushforward(pm: PointMap, q: PolyVectorField) -> PolyVectorField:
-    """Induced field: (T_* Q)^i = (sum_j Q^j d(forward^i)/dz_j) o inverse."""
+    """Induced field: (T_* Q)^i = (sum_j Q^j d(forward^i)/dz_j) o inverse = Q(forward^i) o inverse."""
     if pm.variables != q.variables:
         raise ValueError("map and field over different variable lists")
     components = {}
     for name in pm.variables:
-        total = Poly.zero(pm.variables)
-        fwd = pm.forward[name]
-        for j, zj in enumerate(pm.variables):
-            comp = q.components.get(zj)
-            if comp is None:
-                continue
-            d = fwd.derivative(zj)
-            if not d.is_zero():
-                total = total + comp * d
+        total = q.apply_to(pm.forward[name])
         if not total.is_zero():
             components[name] = total.substitute(pm.inverse)
     return PolyVectorField(pm.variables, components)
@@ -364,6 +377,11 @@ def _variables(data) -> tuple[str, ...]:
     variables = data.get("variables")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ValueError("'variables' must be a list of strings")
+    seen = set()
+    for pos, name in enumerate(variables):
+        if name in seen:
+            raise ValueError(f"variables[{pos}]: duplicate variable name {name!r}")
+        seen.add(name)
     return tuple(variables)
 
 

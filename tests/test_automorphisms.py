@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ import pytest
 from megalie.algebra import NotNilpotent, algebra_from_brackets, change_basis, exp_ad_nilpotent
 from megalie.automorphisms import (
     ResidualSystem,
+    _symbolic_det,
     adapted_basis,
     check_invariant,
     enumerate_coordinate_megaideals,
@@ -18,7 +20,7 @@ from megalie.automorphisms import (
 )
 from megalie.linalg import Matrix, Subspace
 from megalie.megaideals import closure
-from megalie.poly import parse_poly
+from megalie.poly import Poly, parse_poly
 
 
 def span(n, *rows):
@@ -108,6 +110,27 @@ class TestShape:
         shape = shape_from_flag(basis)
         assert shape.pattern[2][0] is None and shape.pattern[2][1] is None
         assert shape.pattern[0][2] is not None
+
+
+class TestSymbolicDet:
+    def test_minors_are_freed_on_return(self):
+        # without a garbage collection, only the determinant itself survives
+        names = tuple(f"a{i}{j}" for i in range(5) for j in range(5))
+        entries = [[Poly.var(names, f"a{i}{j}") for j in range(5)] for i in range(5)]
+
+        def polys_alive():
+            return sum(isinstance(o, Poly) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = polys_alive()
+            det = _symbolic_det(entries, names)
+            after = polys_alive()
+        finally:
+            gc.enable()
+        assert len(det.terms) == 120
+        assert after - before == 1
 
 
 class TestStructureEquations:

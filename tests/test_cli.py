@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from megalie import cli
+
 ARGS = [sys.executable, "-m", "megalie"]
 
 
@@ -292,3 +294,62 @@ class TestVf:
             str(bad),
         )
         assert result.returncode == 2
+
+    def test_duplicate_variable_names_exit_2(self, fixtures_dir, tmp_path):
+        fields = tmp_path / "fields.json"
+        fields.write_text(json.dumps({"variables": ["x", "x"], "fields": []}))
+        bad_map = tmp_path / "map.json"
+        bad_map.write_text(json.dumps({"variables": ["t", "x", "u", "u_x", "f", "x"]}))
+        family = str(fixtures_dir / "wave_eq_family.json")
+        for argv, bad, pos in (
+            (["bracket-table", str(fields)], fields, 1),
+            (["pushforward", family, str(bad_map)], bad_map, 5),
+        ):
+            result = run("vf", *argv)
+            assert result.returncode == 2
+            assert result.stderr == f"error: {bad}: variables[{pos}]: duplicate variable name 'x'\n"
+
+    def test_extract_no_fields_exit_2(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"variables": ["x"], "fields": []}))
+        result = run("vf", "extract", str(empty))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {empty}: no fields given\n"
+
+    @pytest.mark.parametrize("command", ["extract", "pushforward"])
+    def test_field_selected_twice_exit_2(self, command, fixtures_dir):
+        family = str(fixtures_dir / "wave_eq_family.json")
+        maps = [str(fixtures_dir / "maps" / "uscale.json")] if command == "pushforward" else []
+        result = run("vf", command, family, *maps, "--fields", "F1,Pt,F1")
+        assert result.returncode == 2
+        assert result.stderr == f"error: {family}: field 'F1' selected twice\n"
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4(self, monkeypatch, capsys, fixtures_dir):
+        def broken(args):
+            raise RuntimeError("invariant violated")
+
+        monkeypatch.setattr(cli, "_cmd_validate", broken)
+        assert cli.main(["validate", str(fixtures_dir / "m5.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        detail = json.loads(captured.err)
+        assert detail["error"] == "InternalError"
+        assert detail["type"] == "RuntimeError"
+        assert detail["message"] == "invariant violated"
+        assert detail["where"].startswith("test_cli.py:") and detail["where"].endswith(" in broken")
+
+    def test_argparse_exit_2_survives(self, fixtures_dir):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", str(fixtures_dir / "m5.json"), "--budget", "-1"])
+        assert exc.value.code == 2
+
+    def test_keyboard_interrupt_passes_through(self, monkeypatch, fixtures_dir):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_validate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["validate", str(fixtures_dir / "m5.json")])

@@ -237,6 +237,11 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=re.escape(path)):
             fields_from_dict(data)
 
+    @pytest.mark.parametrize("loader", [fields_from_dict, pointmap_from_dict])
+    def test_duplicate_variable_names_rejected(self, loader):
+        with pytest.raises(ValueError, match=re.escape("variables[2]: duplicate variable name 'x'")):
+            loader({"variables": ["x", "y", "x"]})
+
     @pytest.mark.parametrize(
         "data, path",
         [
@@ -307,3 +312,49 @@ class TestClosedFormDG:
             product = p * q.derivative("x")
             expected = zero_field(V) if product.is_zero() else realize_family("G", product)
             assert left == expected
+
+
+class TestFusedKernel:
+    """apply_to, lie_bracket and pushforward add product terms into one dict."""
+
+    @staticmethod
+    def reference_apply(q, h):
+        # the plain definition: sum over v of Q^v * dh/dv, one Poly per product
+        total = Poly.zero(q.variables)
+        for name, p in q.components.items():
+            total = total + p * h.derivative(name)
+        return total
+
+    @given(small_field, small_poly)
+    @settings(max_examples=60, deadline=None)
+    def test_apply_to_matches_reference(self, q, h):
+        assert q.apply_to(h) == self.reference_apply(q, h)
+
+    def test_apply_to_lifts_a_polynomial_over_fewer_variables(self, family):
+        assert family["Dx2"].apply_to(parse_poly("x^3", ("x",))) == fp("3*x^4")
+
+    def test_bracket_builds_no_product_or_sum(self, family, monkeypatch):
+        left, right = family["Dx3"], family["Gx2"]
+        calls = []
+        for name in ("__mul__", "__add__"):
+            original = getattr(Poly, name)
+
+            def counted(self, other, name=name, original=original):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(Poly, name, counted)
+        bracket = lie_bracket(left, right)
+        assert calls == []
+        monkeypatch.undo()
+        # [D(x^3), G(x^2)] = G(x^3 * 2x)
+        assert bracket == realize_family("G", xpoly("2*x^4"))
+
+    def test_cancelled_terms_are_dropped(self, family, fixtures_dir):
+        assert lie_bracket(family["Du"], family["Du"]).components == {}
+        pm = pointmap_from_dict(json.loads((fixtures_dir / "maps" / "ugauge.json").read_text()))
+        results = [lie_bracket(a, b) for a in family.values() for b in family.values()]
+        results += [pushforward(pm, fld) for fld in family.values()]
+        for fld in results:
+            for p in fld.components.values():
+                assert p.terms and 0 not in p.terms.values()
