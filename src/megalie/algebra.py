@@ -4,15 +4,19 @@ A LieAlgebra is a tensor c[i][j][k] with [Q_i, Q_j] = sum_k c[i][j][k] Q_k.
 The module validates antisymmetry and the Jacobi identity exactly, and
 provides the bracket calculus used everywhere else: adjoint matrices,
 brackets of subspaces, centralizers/normalizers, the three structural
-series, quotients, subalgebras and changes of basis, the Killing form,
-the radical, a nilradical approximation, derivations, and exponentials of
-nilpotent adjoints.  Every structure tensor is built by
-algebra_from_brackets.
+series, quotients and changes of basis, the Killing form, the radical, a
+nilradical approximation, derivations, and exponentials of nilpotent
+adjoints.  Every structure tensor is built by algebra_from_brackets.
+
+The dense tensor `c` is the stored input form, kept for API and benchmark
+compatibility.  Everything else reads the constants through one sparse
+index of the nonzero ones, built with the algebra (see LieAlgebra); only
+the antisymmetry check reads `c`, because it checks the raw input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -48,9 +52,32 @@ Tensor = tuple[tuple[Vector, ...], ...]
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """Structure constants c[i][j][k] with [Q_i, Q_j] = sum_k c[i][j][k] Q_k.
+
+    `c` is the stored input form, kept as the dataclass field for API
+    compatibility.  The bracket calculus reads the constants only through
+    `_nonzero`, built once from `c`: every ordered pair (i, j) whose row
+    c[i][j] has a nonzero entry, both orientations and the diagonal
+    included, mapped to that row's nonzero entries ((k, q), ...) in
+    increasing k.  Keeping every pair keeps a directly constructed tensor
+    exact even when it is not antisymmetric.
+    """
+
     name: str
     basis_names: tuple[str, ...]
     c: Tensor  # c[i][j][k], antisymmetric in (i, j)
+    _nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        nonzero = {}
+        for i, plane in enumerate(self.c):
+            for j, row in enumerate(plane):
+                entries = tuple((k, q) for k, q in enumerate(row) if q != 0)
+                if entries:
+                    nonzero[(i, j)] = entries
+        object.__setattr__(self, "_nonzero", nonzero)
 
     @property
     def dim(self) -> int:
@@ -62,17 +89,11 @@ class LieAlgebra:
         if len(x) != n or len(y) != n:
             raise AmbientMismatch("bracket arguments must have length dim")
         out = [Fraction(0)] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
+        for (i, j), row in self._nonzero.items():
+            if x[i] and y[j]:
                 f = x[i] * y[j]
-                row = self.c[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += f * row[k]
+                for k, q in row:
+                    out[k] += f * q
         return tuple(out)
 
     def basis_vector(self, i: int) -> Vector:
@@ -145,17 +166,15 @@ def validate(g: LieAlgebra) -> ValidationReport:
                 if g.c[i][j][k] != -g.c[j][i][k]:
                     anti.append((i, j, k, g.c[i][j][k], g.c[j][i][k]))
     jacobi = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(j + 1, n):
-                for m in range(n):
-                    res = Fraction(0)
-                    for k in range(n):
-                        res += g.c[i][j][k] * g.c[k][l][m]
-                        res += g.c[j][l][k] * g.c[k][i][m]
-                        res += g.c[l][i][k] * g.c[k][j][m]
-                    if res != 0:
-                        jacobi.append((i, j, l, m, res))
+    rows = g._nonzero
+    for i, j, l in combinations(range(n), 3):
+        # component m of [[Q_i,Q_j],Q_l] + [[Q_j,Q_l],Q_i] + [[Q_l,Q_i],Q_j]
+        res = [Fraction(0)] * n
+        for a, b, d in ((i, j, l), (j, l, i), (l, i, j)):
+            for k, q in rows.get((a, b), ()):
+                for m, p in rows.get((k, d), ()):
+                    res[m] += q * p
+        jacobi.extend((i, j, l, m, r) for m, r in enumerate(res) if r != 0)
     return ValidationReport(tuple(anti), tuple(jacobi))
 
 
@@ -167,8 +186,14 @@ def ad(g: LieAlgebra, x: Sequence) -> Matrix:
     """Matrix of y -> [x, y] in the algebra basis (column action)."""
     x = vec(x)
     n = g.dim
-    cols = [g.bracket(x, g.basis_vector(j)) for j in range(n)]
-    return Matrix([[cols[j][k] for j in range(n)] for k in range(n)])
+    if len(x) != n:
+        raise AmbientMismatch("bracket arguments must have length dim")
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), row in g._nonzero.items():
+        if x[i]:
+            for k, q in row:
+                m[k][j] += x[i] * q
+    return Matrix(m)
 
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace, provenance: str = "") -> Subspace:
@@ -268,7 +293,7 @@ def upper_central_series(g: LieAlgebra) -> SeriesReport:
 
 
 # ---------------------------------------------------------------------------
-# quotients and subalgebras
+# quotients and changes of basis
 
 
 def _induced_algebra(g: LieAlgebra, name: str, names, vectors, coordinates) -> LieAlgebra:
@@ -310,20 +335,6 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     return _induced_algebra(g, f"{g.name}/{ideal.dim}d", names, vectors, proj.matvec), proj
 
 
-def subalgebra(g: LieAlgebra, s: Subspace) -> tuple[LieAlgebra, Matrix]:
-    """Restriction of the bracket to a subspace closed under it.
-
-    Returns the small algebra on the RREF basis rows of s and the embedding
-    matrix whose rows are those basis vectors.
-    """
-    if not s.contains_subspace(bracket_subspaces(g, s, s)):
-        raise ValueError("subspace is not closed under the bracket")
-    d = s.dim
-    names = tuple(f"{g.name}.s{k}" for k in range(d))
-    small = _induced_algebra(g, f"{g.name}|{d}d", names, s.basis.entries, s.coordinates)
-    return small, Matrix(s.basis.entries, cols=g.dim)
-
-
 def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
     """Structure constants in the new basis given by the rows of b."""
     if b.rows != g.dim or b.cols != g.dim:
@@ -338,18 +349,21 @@ def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
 def killing_form(g: LieAlgebra) -> Matrix:
     """K[i][j] = trace(ad_i ad_j); symmetric and invariant.
 
-    The trace is summed straight from the structure constants,
-    sum over k, l of c[i][l][k] c[j][k][l], skipping zero constants.
+    The trace is summed straight from the nonzero structure constants,
+    sum over k, l of c[i][l][k] c[j][k][l].
     """
     n = g.dim
-    nonzero = [
-        [(l, k, g.c[i][l][k]) for l in range(n) for k in range(n) if g.c[i][l][k] != 0]
-        for i in range(n)
-    ]
+    terms = [{} for _ in range(n)]  # terms[i][(l, k)] = c[i][l][k], nonzero
+    for (i, l), row in g._nonzero.items():
+        for k, q in row:
+            terms[i][(l, k)] = q
     form = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = sum((q * g.c[j][k][l] for l, k, q in nonzero[i]), Fraction(0))
+            t = sum(
+                (q * terms[j][(k, l)] for (l, k), q in terms[i].items() if (k, l) in terms[j]),
+                Fraction(0),
+            )
             form[i][j] = t
             form[j][i] = t
     return Matrix(form)
@@ -415,20 +429,30 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
     constraints on pairs i < j give one exact kernel computation.
     """
     n = g.dim
+    # Equation (i, j, m), i < j, reads
+    #   sum_k c[i][j][k] D[m][k] - sum_l c[l][j][m] D[l][i] - sum_l c[i][l][m] D[l][j] = 0,
+    # so each nonzero constant enters it in up to three places.
+    equations: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+
+    def add(i, j, m, unknown, q):
+        eq = equations.setdefault((i, j, m), {})
+        eq[unknown] = eq.get(unknown, 0) + q
+
+    for (a, b), row in g._nonzero.items():
+        for k, q in row:
+            if a < b:  # c[i][j][k] with (i, j) = (a, b), for every m
+                for m in range(n):
+                    add(a, b, m, m * n + k, q)
+            for i in range(b):  # c[l][j][m] with (l, j, m) = (a, b, k), for every i < j
+                add(i, b, k, a * n + i, -q)
+            for j in range(a + 1, n):  # c[i][l][m] with (i, l, m) = (a, b, k), for every j > i
+                add(a, j, k, b * n + j, -q)
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)
-                for kk in range(n):
-                    if g.c[i][j][kk] != 0:
-                        row[m * n + kk] += g.c[i][j][kk]
-                for l in range(n):
-                    if g.c[l][j][m] != 0:
-                        row[l * n + i] -= g.c[l][j][m]
-                    if g.c[i][l][m] != 0:
-                        row[l * n + j] -= g.c[i][l][m]
-                rows.append(row)
+    for key in sorted(equations):
+        row = [Fraction(0)] * (n * n)
+        for unknown, q in equations[key].items():
+            row[unknown] = q
+        rows.append(row)
     solutions = kernel(Matrix(rows, cols=n * n))
     return [
         Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
@@ -550,16 +574,14 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
     """Serialize with nonzero brackets for i < j, keys in basis order."""
-    brackets = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if any(x != 0 for x in g.c[i][j]):
-                result = {
-                    g.basis_names[k]: format_rat(g.c[i][j][k])
-                    for k in range(g.dim)
-                    if g.c[i][j][k] != 0
-                }
-                brackets.append(
-                    {"left": g.basis_names[i], "right": g.basis_names[j], "result": result}
-                )
-    return {"name": g.name, "basis": list(g.basis_names), "brackets": brackets}
+    names = g.basis_names
+    brackets = [
+        {
+            "left": names[i],
+            "right": names[j],
+            "result": {names[k]: format_rat(q) for k, q in row},
+        }
+        for (i, j), row in g._nonzero.items()
+        if i < j
+    ]
+    return {"name": g.name, "basis": list(names), "brackets": brackets}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import __version__
 from .algebra import LieAlgebra, algebra_to_dict, derivations, validate
@@ -148,16 +147,6 @@ def analyze(g: LieAlgebra, options: AnalyzeOptions = AnalyzeOptions(), input_dig
     report["automorphisms"] = aut
     report["inner_consistency"] = inner_consistency(g, param, basis)
     return report
-
-
-def analysis_complete(report: Mapping) -> bool:
-    """Whether the pipeline ran to the end with nothing left unsolved."""
-    if not report.get("validation", {}).get("ok", False):
-        return False
-    aut = report.get("automorphisms")
-    if aut is None:
-        return False
-    return not aut["residual_equations"]
 
 
 def canonical_json(obj) -> str:

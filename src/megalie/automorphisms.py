@@ -283,36 +283,31 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
         raise ValueError("shape dimension does not match the algebra")
     n = g.dim
     variables = shape.unknowns
+    # the nonzero c[p][q][m] of each component m, in (p, q) order
+    component = [[] for _ in range(n)]
+    for (p, q), row in g._nonzero.items():
+        for m, coeff in row:
+            component[m].append((p, q, coeff))
     equations = []
     seen = set()
     for i in range(n):
         for j in range(i + 1, n):
             for m in range(n):
                 terms: dict = {}
-                for k in range(n):
-                    coeff = g.c[i][j][k]
-                    if coeff == 0:
-                        continue
+                for k, coeff in g._nonzero.get((i, j), ()):
                     name = shape.pattern[m][k]
                     if name is None:
                         continue
                     exps = _variable_exps(variables, {name: 1})
                     terms[exps] = terms.get(exps, Fraction(0)) + coeff
-                for p in range(n):
-                    name_p = shape.pattern[p][i]
-                    if name_p is None:
+                for p, q, coeff in component[m]:
+                    name_p, name_q = shape.pattern[p][i], shape.pattern[q][j]
+                    if name_p is None or name_q is None:
                         continue
-                    for q in range(n):
-                        coeff = g.c[p][q][m]
-                        if coeff == 0:
-                            continue
-                        name_q = shape.pattern[q][j]
-                        if name_q is None:
-                            continue
-                        counts = {name_p: 1}
-                        counts[name_q] = counts.get(name_q, 0) + 1
-                        exps = _variable_exps(variables, counts)
-                        terms[exps] = terms.get(exps, Fraction(0)) - coeff
+                    counts = {name_p: 1}
+                    counts[name_q] = counts.get(name_q, 0) + 1
+                    exps = _variable_exps(variables, counts)
+                    terms[exps] = terms.get(exps, Fraction(0)) - coeff
                 poly = Poly(variables, terms).content_normalized()
                 if poly.is_zero():
                     continue

@@ -53,49 +53,38 @@ class CliError(Exception):
         self.detail = detail or {}
 
 
-def _read_json(path: str) -> dict:
+# what fields_from_dict and pointmap_from_dict raise on malformed input
+_POLY_FORMAT_ERRORS = (ValueError, PolyError)
+
+
+def _load(path: str, parse, errors):
+    """Read the JSON file at path and return parse(data).
+
+    An unreadable file, bad JSON, or any of the exception types `errors`
+    raised by `parse` becomes exit 2 with a message naming the path.
+    """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
     try:
-        return json.loads(raw.decode("utf-8"))
+        data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_FORMAT, f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise CliError(
             EXIT_FORMAT, f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    try:
+        return parse(data)
+    except errors as exc:
+        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
 
 
 def _digest(path: str) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _load_algebra(path: str):
-    data = _read_json(path)
-    try:
-        return algebra_from_dict(data)
-    except FormatError as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
-
-
-def _load_fields(path: str):
-    data = _read_json(path)
-    try:
-        return fields_from_dict(data)
-    except (ValueError, PolyError) as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
-
-
-def _load_pointmap(path: str):
-    data = _read_json(path)
-    try:
-        return pointmap_from_dict(data)
-    except (ValueError, PolyError) as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
 
 
 def _write(text: str, out: str | None) -> None:
@@ -181,14 +170,14 @@ def _render_table_text(table: dict) -> str:
 
 
 def _cmd_validate(args) -> int:
-    g = _load_algebra(args.file)
+    g = _load(args.file, algebra_from_dict, FormatError)
     report = validate(g)
     _write(canonical_json(validation_dict(report)), args.out)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def _cmd_analyze(args) -> int:
-    g = _load_algebra(args.file)
+    g = _load(args.file, algebra_from_dict, FormatError)
     options = AnalyzeOptions(
         budget=args.budget,
         full_transporter=args.full_prop34,
@@ -205,7 +194,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_vf_bracket_table(args) -> int:
-    variables, named_fields = _load_fields(args.file)
+    variables, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
     entries = []
     for i in range(len(named_fields)):
         for j in range(i + 1, len(named_fields)):
@@ -228,7 +217,7 @@ def _cmd_vf_bracket_table(args) -> int:
 
 
 def _cmd_vf_extract(args) -> int:
-    variables, named_fields = _load_fields(args.file)
+    variables, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
     chosen = _select_fields(named_fields, args.fields, args.file)
     if not chosen:
         raise CliError(EXIT_FORMAT, f"{args.file}: no fields given")
@@ -260,8 +249,8 @@ def _cmd_vf_extract(args) -> int:
 
 
 def _cmd_vf_pushforward(args) -> int:
-    variables, named_fields = _load_fields(args.file)
-    pm = _load_pointmap(args.map)
+    variables, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
+    pm = _load(args.map, pointmap_from_dict, _POLY_FORMAT_ERRORS)
     if pm.variables != variables:
         raise CliError(EXIT_FORMAT, "map and field files declare different variables")
     chosen = _select_fields(named_fields, args.fields, args.file)

@@ -171,18 +171,6 @@ class Matrix:
             raise AmbientMismatch("vector length does not match matrix columns")
         return tuple(vec_dot(row, v) for row in self.entries)
 
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- elimination ---------------------------------------------------------
 
     def rref_with_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
@@ -211,12 +199,6 @@ class Matrix:
             if r == len(m):
                 break
         return Matrix(m[:r], cols=self.cols), tuple(pivots)
-
-    def rref(self) -> "Matrix":
-        return self.rref_with_pivots()[0]
-
-    def rank(self) -> int:
-        return self.rref_with_pivots()[0].rows
 
     def kernel_rows(self) -> list[Vector]:
         """Basis of {v : self @ v = 0}, one free coordinate set to 1 per row."""

@@ -66,13 +66,6 @@ class MegaidealLattice:
     def members(self) -> tuple[Subspace, ...]:
         return tuple(entry.subspace for entry in self.entries)
 
-    def proper_nontrivial(self) -> tuple[Subspace, ...]:
-        return tuple(
-            e.subspace
-            for e in self.entries
-            if not e.subspace.is_zero() and not e.subspace.is_full()
-        )
-
 
 @dataclass(frozen=True)
 class MegaidealVerdict:

@@ -127,9 +127,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * len(self.variables), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def mentions(self, name: str) -> bool:
         idx = self.variables.index(name)
         return any(e[idx] > 0 for e in self.terms)

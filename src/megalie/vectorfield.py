@@ -127,10 +127,6 @@ class PolyVectorField:
         )
 
 
-def zero_field(variables: Sequence[str]) -> PolyVectorField:
-    return PolyVectorField(variables, {})
-
-
 def lie_bracket(q1: PolyVectorField, q2: PolyVectorField) -> PolyVectorField:
     """[Q1, Q2]^i = Q1(Q2^i) - Q2(Q1^i), exactly."""
     if q1.variables != q2.variables:

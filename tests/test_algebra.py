@@ -1,9 +1,14 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from megalie.algebra import (
     FormatError,
+    LieAlgebra,
     NotAnIdeal,
     NotNilpotent,
     ad,
@@ -23,12 +28,14 @@ from megalie.algebra import (
     normalizer,
     quotient,
     radical,
-    subalgebra,
+    ValidationReport,
     transporter,
     upper_central_series,
     validate,
 )
-from megalie.linalg import Matrix, Subspace
+from megalie.automorphisms import AutShape, structure_equations
+from megalie.linalg import Matrix, Subspace, format_rat, kernel
+from megalie.poly import Poly
 
 
 def span(n, *rows):
@@ -222,9 +229,11 @@ class TestKillingRadical:
         for g in (m5, sl2, heisenberg):
             r = radical(g)
             assert is_ideal(g, r)
-            if r.dim:
-                sub, _ = subalgebra(g, r)
-                assert derived_series(sub).last.is_zero()
+            term = r  # the derived series of r, inside g
+            while not term.is_zero():
+                nxt = bracket_subspaces(g, term, term)
+                assert nxt != term, "radical is not solvable"
+                term = nxt
             nil, _ = nilradical_approx(g)
             assert r.contains_subspace(nil)
 
@@ -288,7 +297,8 @@ class TestDerivationsExp:
         for g in (m5, heisenberg):
             n = g.dim
             for idx in range(n):
-                if not ad(g, g.basis_vector(idx)).power(n).is_zero():
+                a = ad(g, g.basis_vector(idx))
+                if not reduce(operator.matmul, [a] * n).is_zero():
                     continue
                 for t in (1, -1, Fraction(1, 2)):
                     e = exp_ad_nilpotent(g, g.basis_vector(idx), t)
@@ -384,3 +394,226 @@ class TestFileFormat:
         }
         with pytest.raises(FormatError):
             algebra_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: every structure constant read entry by entry from c, the
+# way the bracket calculus read them before the sparse index existed
+
+
+def dense_bracket(g, x, y):
+    n = g.dim
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] += Fraction(x[i]) * Fraction(y[j]) * g.c[i][j][k]
+    return tuple(out)
+
+
+def dense_ad(g, x):
+    n = g.dim
+    cols = [dense_bracket(g, x, g.basis_vector(j)) for j in range(n)]
+    return Matrix([[cols[j][k] for j in range(n)] for k in range(n)])
+
+
+def dense_validate(g):
+    n, c = g.dim, g.c
+    anti = [
+        (i, j, k, c[i][j][k], c[j][i][k])
+        for i in range(n)
+        for j in range(i, n)
+        for k in range(n)
+        if c[i][j][k] != -c[j][i][k]
+    ]
+    jacobi = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(j + 1, n):
+                for m in range(n):
+                    res = Fraction(0)
+                    for k in range(n):
+                        res += c[i][j][k] * c[k][l][m]
+                        res += c[j][l][k] * c[k][i][m]
+                        res += c[l][i][k] * c[k][j][m]
+                    if res != 0:
+                        jacobi.append((i, j, l, m, res))
+    return ValidationReport(tuple(anti), tuple(jacobi))
+
+
+def dense_killing_form(g):
+    n, c = g.dim, g.c
+    return Matrix(
+        [
+            [sum((c[i][l][k] * c[j][k][l] for l in range(n) for k in range(n)), Fraction(0))
+             for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def dense_derivations(g):
+    n, c = g.dim, g.c
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for m in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k in range(n):
+                    row[m * n + k] += c[i][j][k]
+                for l in range(n):
+                    row[l * n + i] -= c[l][j][m]
+                    row[l * n + j] -= c[i][l][m]
+                rows.append(row)
+    solutions = kernel(Matrix(rows, cols=n * n))
+    return [
+        Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
+        for row in solutions.basis.entries
+    ]
+
+
+def dense_algebra_to_dict(g):
+    n, names = g.dim, g.basis_names
+    brackets = [
+        {
+            "left": names[i],
+            "right": names[j],
+            "result": {names[k]: format_rat(g.c[i][j][k]) for k in range(n) if g.c[i][j][k] != 0},
+        }
+        for i in range(n)
+        for j in range(i + 1, n)
+        if any(x != 0 for x in g.c[i][j])
+    ]
+    return {"name": g.name, "basis": list(names), "brackets": brackets}
+
+
+def dense_structure_equations(g, shape):
+    n, c, pattern, variables = g.dim, g.c, shape.pattern, shape.unknowns
+
+    def exps(*names):
+        return tuple(names.count(v) for v in variables)
+
+    equations, seen = [], set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for m in range(n):
+                terms = {}
+                for k in range(n):
+                    if c[i][j][k] != 0 and pattern[m][k] is not None:
+                        e = exps(pattern[m][k])
+                        terms[e] = terms.get(e, Fraction(0)) + c[i][j][k]
+                for p in range(n):
+                    for q in range(n):
+                        if c[p][q][m] != 0 and None not in (pattern[p][i], pattern[q][j]):
+                            e = exps(pattern[p][i], pattern[q][j])
+                            terms[e] = terms.get(e, Fraction(0)) - c[p][q][m]
+                poly = Poly(variables, terms).content_normalized()
+                key = frozenset(poly.terms.items())
+                if not poly.is_zero() and key not in seen:
+                    seen.add(key)
+                    equations.append(poly)
+    return equations
+
+
+COEFFS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def invertible(draw, n):
+    """L @ U, L unit lower triangular, U upper triangular with diagonal +-1."""
+    below = [
+        [draw(st.integers(-2, 2)) if i > j else int(i == j) for j in range(n)] for i in range(n)
+    ]
+    above = [[draw(st.integers(-2, 2)) if i < j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        above[i][i] = draw(st.sampled_from([1, -1]))
+    return Matrix(below) @ Matrix(above)
+
+
+@st.composite
+def antisymmetric(draw):
+    """algebra_from_brackets on random constants; Jacobi mostly fails."""
+    n = draw(st.integers(2, 5))
+    brackets = {
+        (i, j): {k: draw(COEFFS) for k in range(n)} for i in range(n) for j in range(i + 1, n)
+    }
+    return algebra_from_brackets("random", [f"e{i}" for i in range(n)], brackets)
+
+
+@st.composite
+def raw_tensor(draw):
+    """A directly constructed tensor, neither antisymmetric nor zero on the diagonal."""
+    n = draw(st.integers(1, 4))
+    c = tuple(
+        tuple(tuple(Fraction(draw(COEFFS)) for _ in range(n)) for _ in range(n)) for _ in range(n)
+    )
+    return LieAlgebra("raw", tuple(f"e{i}" for i in range(n)), c)
+
+
+@st.composite
+def shape_for(draw, n):
+    """An automorphism shape over n: a random zero pattern of distinct unknowns."""
+    pattern = tuple(
+        tuple(f"a{m}{k}" if draw(st.integers(0, 3)) else None for k in range(n)) for m in range(n)
+    )
+    unknowns = tuple(name for row in pattern for name in row if name is not None)
+    return AutShape(n, pattern, unknowns, ())
+
+
+def vectors(n):
+    return st.lists(COEFFS, min_size=n, max_size=n)
+
+
+class TestDenseReference:
+    """The sparse index reproduces the dense reading of c exactly."""
+
+    def check(self, data, g):
+        n = g.dim
+        x, y = data.draw(vectors(n)), data.draw(vectors(n))
+        assert g.bracket(x, y) == dense_bracket(g, x, y)
+        assert ad(g, x) == dense_ad(g, x)
+        report = validate(g)
+        assert report == dense_validate(g)  # both lists, in (i, j, l, m) order
+        assert killing_form(g) == dense_killing_form(g)
+        assert derivations(g) == dense_derivations(g)
+        assert algebra_to_dict(g) == dense_algebra_to_dict(g)
+        shape = data.draw(shape_for(n))
+        got = structure_equations(g, shape)
+        want = dense_structure_equations(g, shape)
+        assert [list(p.terms.items()) for p in got.equations] == [
+            list(p.terms.items()) for p in want
+        ]
+        return report
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_conjugated_fixtures(self, data, m5, sl2d, heisenberg, sl2):
+        g = data.draw(st.sampled_from([m5, sl2d, heisenberg, sl2]))
+        g = change_basis(g, data.draw(invertible(g.dim)))
+        assert self.check(data, g).ok
+
+    @given(data=st.data(), g=antisymmetric())
+    @settings(max_examples=40, deadline=None)
+    def test_antisymmetric_tensors(self, data, g):
+        assert not self.check(data, g).antisymmetry_violations
+
+    @given(data=st.data(), g=raw_tensor())
+    @settings(max_examples=40, deadline=None)
+    def test_non_antisymmetric_tensors(self, data, g):
+        self.check(data, g)
+
+    def test_jacobi_failures_are_exercised(self):
+        g = algebra_from_brackets(
+            "nojacobi", ["a", "b", "c"], {(0, 1): {0: 1}, (1, 2): {1: 1}, (0, 2): {2: 2}}
+        )
+        report = validate(g)
+        assert report == dense_validate(g) and report.jacobi_residuals
+
+    def test_diagonal_is_read(self):
+        c = tuple(
+            tuple(tuple(Fraction(int(i == j == k == 0)) for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+        g = LieAlgebra("diag", ("a", "b"), c)
+        assert g.bracket((1, 0), (1, 0)) == (1, 0)
+        assert ad(g, (1, 0)) == dense_ad(g, (1, 0)) == Matrix([[1, 0], [0, 0]])

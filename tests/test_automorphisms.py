@@ -102,7 +102,7 @@ class TestShape:
         assert len(shape.unknowns) == 9
         assert len(shape.side_conditions) == 1
         det = shape.side_conditions[0]
-        assert det.total_degree() == 3 and len(det.terms) == 6
+        assert {sum(e) for e in det.terms} == {3} and len(det.terms) == 6
 
     def test_two_block_flag(self, abelian3):
         lattice = closure(abelian3, seeds=[span(3, [1, 0, 0], [0, 1, 0])])
@@ -353,8 +353,11 @@ class TestConjugatedPresentations:
         for _ in range(4):
             while True:
                 b = Matrix([[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
-                if b.rank() == 5:
-                    break
+                try:
+                    b.inverse()
+                except ValueError:  # singular
+                    continue
+                break
             g = change_basis(m5, b)
             lattice = closure(g)
             assert [e.subspace.dim for e in lattice.entries] == [0, 1, 2, 3, 4, 5]
@@ -364,7 +367,7 @@ class TestConjugatedPresentations:
             found = enumerate_coordinate_megaideals(g, param, basis)
             proper = [s for s in found if 0 < s.dim < 5]
             assert 4 <= len(proper) <= 5
-            for member in lattice.proper_nontrivial():
+            for member in lattice.members[1:-1]:
                 assert member in proper
             from megalie.megaideals import verify_megaideal
 

@@ -22,7 +22,6 @@ from megalie.vectorfield import (
     pushforward,
     realize_family,
     verify_homomorphism,
-    zero_field,
 )
 
 V = FAMILY_VARIABLES
@@ -114,10 +113,10 @@ class TestBracket:
             for q in params:
                 pp, qq = xof[p], xof[q]
                 dd = pp * qq.derivative("x") - pp.derivative("x") * qq
-                expected_d = zero_field(V) if dd.is_zero() else realize_family("D", dd)
+                expected_d = PolyVectorField(V, {}) if dd.is_zero() else realize_family("D", dd)
                 assert lie_bracket(family[f"D{p}"], family[f"D{q}"]) == expected_d
                 gg = pp * qq.derivative("x")
-                expected_g = zero_field(V) if gg.is_zero() else realize_family("G", gg)
+                expected_g = PolyVectorField(V, {}) if gg.is_zero() else realize_family("G", gg)
                 assert lie_bracket(family[f"D{p}"], family[f"G{q}"]) == expected_g
 
 
@@ -152,7 +151,7 @@ class TestExtract:
             for j in range(5):
                 concrete = lie_bracket(fields[i], fields[j])
                 coords = g.bracket(g.basis_vector(i), g.basis_vector(j))
-                rebuilt = zero_field(V)
+                rebuilt = PolyVectorField(V, {})
                 for k, c in enumerate(coords):
                     if c:
                         rebuilt = rebuilt + fields[k].scaled(c)
@@ -310,7 +309,7 @@ class TestClosedFormDG:
                 continue
             left = lie_bracket(realize_family("D", p), realize_family("G", q))
             product = p * q.derivative("x")
-            expected = zero_field(V) if product.is_zero() else realize_family("G", product)
+            expected = PolyVectorField(V, {}) if product.is_zero() else realize_family("G", product)
             assert left == expected
 
 
