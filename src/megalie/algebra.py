@@ -85,15 +85,22 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         x, y = vec(x), vec(y)
-        n = self.dim
-        if len(x) != n or len(y) != n:
+        if len(x) != self.dim or len(y) != self.dim:
             raise AmbientMismatch("bracket arguments must have length dim")
-        out = [Fraction(0)] * n
-        for (i, j), row in self._nonzero.items():
-            if x[i] and y[j]:
-                f = x[i] * y[j]
-                for k, q in row:
-                    out[k] += f * q
+        return self._bracket(x, y)
+
+    def _bracket(self, x: Vector, y: Vector) -> Vector:
+        """bracket() of Fraction tuples, unchecked; walks only their nonzero entries."""
+        out = [Fraction(0)] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    row = self._nonzero.get((i, j))
+                    if row:
+                        f = a * b
+                        for k, q in row:
+                            out[k] += f * q
         return tuple(out)
 
     def basis_vector(self, i: int) -> Vector:
@@ -196,14 +203,26 @@ def ad(g: LieAlgebra, x: Sequence) -> Matrix:
     return Matrix(m)
 
 
+def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[Vector]]:
+    """The bracket table of (a, b): [[w, v] for v in b] for each basis row w of a."""
+    if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
+        raise AmbientMismatch("subspaces must lie in the algebra")
+    return [[g._bracket(w, v) for v in b.basis.entries] for w in a.basis.entries]
+
+
+def _span_of_images(g: LieAlgebra, images: list[list[Vector]], provenance: str = "") -> Subspace:
+    return Subspace(g.dim, Matrix._from_rows([v for row in images for v in row], g.dim), provenance)
+
+
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace, provenance: str = "") -> Subspace:
     """Span of [x, y] over basis pairs x in a, y in b."""
-    vectors = [
-        g.bracket(u, v)
-        for u in a.basis.entries
-        for v in b.basis.entries
-    ]
-    return Subspace.spanned_by(g.dim, vectors, provenance)
+    return _span_of_images(g, _bracket_images(g, a, b), provenance)
+
+
+def _transport(within: Subspace, images: list, into: Subspace, provenance: str = "") -> Subspace:
+    """transporter(g, within, of, into) from images = _bracket_images(g, within, of)."""
+    rows = [tuple(x for v in row for x in into._reduce(v)) for row in images]
+    return within.where_zero(rows, provenance)
 
 
 def transporter(
@@ -215,17 +234,16 @@ def transporter(
 ) -> Subspace:
     """{x in `within` : [x, b] in `into` for every basis vector b of `of`}.
 
-    One kernel solve: x = sum t_i w_i over the basis of `within`, and
-    [x, b] lies in `into` exactly when its remainder against `into`,
-    sum t_i into.reduce([w_i, b]), is zero.  This is the workhorse behind
-    centralizers (into = 0), normalizers (into = of), the upper central
-    series and the general invariant-subspace constructor.
+    The bracket table of (within, of), then one kernel solve: x = sum t_i w_i
+    over the basis of `within` lies here exactly when sum t_i of the
+    remainders of [w_i, b] against `into` is zero.  The megaideal closure
+    keeps each member pair's table and solves every `into` from it through
+    `_transport`.  This is the workhorse behind centralizers (into = 0),
+    normalizers (into = of), the upper central series and the general
+    invariant-subspace constructor.
     """
-    images = [
-        tuple(x for b in of.basis.entries for x in into.reduce(g.bracket(w, b)))
-        for w in within.basis.entries
-    ]
-    return within.where_zero(images, provenance)
+    within._check_ambient(into)
+    return _transport(within, _bracket_images(g, within, of), into, provenance)
 
 
 def center(g: LieAlgebra, provenance: str = "Z(g)") -> Subspace:

@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with Fraction entries, reduced row echelon form, kernels,
-and canonical subspace arithmetic.  All values are immutable, all results
-are exact; no floating point enters anywhere.  Subspaces are kept in RREF
+Matrices with Fraction entries, reduced row echelon form, kernels, and
+canonical subspace arithmetic.  All values are immutable, all results are
+exact; no floating point enters anywhere.  Subspaces are kept in RREF
 with leading coefficient 1, so two subspaces are equal precisely when
 their basis matrices are entry-wise equal.  A Subspace is row-reduced
 once, when it is built, and keeps its pivot columns for reduction and
 coordinates.  Subspace.where_zero -- the part of a space that a linear
 map sends to zero -- is the one kernel solve behind intersections,
 kernels and every constructor in the algebra module.
+
+Values are checked and coerced at the boundary: Matrix(...), reduce,
+contains and coordinates.  Internal rows are Fraction tuples already, so
+results go through the trusted Matrix._from_rows and Subspace._reduce.
 """
 
 from __future__ import annotations
@@ -58,24 +62,12 @@ def vec(values: Iterable) -> Vector:
     return tuple(rat(v) for v in values)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(q: Fraction, a: Vector) -> Vector:
-    return tuple(q * x for x in a)
-
-
 def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 class Matrix:
@@ -98,6 +90,16 @@ class Matrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
 
+    @staticmethod
+    def _from_rows(rows: Iterable[Vector], cols: int) -> "Matrix":
+        """Trusted constructor: rows must be `cols`-wide Fraction tuples; nothing is checked."""
+        m = object.__new__(Matrix)
+        data = tuple(rows)
+        object.__setattr__(m, "entries", data)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -109,7 +111,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._from_rows((unit_vector(n, i) for i in range(n)), n)
 
     # -- basics ------------------------------------------------------------
 
@@ -127,9 +129,6 @@ class Matrix:
         body = "; ".join(" ".join(format_rat(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -144,26 +143,27 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return Matrix(
-            [vec_add(a, b) for a, b in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        sums = (tuple(x + y for x, y in zip(a, b)) for a, b in zip(self.entries, other.entries))
+        return Matrix._from_rows(sums, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scaled(Fraction(-1))
 
     def scaled(self, q) -> "Matrix":
         q = rat(q)
-        return Matrix([vec_scale(q, row) for row in self.entries], cols=self.cols)
+        return Matrix._from_rows((tuple(q * x for x in row) for row in self.entries), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = [other.col(j) for j in range(other.cols)]
-        return Matrix(
-            [[vec_dot(row, c) for c in cols] for row in self.entries],
-            cols=other.cols,
-        )
+        rows = []
+        for row in self.entries:
+            acc = (Fraction(0),) * other.cols
+            for a, b in zip(row, other.entries):
+                if a:
+                    acc = tuple(x + a * y if y else x for x, y in zip(acc, b))
+            rows.append(acc)
+        return Matrix._from_rows(rows, other.cols)
 
     def matvec(self, v: Sequence) -> Vector:
         v = vec(v)
@@ -198,7 +198,7 @@ class Matrix:
             r += 1
             if r == len(m):
                 break
-        return Matrix(m[:r], cols=self.cols), tuple(pivots)
+        return Matrix._from_rows(map(tuple, m[:r]), self.cols), tuple(pivots)
 
     def kernel_rows(self) -> list[Vector]:
         """Basis of {v : self @ v = 0}, one free coordinate set to 1 per row."""
@@ -218,13 +218,11 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix(
-            [list(self.entries[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        )
-        reduced, pivots = aug.rref_with_pivots()
+        aug = (row + unit_vector(n, i) for i, row in enumerate(self.entries))
+        reduced, pivots = Matrix._from_rows(aug, 2 * n).rref_with_pivots()
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced.entries], cols=n)
+        return Matrix._from_rows((row[n:] for row in reduced.entries), n)
 
 
 def solve(a: Matrix, b: Sequence) -> Vector | None:
@@ -329,18 +327,22 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
+        return self._reduce(v)
+
+    def _reduce(self, v: Vector) -> Vector:
+        """reduce() for a Fraction tuple of the ambient length, unchecked."""
         for p, row in zip(self.pivots, self.basis.entries):
             f = v[p]
-            if f != 0:
+            if f:
                 v = tuple(a - f * b if b else a for a, b in zip(v, row))
         return v
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains(row) for row in other.basis.entries)
+        return not any(x for row in other.basis.entries for x in self._reduce(row))
 
     def coordinates(self, v: Sequence) -> Vector | None:
         """Coefficients of v over the RREF basis rows, or None if outside.
@@ -362,19 +364,15 @@ class Subspace:
         the result is the part of this space that the map sends to zero:
         one kernel solve in the coordinates of this space, mapped back.
         Every subspace constructor that cuts out a space by linear
-        conditions goes through here.
+        conditions goes through here.  Int images are allowed: they only
+        enter the solve for the t_i, and the result is built from the
+        Fraction basis rows.
         """
-        rows = [row for row in zip(*images) if any(x != 0 for x in row)]
+        rows = [row for row in zip(*images) if any(row)]
         if not rows:
             return self.with_provenance(provenance)
-        vectors = []
-        for t in Matrix(rows, cols=self.dim).kernel_rows():
-            combo = zero_vector(self.ambient_dim)
-            for ti, b in zip(t, self.basis.entries):
-                if ti != 0:
-                    combo = vec_add(combo, vec_scale(ti, b))
-            vectors.append(combo)
-        return Subspace(self.ambient_dim, Matrix(vectors, cols=self.ambient_dim), provenance)
+        t = Matrix._from_rows(Matrix._from_rows(rows, self.dim).kernel_rows(), self.dim)
+        return Subspace(self.ambient_dim, t @ self.basis, provenance)
 
     def sum(self, other: "Subspace", provenance: str = "") -> "Subspace":
         self._check_ambient(other)
@@ -387,9 +385,9 @@ class Subspace:
     def intersect(self, other: "Subspace", provenance: str = "") -> "Subspace":
         """The part of this space whose remainder against `other` is zero."""
         self._check_ambient(other)
-        return self.where_zero([other.reduce(w) for w in self.basis.entries], provenance)
+        return self.where_zero([other._reduce(w) for w in self.basis.entries], provenance)
 
 
 def kernel(m: Matrix, provenance: str = "") -> Subspace:
     """Null space {v : m @ v = 0} as a canonical subspace of Q^cols."""
-    return Subspace.full(m.cols).where_zero([m.col(j) for j in range(m.cols)], provenance)
+    return Subspace.full(m.cols).where_zero(list(zip(*m.entries)), provenance)

@@ -24,14 +24,15 @@ from .algebra import (
     LieAlgebra,
     NotAnIdeal,
     SeriesReport,
-    bracket_subspaces,
+    _bracket_images,
+    _span_of_images,
+    _transport,
     derivations,
     derived_series,
     is_ideal,
     lower_central_series,
     nilradical_approx,
     radical,
-    transporter,
     upper_central_series,
 )
 from .linalg import Matrix, Subspace
@@ -89,14 +90,10 @@ def verify_megaideal(
     when not given.
     """
     ideal_ok = is_ideal(g, s)
-    deriv_ok = True
-    for d in derivations(g) if derivs is None else derivs:
-        for row in s.basis.entries:
-            if not s.contains(d.matvec(row)):
-                deriv_ok = False
-                break
-        if not deriv_ok:
-            break
+    derivs = derivations(g) if derivs is None else derivs
+    # row r of s.basis @ d^T is d r, a sum over the nonzero r_j of r_j d[:, j]
+    images = (row for d in derivs for row in (s.basis @ d.transpose()).entries)
+    deriv_ok = not any(x for row in images for x in s._reduce(row))
     notes = ("derivation invariance is necessary, not sufficient",)
     return MegaidealVerdict(ideal_ok, deriv_ok, notes)
 
@@ -178,7 +175,11 @@ def closure(
     of which the centralizer C(a;b) = tp(a, b, 0) and the normalizer
     N(a;b) = tp(a, b, b) are named cases.  Transporter triples are
     restricted to dim(c) <= dim(b) unless full_transporter is set; the
-    restriction always keeps C and N.  Each member triple is solved once.
+    restriction always keeps C and N.
+
+    Each member pair (a, b) is bracketed once, into a table [[w, v] for v in
+    b] for w in a kept for all passes (members are append-only).  [a, b] is
+    its span; tp(a, b, c) is one solve on its remainders against c, once.
 
     Stops at a fixpoint or after `budget` passes; a truncated run is
     reported through reached_fixpoint=False on the result.
@@ -211,6 +212,13 @@ def closure(
     if status == "exact":
         builder.add(nil, ("nilradical",))
 
+    table: dict[tuple[int, int], list] = {}
+
+    def images(a: int, b: int) -> list:
+        if (a, b) not in table:
+            table[(a, b)] = _bracket_images(g, builder.spaces[a], builder.spaces[b])
+        return table[(a, b)]
+
     done: set[tuple] = set()
     passes = 0
     reached_fixpoint = False
@@ -223,7 +231,7 @@ def closure(
 
         def tp(a: int, b: int, c: int) -> Subspace:
             if (a, b, c) not in solved:
-                solved[(a, b, c)] = transporter(g, members[a], members[b], members[c])
+                solved[(a, b, c)] = _transport(members[a], images(a, b), members[c])
             return solved[(a, b, c)]
 
         def emit(op: tuple, build: Callable[[], Subspace]) -> None:
@@ -233,7 +241,7 @@ def closure(
 
         for a in range(count):
             for b in range(a, count):
-                emit(("bracket", a, b), lambda: bracket_subspaces(g, members[a], members[b]))
+                emit(("bracket", a, b), lambda: _span_of_images(g, images(a, b)))
                 if a < b:
                     emit(("sum", a, b), lambda: members[a].sum(members[b]))
                     emit(("intersect", a, b), lambda: members[a].intersect(members[b]))

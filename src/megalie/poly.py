@@ -205,26 +205,7 @@ class Poly:
         variables of the result; the exponents of unmapped variables are
         copied through unchanged.
         """
-        if any(image.variables != self.variables for image in mapping.values()):
-            raise ValueError("substitution images must be over the polynomial's variables")
-        mapped = [(idx, mapping[name]) for idx, name in enumerate(self.variables) if name in mapping]
-        powers: dict[tuple[int, int], dict[Exponents, Fraction]] = {}
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            kept = list(exps)
-            for idx, _ in mapped:
-                kept[idx] = 0
-            term = {tuple(kept): coeff}
-            for idx, image in mapped:
-                e = exps[idx]
-                if e:
-                    if (idx, e) not in powers:
-                        powers[idx, e] = (image**e).terms
-                    term = _mul_terms(term, powers[idx, e])
-            for key, c in term.items():
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return Poly._from_terms(self.variables, out)
+        return substitute_all([self], mapping)[0]
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -364,6 +345,33 @@ class Poly:
 
     def __str__(self) -> str:
         return self.to_str()
+
+
+def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[Poly]:
+    """[p.substitute(mapping) for p in polys], with one memo of image powers for all."""
+    powers: dict[tuple[int, int], dict[Exponents, Fraction]] = {}
+    results = []
+    for p in polys:
+        if any(image.variables != p.variables for image in mapping.values()):
+            raise ValueError("substitution images must be over the polynomial's variables")
+        mapped = [(idx, mapping[name]) for idx, name in enumerate(p.variables) if name in mapping]
+        out: dict[Exponents, Fraction] = {}
+        for exps, coeff in p.terms.items():
+            kept = list(exps)
+            for idx, _ in mapped:
+                kept[idx] = 0
+            term = {tuple(kept): coeff}
+            for idx, image in mapped:
+                e = exps[idx]
+                if e:
+                    if (idx, e) not in powers:
+                        powers[idx, e] = (image**e).terms
+                    term = _mul_terms(term, powers[idx, e])
+            for key, c in term.items():
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+        results.append(Poly._from_terms(p.variables, out))
+    return results
 
 
 # ---------------------------------------------------------------------------

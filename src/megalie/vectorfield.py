@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, algebra_from_brackets, validate
 from .linalg import Matrix, format_rat, rat, solve as linear_solve
-from .poly import Exponents, Poly, parse_poly
+from .poly import Exponents, Poly, parse_poly, substitute_all
 
 FAMILY_VARIABLES = ("t", "x", "u", "u_x", "f", "g")
 
@@ -336,12 +336,10 @@ def pushforward(pm: PointMap, q: PolyVectorField) -> PolyVectorField:
     """Induced field: (T_* Q)^i = (sum_j Q^j d(forward^i)/dz_j) o inverse = Q(forward^i) o inverse."""
     if pm.variables != q.variables:
         raise ValueError("map and field over different variable lists")
-    components = {}
-    for name in pm.variables:
-        total = q.apply_to(pm.forward[name])
-        if not total.is_zero():
-            components[name] = total.substitute(pm.inverse)
-    return PolyVectorField(pm.variables, components)
+    totals = {name: q.apply_to(pm.forward[name]) for name in pm.variables}
+    names = [name for name, total in totals.items() if not total.is_zero()]
+    images = substitute_all([totals[name] for name in names], pm.inverse)
+    return PolyVectorField(pm.variables, dict(zip(names, images)))
 
 
 def verify_homomorphism(

@@ -6,9 +6,10 @@ import pathlib
 
 import pytest
 
-from megalie import cli
-from megalie.algebra import algebra_from_dict
+from megalie import cli, vectorfield
+from megalie.algebra import algebra_from_brackets, algebra_from_dict
 from megalie.analysis import analyze, canonical_json
+from megalie.poly import Poly
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -33,3 +34,44 @@ def test_cli_report_matches_golden(name, code, capsys, monkeypatch):
     digest = hashlib.sha256((ROOT / fixture).read_bytes()).hexdigest()
     expected = {"tool": golden.pop("tool"), "input": {"sha256": digest}, **golden}
     assert capsys.readouterr().out == canonical_json(expected)
+
+
+def filiform(n):
+    names = [f"e{i}" for i in range(1, n + 1)]
+    return algebra_from_brackets(f"L{n}", names, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+def heisenberg(k):
+    names = [f"x{i}" for i in range(1, k + 1)] + [f"y{i}" for i in range(1, k + 1)] + ["z"]
+    return algebra_from_brackets(f"h{k}", names, {(i, k + i): {2 * k: 1} for i in range(k)})
+
+
+def diagonal(n):
+    names = [f"e{i}" for i in range(n)]
+    return algebra_from_brackets(f"diag{n}", names, {(0, i): {i: i} for i in range(1, n)})
+
+
+def wave6():
+    fields = [(k, vectorfield.realize_family(k)) for k in ("Du", "Dt", "Pt", "F1", "F2")]
+    one = Poly.const(vectorfield.FAMILY_VARIABLES, 1)
+    fields.append(("G1", vectorfield.realize_family("G", one)))
+    return vectorfield.extract_structure(fields, name="wave6")
+
+
+# sha256 of canonical_json(analyze(g)) for the benchmark's algebras, built as
+# in bench/workloads.py.  A change that alters any report byte changes these.
+REPORT_SHA256 = {
+    "L8": (lambda: filiform(8), "c5a878146a322ac6e2879a2528ac7f06dae924ca0c7d15e9ca4bafd8102a4c84"),
+    "L10": (lambda: filiform(10), "c6f31549028ca7ccd2e5e056886a0611ee857b70cbf647069c3e271102c02a12"),
+    "L12": (lambda: filiform(12), "430e51e3240d4fa461ddd50ea78027b426e3a375377d7012cbecbf2ac15dfdfc"),
+    "wave6": (wave6, "2e7f30097ba9f99008bc3d28636b677253d7ebf7b557b8232d52557ce6142a1f"),
+    "h3": (lambda: heisenberg(3), "9c6da13e175856704edf997d87e701011ea81db396b1adbc4453972127c8fa46"),
+    "diag8": (lambda: diagonal(8), "a9f2cc6e578d2bdf1ff20eb65590e19222cd1141fd4aebd33f1dc13611be8dd6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_digest_is_pinned(name):
+    build, digest = REPORT_SHA256[name]
+    report = canonical_json(analyze(build()))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest

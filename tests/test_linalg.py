@@ -206,3 +206,59 @@ class TestMatrixBasics:
         m = Matrix([[0, 1], [0, 0]])
         assert not m.is_zero() and (m @ m).is_zero()
         assert Matrix.identity(2) @ m == m @ Matrix.identity(2) == m
+
+
+class TestCoercionBoundary:
+    """Outside values become Fractions at the checked entry points, and the
+    trusted internal paths hand back nothing else."""
+
+    @staticmethod
+    def fractions_only(rows):
+        return all(type(x) is Fraction for row in rows for x in row)
+
+    def test_matrix_literals(self):
+        m = Matrix([[1, "1/2"]])
+        assert m.entries == ((F(1), Fraction(1, 2)),)
+        assert self.fractions_only(m.entries)
+        assert self.fractions_only((m @ Matrix([[2], ["-3"]])).entries)
+
+    def test_bracket_of_ints_and_strings(self, m5):
+        pairs = [([1, 0, 0, 1, 0], [0, 0, 1, 0, 1]), (["1", "0", "2/3", 0, 0], [0, "-1", 0, "1/2", 1])]
+        for x, y in pairs:
+            assert self.fractions_only([m5.bracket(x, y)])
+        assert m5.bracket([0, 0, 1, 0, 0], ["0", "0", "0", "1", "0"]) == m5.bracket(
+            [F(0), F(0), F(1), F(0), F(0)], [F(0), F(0), F(0), F(1), F(0)]
+        )
+
+    def test_where_zero_with_int_images(self):
+        # pivot 1 and untouched entries keep the solve in ints; the result
+        # is still built from Fraction basis rows
+        for space in (Subspace.full(3), Subspace.spanned_by(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1)])):
+            got = space.where_zero([(1,), (2,), (3,)])
+            assert got.dim == 2
+            assert self.fractions_only(got.basis.entries)
+        got = Subspace.full(3).where_zero([(1, 0), (1, 0), (0, 2)])
+        assert got == Subspace.spanned_by(3, [(1, -1, 0)])
+        assert self.fractions_only(got.basis.entries)
+        # the kernel rows come out already reduced, with int entries
+        got = Subspace.full(3).where_zero([(0,), (1,), (-1,)])
+        assert got.basis.entries == ((1, 0, 0), (0, 1, 1))
+        assert self.fractions_only(got.basis.entries)
+        assert Subspace.full(2).where_zero([(0,), (0,)]) == Subspace.full(2)
+
+    def test_reduce_and_coordinates_coerce(self):
+        s = Subspace.spanned_by(3, [(1, 0, "1/2")])
+        assert self.fractions_only([s.reduce([2, 1, 0]), s.coordinates(["2", 0, 1])])
+        assert s.contains([2, 0, 1]) and not s.contains(["0", "1", "0"])
+        with pytest.raises(AmbientMismatch):
+            s.reduce([1, 0])
+
+    def test_subspace_brackets_check_ambient(self, m5):
+        from megalie.algebra import bracket_subspaces, transporter
+
+        small, full = Subspace.full(3), m5.full_space()
+        for args in ((small, full, full), (full, small, full), (full, full, small)):
+            with pytest.raises(AmbientMismatch):
+                transporter(m5, *args)
+        with pytest.raises(AmbientMismatch):
+            bracket_subspaces(m5, full, small)

@@ -3,15 +3,20 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import megalie.algebra
 from megalie.algebra import (
     NotAnIdeal,
     algebra_from_brackets,
     bracket_subspaces,
+    change_basis,
+    derivations,
+    is_ideal,
     transporter,
 )
-from megalie.linalg import Subspace
+from megalie.linalg import Matrix, Subspace, vec_dot
 from megalie.megaideals import (
     TRANSPORTER_COMPLETENESS_NOTE,
     closure,
@@ -228,6 +233,84 @@ class TestLatticeLifting:
                     assert verify_megaideal(g, lifted).ok
 
 
+def dense_matmul(a, b):
+    """Matrix.__matmul__ as a dense product: one dot product per entry."""
+    cols = list(zip(*b.entries))
+    return Matrix([[vec_dot(row, c) for c in cols] for row in a.entries], cols=b.cols)
+
+
+def dense_verify(g, s, derivs):
+    """verify_megaideal as a dense loop: d.matvec(row) and s.contains per basis row."""
+    deriv_ok = True
+    for d in derivs:
+        for row in s.basis.entries:
+            if not s.contains(d.matvec(row)):
+                deriv_ok = False
+                break
+        if not deriv_ok:
+            break
+    return is_ideal(g, s), deriv_ok
+
+
+def dense_transporter(g, within, of, into):
+    """The transporter's images through the checked bracket and reduce."""
+    images = [
+        tuple(x for b in of.basis.entries for x in into.reduce(g.bracket(w, b)))
+        for w in within.basis.entries
+    ]
+    return within.where_zero(images)
+
+
+@st.composite
+def conjugate(draw, g):
+    """g in the basis given by the rows of L @ U, L unit lower and U upper triangular."""
+    n, small, sign = g.dim, st.integers(-2, 2), st.sampled_from([1, -1])
+    below = [[draw(small) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    above = [[draw(small) if i < j else draw(sign) if i == j else 0 for j in range(n)] for i in range(n)]
+    return change_basis(g, dense_matmul(Matrix(below), Matrix(above)))
+
+
+def spans(n):
+    rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return st.lists(rows, max_size=n).map(lambda r: Subspace.spanned_by(n, r))
+
+
+class TestDenseReference:
+    """The sparse derivation check, product and shared transporter solve agree
+    exactly with their dense formulas."""
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_random_conjugates(self, data, m5, sl2d):
+        g = data.draw(conjugate(data.draw(st.sampled_from([m5, sl2d, filiform(6)]))))
+        derivs = derivations(g)
+        members = list(closure(g).members)
+        spaces = members + data.draw(st.lists(spans(g.dim), min_size=2, max_size=3))
+        for s in spaces:
+            verdict = verify_megaideal(g, s, derivs)
+            assert (verdict.is_ideal, verdict.is_derivation_invariant) == dense_verify(g, s, derivs)
+        assert all(verify_megaideal(g, s, derivs).ok for s in members)
+        row = st.lists(st.integers(-2, 2), min_size=g.dim, max_size=g.dim)
+        for d in derivs[:3]:
+            other = Matrix(data.draw(st.lists(row, min_size=g.dim, max_size=g.dim)))
+            assert d @ other == dense_matmul(d, other)
+            assert other @ d == dense_matmul(other, d)
+        for _ in range(6):
+            a, b, c = (data.draw(st.sampled_from(spaces)) for _ in range(3))
+            assert transporter(g, a, b, c) == dense_transporter(g, a, b, c)
+
+    def test_false_verdicts_are_exercised(self, m5, sl2d, abelian3):
+        # lines are not derivation-invariant here; the abelian line is an ideal
+        for g in (m5, sl2d, filiform(6), abelian3):
+            g = change_basis(g, Matrix([[int(j >= i) for j in range(g.dim)] for i in range(g.dim)]))
+            line = span(g.dim, range(1, g.dim + 1))
+            verdict = verify_megaideal(g, line)
+            assert not verdict.is_derivation_invariant
+            got = (verdict.is_ideal, verdict.is_derivation_invariant)
+            assert got == dense_verify(g, line, derivations(g))
+            assert verdict.is_ideal == (g.name == "abelian3")
+
+
 class TestNote:
     def test_completeness_note_is_attached_to_reports(self, m5):
         from megalie.analysis import analyze
@@ -251,33 +334,74 @@ class TestComputedOnce:
         analyze(m5)
         assert len(calls) == 1
 
-    def test_closure_solves_each_member_triple_once(self, monkeypatch):
-        # The structural series run their own transporter solves before the
-        # passes; only the solves made by the passes themselves are counted.
-        solved = []
-        in_series = []
-        original = megalie.algebra.transporter
+    @staticmethod
+    def outside_series(monkeypatch, *fns):
+        """A flag list that is non-empty while one of `fns` runs.
 
-        def recorded(g, within, of, into, provenance=""):
-            if not in_series:
-                solved.append((within, of, into))
-            return original(g, within, of, into, provenance)
+        The structural series, radical and nilradical run their own bracket
+        computations and transporter solves before the passes; recorders
+        skip the calls made under them.
+        """
+        active = []
 
         def guarded(fn):
             def call(*args, **kwargs):
-                in_series.append(fn)
+                active.append(fn)
                 try:
                     return fn(*args, **kwargs)
                 finally:
-                    in_series.pop()
+                    active.pop()
 
             return call
 
-        for fn in (megalie.algebra.upper_central_series, megalie.algebra.center):
+        for fn in fns:
             rebind(monkeypatch, fn, guarded(fn))
+        return active
+
+    def test_closure_solves_each_member_triple_once(self, monkeypatch):
+        # Every solve of the passes goes through algebra._transport with the
+        # bracket table of one member pair.  The closure keeps each pair's
+        # table alive while it runs, so the table's identity names the pair.
+        solved = []
+        original = megalie.algebra._transport
+        in_series = self.outside_series(
+            monkeypatch, megalie.algebra.upper_central_series, megalie.algebra.center
+        )
+
+        def recorded(within, images, into, provenance=""):
+            if not in_series:
+                solved.append((within, id(images), into))
+            return original(within, images, into, provenance)
+
         rebind(monkeypatch, original, recorded)
         lattice = closure(filiform(6))
         assert lattice.reached_fixpoint
         repeated = [triple for triple, count in Counter(solved).items() if count > 1]
         assert solved
         assert not repeated, f"{len(repeated)} member triples solved more than once"
+
+    def test_closure_brackets_each_member_pair_once(self, monkeypatch):
+        # Lie products and transporters of all passes read one bracket table
+        # per member pair, so no pair of members is bracketed twice.
+        pairs = []
+        original = megalie.algebra._bracket_images
+        in_series = self.outside_series(
+            monkeypatch,
+            megalie.algebra.derived_series,
+            megalie.algebra.lower_central_series,
+            megalie.algebra.upper_central_series,
+            megalie.algebra.radical,
+            megalie.algebra.nilradical_approx,
+        )
+
+        def recorded(g, a, b):
+            if not in_series:
+                pairs.append((a, b))
+            return original(g, a, b)
+
+        rebind(monkeypatch, original, recorded)
+        lattice = closure(filiform(6))
+        assert lattice.reached_fixpoint and lattice.passes_used > 1
+        repeated = [pair for pair, count in Counter(pairs).items() if count > 1]
+        assert pairs
+        assert not repeated, f"{len(repeated)} member pairs bracketed more than once"
