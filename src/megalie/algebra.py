@@ -524,7 +524,10 @@ def _resolve_basis_ref(ref, names: Sequence[str], context: str) -> int:
     if isinstance(ref, str):
         if ref in names:
             return names.index(ref)
-        if ref.isdigit():
+        if ref.isascii() and ref.isdigit():
+            # int() refuses digit strings longer than the interpreter's limit
+            if len(ref.lstrip("0")) > len(str(len(names))):
+                raise FormatError(f"{context}: index out of range 0..{len(names) - 1}")
             return _resolve_basis_ref(int(ref), names, context)
         raise FormatError(f"{context}: unknown basis name {ref!r}")
     raise FormatError(f"{context}: bad basis reference {ref!r}")
@@ -554,8 +557,11 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
         raise FormatError("duplicate basis names")
     names = tuple(basis)
     n = len(names)
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise FormatError("'brackets' must be a list")
     seen: dict[tuple[int, int], Vector] = {}
-    for pos, entry in enumerate(data.get("brackets", [])):
+    for pos, entry in enumerate(brackets):
         context = f"brackets[{pos}]"
         if not isinstance(entry, Mapping):
             raise FormatError(f"{context}: must be an object")

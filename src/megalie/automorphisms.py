@@ -19,7 +19,7 @@ are computed inside the adapted algebra, so no matrix is conjugated back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -74,38 +74,38 @@ class AutShape:
 
 @dataclass(frozen=True)
 class PolySystem:
-    unknowns: tuple[str, ...]
+    """Bracket-compatibility equations over shape, its unknowns and side conditions."""
+
+    shape: AutShape
     equations: tuple[Poly, ...]
-    inequations: tuple[Poly, ...]
 
 
 @dataclass(frozen=True)
 class AutParametrization:
-    """Result of the elimination.
+    """Result of the elimination over shape.
 
     assignments map solved unknowns to polynomials in the free parameters;
     residual_equations are the constraints elimination could not touch
     (empty means fully solved); division_audit records every division by a
     non-constant factor together with the side condition justifying it.
-    The shape is attached by solve_in_adapted_basis; a bare
-    triangular_solve leaves it None.
     """
 
-    shape: AutShape | None
+    shape: AutShape
     assignments: dict[str, Poly]
     free_parameters: tuple[str, ...]
     residual_equations: tuple[Poly, ...]
-    side_conditions: tuple[Poly, ...]
     division_audit: tuple[dict, ...]
 
     @property
     def solved(self) -> bool:
         return not self.residual_equations
 
+    @property
+    def side_conditions(self) -> tuple[Poly, ...]:
+        return self.shape.side_conditions
+
     def matrix_entries(self) -> tuple[tuple[Poly, ...], ...]:
         """The automorphism matrix with polynomial entries."""
-        if self.shape is None:
-            raise ValueError("parametrization has no shape attached")
         variables = self.shape.unknowns
         zero = Poly.zero(variables)
         rows = []
@@ -288,8 +288,7 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
     for (p, q), row in g._nonzero.items():
         for m, coeff in row:
             component[m].append((p, q, coeff))
-    equations = []
-    seen = set()
+    equations: dict[Poly, None] = {}  # insertion-ordered set
     for i in range(n):
         for j in range(i + 1, n):
             for m in range(n):
@@ -309,14 +308,9 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
                     exps = _variable_exps(variables, counts)
                     terms[exps] = terms.get(exps, Fraction(0)) - coeff
                 poly = Poly(variables, terms).content_normalized()
-                if poly.is_zero():
-                    continue
-                key = frozenset(poly.terms.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-                equations.append(poly)
-    return PolySystem(variables, tuple(equations), shape.side_conditions)
+                if not poly.is_zero():
+                    equations.setdefault(poly)
+    return PolySystem(shape, tuple(equations))
 
 
 def _variable_exps(variables: tuple[str, ...], counts: dict[str, int]) -> tuple[int, ...]:
@@ -333,39 +327,48 @@ def _nonzero_atoms(inequations: Sequence[Poly]) -> list[Poly]:
     A condition that is a single monomial makes each of its variables
     nonzero; any condition is itself usable as an atomic factor.
     """
-    atoms: list[Poly] = []
-    seen = set()
-
-    def push(p: Poly) -> None:
-        key = frozenset(p.terms.items())
-        if key not in seen:
-            seen.add(key)
-            atoms.append(p)
-
+    atoms: dict[Poly, None] = {}  # insertion-ordered set
     for condition in inequations:
         mono_vars = condition.monomial_variables()
         if mono_vars is not None:
             for name in mono_vars:
-                push(Poly.var(condition.variables, name))
+                atoms.setdefault(Poly.var(condition.variables, name))
         if not condition.is_constant():
-            push(condition.content_normalized())
-    return atoms
+            atoms.setdefault(condition.content_normalized())
+    return list(atoms)
 
 
-def _known_nonzero(p: Poly, atoms: Sequence[Poly]) -> Poly | None:
-    """If p is (nonzero rational) * product of atoms, return p; else None."""
-    if p.is_zero():
-        return None
-    current = p
-    while not current.is_constant():
+def _known_nonzero(p: Poly, atoms: Sequence[Poly]) -> bool:
+    """Whether p is a nonzero rational times a product of atoms."""
+    while not p.is_constant():
         for atom in atoms:
-            q = current.exact_div(atom)
+            q = p.exact_div(atom)
             if q is not None and not q.is_zero():
-                current = q
+                p = q
                 break
         else:
-            return None
-    return p if current.constant_value() != 0 else None
+            return False
+    return p.constant_value() != 0
+
+
+def _first_step(
+    equations: Sequence[Poly], unknowns: Sequence[str], atoms: Sequence[Poly]
+) -> tuple[int, str, Poly, Poly] | None:
+    """The first solvable (equation index, unknown, coefficient, solution), or None."""
+    for index, eq in enumerate(equations):
+        for name in unknowns:
+            if not eq.mentions(name):
+                continue
+            decomposition = eq.linear_decompose(name)
+            if decomposition is None:
+                continue
+            coeff, rest = decomposition
+            if not _known_nonzero(coeff, atoms):
+                continue
+            quotient = rest.exact_div(coeff)
+            if quotient is not None:
+                return index, name, coeff, -quotient
+    return None
 
 
 def triangular_solve(system: PolySystem) -> AutParametrization:
@@ -374,75 +377,42 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
     A step solves an equation of the form c * x + r = 0 where x is a
     single unknown, c is a product of declared-nonzero factors (or a
     nonzero rational), and c divides r exactly in the polynomial ring.
-    The assignment is substituted everywhere before the next scan, so no
-    solutions are gained or lost under the declared inequations.  Anything
-    left over is returned as the residual system.
+    Each step takes the first such unknown, scanning the equations in
+    order and each one's unknowns in shape order.  The assignment is
+    substituted everywhere before the next scan, so no solutions are
+    gained or lost under the shape's side conditions, and a solved
+    unknown appears in no equation again.  Anything left over is returned
+    as the residual system.
     """
-    atoms = _nonzero_atoms(system.inequations)
-    equations: list[Poly] = [
-        eq.content_normalized() for eq in system.equations if not eq.is_zero()
-    ]
+    shape = system.shape
+    atoms = _nonzero_atoms(shape.side_conditions)
+    equations = [eq.content_normalized() for eq in system.equations if not eq.is_zero()]
     assignments: dict[str, Poly] = {}
     audit: list[dict] = []
-    progress = True
-    while progress:
-        progress = False
-        for eq_index, eq in enumerate(equations):
-            for name in system.unknowns:
-                if name in assignments or not eq.mentions(name):
-                    continue
-                decomposition = eq.linear_decompose(name)
-                if decomposition is None:
-                    continue
-                coeff, rest = decomposition
-                invertible = _known_nonzero(coeff, atoms)
-                if invertible is None:
-                    continue
-                quotient = rest.exact_div(coeff)
-                if quotient is None:
-                    continue
-                solution = -quotient
-                if not coeff.is_constant():
-                    audit.append(
-                        {
-                            "equation": eq.to_str(),
-                            "unknown": name,
-                            "divided_by": coeff.content_normalized().to_str(),
-                        }
-                    )
-                substitution = {name: solution}
-                assignments = {
-                    key: value.substitute(substitution) for key, value in assignments.items()
+    while (step := _first_step(equations, shape.unknowns, atoms)) is not None:
+        index, name, coeff, solution = step
+        if not coeff.is_constant():
+            audit.append(
+                {
+                    "equation": equations[index].to_str(),
+                    "unknown": name,
+                    "divided_by": coeff.content_normalized().to_str(),
                 }
-                assignments[name] = solution
-                new_equations = []
-                for pos, other in enumerate(equations):
-                    if pos == eq_index:
-                        continue
-                    reduced = other.substitute(substitution).content_normalized()
-                    if not reduced.is_zero():
-                        new_equations.append(reduced)
-                equations = new_equations
-                progress = True
-                break
-            if progress:
-                break
-    residual = []
-    seen = set()
-    for eq in equations:
-        key = frozenset(eq.terms.items())
-        if key not in seen:
-            seen.add(key)
-            residual.append(eq)
-    free = tuple(name for name in system.unknowns if name not in assignments)
-    return AutParametrization(
-        shape=None,
-        assignments=assignments,
-        free_parameters=free,
-        residual_equations=tuple(residual),
-        side_conditions=system.inequations,
-        division_audit=tuple(audit),
-    )
+            )
+        substitution = {name: solution}
+        assignments = {key: value.substitute(substitution) for key, value in assignments.items()}
+        assignments[name] = solution
+        new_equations = []
+        for pos, other in enumerate(equations):
+            if pos == index:
+                continue
+            reduced = other.substitute(substitution).content_normalized()
+            if not reduced.is_zero():
+                new_equations.append(reduced)
+        equations = new_equations
+    free = tuple(name for name in shape.unknowns if name not in assignments)
+    residual = tuple(dict.fromkeys(equations))  # deduplicated, in order
+    return AutParametrization(shape, assignments, free, residual, tuple(audit))
 
 
 def solve_in_adapted_basis(
@@ -457,8 +427,7 @@ def solve_in_adapted_basis(
     basis = adapted_basis(g, lattice)
     shape = shape_from_flag(basis)
     system = structure_equations(basis.algebra, shape)
-    param = replace(triangular_solve(system), shape=shape)
-    return basis, shape, system, param
+    return basis, shape, system, triangular_solve(system)
 
 
 def substitute_parameters(param: AutParametrization, values: dict) -> Matrix:

@@ -9,11 +9,12 @@ Commands:
     megalie vf pushforward <fields.json> <map.json> [--fields A,B,...] [--out P]
 
 Exit codes: 0 success, 1 validation failure (not a Lie algebra),
-2 parse/format error (malformed input or options, unwritable --out),
-3 analysis incompleteness (bracket escapes the span, fields are
-linearly dependent, or residual equations remain), 4 internal error (any
-other exception; a one-line JSON diagnostic goes to stderr).  All machine
-output is JSON; --text is a human projection and is never parsed back.
+2 parse/format error (malformed or too deeply nested input, bad options,
+unwritable --out), 3 analysis incompleteness (bracket escapes the span,
+fields are linearly dependent, or residual equations remain), 4 internal
+error (any other exception; a one-line JSON diagnostic goes to stderr).
+All machine output is JSON; --text is a human projection and is never
+parsed back.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ _POLY_FORMAT_ERRORS = (ValueError, PolyError)
 def _load(path: str, parse, errors):
     """Read the JSON file at path and return parse(data).
 
-    An unreadable file, bad JSON, or any of the exception types `errors`
-    raised by `parse` becomes exit 2 with a message naming the path.
+    An unreadable file, bad or too deeply nested JSON, or any of the
+    exception types `errors` raised by `parse` becomes exit 2 with a message
+    naming the path.
     """
     try:
         with open(path, "rb") as handle:
@@ -76,6 +78,10 @@ def _load(path: str, parse, errors):
         raise CliError(
             EXIT_FORMAT, f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the int-string digit limit
+        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(EXIT_FORMAT, f"{path}: JSON nested too deeply") from exc
     try:
         return parse(data)
     except errors as exc:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 class AmbientMismatch(ValueError):
@@ -249,9 +249,9 @@ class Subspace:
 
     The constructor row-reduces the basis it is given, once, and stores
     the pivot columns next to it; every later operation reads those.
-    Equality and hashing look only at the ambient dimension and the basis
-    matrix; the provenance string records how the space was constructed
-    and never affects identity.
+    Equality looks only at the ambient dimension and the basis matrix, and
+    hashing at the ambient dimension and the pivots; the provenance string
+    records how the space was constructed and never affects identity.
     """
 
     ambient_dim: int
@@ -291,7 +291,9 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        # equal subspaces have equal RREF, hence equal pivots; this skips
+        # Fraction.__hash__ (a modular inverse) on every basis entry
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(format_rat(x) for x in row) for row in self.basis.entries)

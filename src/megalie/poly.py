@@ -378,7 +378,7 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[P
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<rational>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<rational>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
 )
 
 
@@ -403,11 +403,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Each parenthesis level costs three Python frames of the recursive descent.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.tokens = _tokenize(text)
         self.variables = tuple(variables)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -472,8 +477,12 @@ class _Parser:
                 return base ** int(value3)
             return base
         if kind == "op" and value == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolyError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolyError("expected a rational, variable, or '('", pos)
 

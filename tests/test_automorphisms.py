@@ -17,6 +17,7 @@ from megalie.automorphisms import (
     solve_in_adapted_basis,
     structure_equations,
     substitute_parameters,
+    triangular_solve,
 )
 from megalie.linalg import Matrix, Subspace
 from megalie.megaideals import closure
@@ -218,6 +219,18 @@ class TestTriangularSolveM5:
 
 
 class TestTriangularSolveOther:
+    def test_bare_solve_carries_its_shape(self, heisenberg):
+        basis = adapted_basis(heisenberg, closure(heisenberg))
+        shape = shape_from_flag(basis)
+        system = structure_equations(basis.algebra, shape)
+        assert system.shape is shape
+        param = triangular_solve(system)
+        assert param.shape is shape
+        assert param.side_conditions == shape.side_conditions
+        entries = param.matrix_entries()
+        assert entries[0][0] == parse_poly("a22*a33 - a23*a32", shape.unknowns)
+        assert entries[1][0].is_zero()
+
     def test_abelian_everything_free(self, abelian3):
         basis, shape, system, param = solve_in_adapted_basis(abelian3, closure(abelian3))
         assert param.assignments == {}

@@ -353,3 +353,77 @@ class TestInternalError:
         monkeypatch.setattr(cli, "_cmd_validate", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cli.main(["validate", str(fixtures_dir / "m5.json")])
+
+
+class TestMalformedInputs:
+    """Inputs outside the README grammar are format errors (exit 2), never exit 4."""
+
+    def main(self, capsys, *argv):
+        code = cli.main([str(a) for a in argv])
+        return code, capsys.readouterr().err
+
+    def algebra(self, tmp_path, **data):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"basis": ["a", "b", "c", "d"], **data}), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("brackets", [5, None, {"left": "a", "right": "b"}, "ab"])
+    def test_brackets_must_be_a_list(self, brackets, tmp_path, capsys):
+        path = self.algebra(tmp_path, brackets=brackets)
+        expected = f"error: {path}: 'brackets' must be a list\n"
+        assert self.main(capsys, "validate", path) == (2, expected)
+
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ({"left": "²", "right": "b"}, "brackets[0].left: unknown basis name '²'"),
+            ({"left": "a", "right": "٣"}, "brackets[0].right: unknown basis name '٣'"),
+            ({"left": "a", "right": "b", "result": {"٣": "1"}}, "unknown basis name '٣'"),
+            ({"left": "a", "right": "b", "result": {"c": "٣"}}, "bad rational literal '٣'"),
+        ],
+    )
+    def test_only_ascii_digits_in_algebra_files(self, bracket, message, tmp_path, capsys):
+        path = self.algebra(tmp_path, brackets=[bracket])
+        code, err = self.main(capsys, "validate", path)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_long_integers_exit_2(self, tmp_path, capsys):
+        digits = "1" * 5000  # past the interpreter's int-string digit limit
+        path = self.algebra(tmp_path, brackets=[{"left": digits, "right": "b"}])
+        assert self.main(capsys, "validate", path) == (
+            2,
+            f"error: {path}: brackets[0].left: index out of range 0..3\n",
+        )
+        path.write_text('{"basis": ["a"], "name": ' + digits + "}", encoding="utf-8")
+        code, err = self.main(capsys, "validate", path)
+        assert code == 2 and err.startswith(f"error: {path}: Exceeds the limit")
+
+    def test_ascii_digit_reference_still_an_index(self, tmp_path, capsys):
+        path = self.algebra(tmp_path, brackets=[{"left": "0", "right": "1", "result": {"3": "1"}}])
+        assert self.main(capsys, "validate", path) == (0, "")
+
+    def fields(self, tmp_path, component):
+        path = tmp_path / "fields.json"
+        data = {"variables": ["t", "u"], "fields": [{"name": "A", "components": {"u": component}}]}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return path
+
+    def test_only_ascii_digits_in_polynomials(self, tmp_path, capsys):
+        path = self.fields(tmp_path, "٣*t")
+        code, err = self.main(capsys, "vf", "bracket-table", path)
+        assert code == 2
+        assert err == f"error: {path}: unexpected character '٣' (at position 0)\n"
+
+    def test_deep_parentheses_exit_2(self, tmp_path, capsys):
+        path = self.fields(tmp_path, "(" * 1000 + "t" + ")" * 1000)
+        code, err = self.main(capsys, "vf", "bracket-table", path)
+        assert code == 2
+        assert err == f"error: {path}: parentheses nested deeper than 100 (at position 100)\n"
+
+    @pytest.mark.parametrize("command", [["validate"], ["vf", "bracket-table"]])
+    def test_deep_json_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"basis": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, err = self.main(capsys, *command, path)
+        assert (code, err) == (2, f"error: {path}: JSON nested too deeply\n")

@@ -18,7 +18,7 @@ class TestRat:
         assert rat("0") == 0
         assert rat("7") == 7
 
-    @pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1e3", "--2", "3/"])
+    @pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1e3", "--2", "3/", "٣", "1/٣", "²"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             rat(bad)
@@ -109,6 +109,13 @@ class TestCanonicalForm:
         assert s.basis == Matrix([[1, 2, 0], [0, 0, 1]])
         assert s.pivots == (0, 2)
         assert s == Subspace.spanned_by(3, [[0, 0, 1], [1, 2, 0]])
+
+    def test_equal_subspaces_hash_alike(self):
+        s = Subspace(3, Matrix([[2, 4, 0], [1, 2, 1], [3, 6, 1]]))
+        t = Subspace.spanned_by(3, [[0, 0, 1], [1, 2, 0]], provenance="other")
+        assert s == t and hash(s) == hash(t)
+        same_pivots = Subspace.spanned_by(3, [[1, 3, 0], [0, 0, 1]])
+        assert same_pivots != s and len({s, t, same_pivots}) == 2
 
     def test_spanned_by_reduces_once(self, monkeypatch):
         calls = []

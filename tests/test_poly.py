@@ -50,6 +50,18 @@ class TestParse:
         with pytest.raises(PolyError):
             P("1/0")
 
+    def test_nesting_is_bounded(self):
+        assert P("(" * 100 + "x" + ")" * 100) == P("x")
+        for depth in (101, 5000):
+            with pytest.raises(PolyError, match="nested deeper than 100") as info:
+                P("(" * depth + "x" + ")" * depth)
+            assert info.value.position == 100
+
+    @pytest.mark.parametrize("text", ["٣", "x + ٣", "x^٣", "1/٣", "²"])
+    def test_only_ascii_digits(self, text):
+        with pytest.raises(PolyError, match="unexpected character"):
+            P(text)
+
 
 class TestArithmetic:
     def test_product(self):

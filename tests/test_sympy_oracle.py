@@ -1,8 +1,10 @@
-"""Differential oracle: the polynomial and vector-field kernels against sympy.
+"""Differential oracles: the exact kernels against sympy and a reference solver.
 
 sympy is used by tests only; without it this module is skipped.  Random
 fields have degree <= 3 and small rational coefficients; each result of
 megalie is converted to a sympy expression and compared after expansion.
+RREF and kernels are compared with sympy.Matrix, exact division with
+sympy.div, and the triangular elimination with a restart-loop reference.
 """
 
 import json
@@ -12,6 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from megalie.algebra import algebra_from_brackets, change_basis
+from megalie.automorphisms import (
+    adapted_basis,
+    shape_from_flag,
+    structure_equations,
+    triangular_solve,
+)
+from megalie.linalg import Matrix, Subspace, kernel
+from megalie.megaideals import closure
 from megalie.poly import Poly
 from megalie.vectorfield import (
     FAMILY_VARIABLES,
@@ -137,3 +148,181 @@ class TestPoly:
         images = {symbols[name]: to_sympy(image) for name, image in mapping.items()}
         expected = sympy.expand(to_sympy(p).subs(images, simultaneous=True))
         assert same(p.substitute(mapping), expected)
+
+
+def rational(q: Fraction):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+    return Matrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+def sympy_matrix(m: Matrix):
+    return sympy.Matrix(m.rows, m.cols, [rational(x) for row in m.entries for x in row])
+
+
+class TestLinearAlgebra:
+    @given(m=matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_and_rank(self, m):
+        reduced, pivots = m.rref_with_pivots()
+        expected, expected_pivots = sympy_matrix(m).rref()
+        assert pivots == expected_pivots
+        assert len(pivots) == sympy_matrix(m).rank()
+        assert [list(row) for row in reduced.entries] == [
+            [fraction(expected[i, j]) for j in range(m.cols)] for i in range(len(pivots))
+        ]
+
+    @given(m=matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_spans_nullspace(self, m):
+        null = sympy_matrix(m).nullspace()
+        expected = Subspace.spanned_by(m.cols, [[fraction(x) for x in v] for v in null])
+        assert kernel(m) == expected and kernel(m).dim == len(null)
+
+
+class TestExactDiv:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_against_sympy_div(self, data):
+        nonzero = polys(VARS3, max_degree=2, max_terms=3).filter(lambda p: not p.is_zero())
+        divisor = data.draw(nonzero)
+        dividend = data.draw(polys(VARS3))
+        if data.draw(st.booleans()):
+            dividend = dividend * divisor  # exact in about half the draws
+        symbols = sympy.symbols(VARS3)
+        quotient, remainder = sympy.div(to_sympy(dividend), to_sympy(divisor), *symbols)
+        got = dividend.exact_div(divisor)
+        assert (got is None) == (sympy.expand(remainder) != 0)
+        if got is not None:
+            assert same(got, quotient)
+
+
+# ---------------------------------------------------------------------------
+# the restart-loop elimination, kept as the reference for triangular_solve
+
+
+def reference_triangular_solve(equations, unknowns, inequations):
+    """Eliminate soundly, restarting the scan after every solved unknown."""
+    atoms, seen_atoms = [], set()
+    for condition in inequations:
+        candidates = []
+        mono_vars = condition.monomial_variables()
+        if mono_vars is not None:
+            candidates += [Poly.var(condition.variables, name) for name in mono_vars]
+        if not condition.is_constant():
+            candidates.append(condition.content_normalized())
+        for p in candidates:
+            key = frozenset(p.terms.items())
+            if key not in seen_atoms:
+                seen_atoms.add(key)
+                atoms.append(p)
+
+    def known_nonzero(p):
+        if p.is_zero():
+            return False
+        while not p.is_constant():
+            for atom in atoms:
+                q = p.exact_div(atom)
+                if q is not None and not q.is_zero():
+                    p = q
+                    break
+            else:
+                return False
+        return p.constant_value() != 0
+
+    equations = [eq.content_normalized() for eq in equations if not eq.is_zero()]
+    assignments, audit = {}, []
+    progress = True
+    while progress:
+        progress = False
+        for eq_index, eq in enumerate(equations):
+            for name in unknowns:
+                if name in assignments or not eq.mentions(name):
+                    continue
+                decomposition = eq.linear_decompose(name)
+                if decomposition is None:
+                    continue
+                coeff, rest = decomposition
+                if not known_nonzero(coeff):
+                    continue
+                quotient = rest.exact_div(coeff)
+                if quotient is None:
+                    continue
+                solution = -quotient
+                if not coeff.is_constant():
+                    audit.append(
+                        {
+                            "equation": eq.to_str(),
+                            "unknown": name,
+                            "divided_by": coeff.content_normalized().to_str(),
+                        }
+                    )
+                substitution = {name: solution}
+                assignments = {k: v.substitute(substitution) for k, v in assignments.items()}
+                assignments[name] = solution
+                reduced = [
+                    other.substitute(substitution).content_normalized()
+                    for pos, other in enumerate(equations)
+                    if pos != eq_index
+                ]
+                equations = [r for r in reduced if not r.is_zero()]
+                progress = True
+                break
+            if progress:
+                break
+    residual, seen = [], set()
+    for eq in equations:
+        key = frozenset(eq.terms.items())
+        if key not in seen:
+            seen.add(key)
+            residual.append(eq)
+    free = tuple(name for name in unknowns if name not in assignments)
+    return assignments, free, tuple(residual), tuple(audit)
+
+
+def _filiform(n):
+    names = [f"e{i}" for i in range(1, n + 1)]
+    return algebra_from_brackets(f"L{n}", names, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+def _heisenberg(k):
+    names = [f"x{i}" for i in range(1, k + 1)] + [f"y{i}" for i in range(1, k + 1)] + ["z"]
+    return algebra_from_brackets(f"h{k}", names, {(i, k + i): {2 * k: 1} for i in range(k)})
+
+
+@st.composite
+def unit_triangular_conjugator(draw, n):
+    """L @ U with unit diagonals and small integer entries: always invertible."""
+    small = st.integers(-1, 1)
+    below = [[draw(small) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    above = [[draw(small) if i < j else int(i == j) for j in range(n)] for i in range(n)]
+    return Matrix(below) @ Matrix(above)
+
+
+class TestTriangularSolveReference:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_restart_loop(self, data, m5, sl2d):
+        g = data.draw(st.sampled_from([m5, sl2d, _heisenberg(3), _filiform(6)]))
+        g = change_basis(g, data.draw(unit_triangular_conjugator(g.dim)))
+        basis = adapted_basis(g, closure(g))
+        shape = shape_from_flag(basis)
+        system = structure_equations(basis.algebra, shape)
+        param = triangular_solve(system)
+        assignments, free, residual, audit = reference_triangular_solve(
+            system.equations, shape.unknowns, shape.side_conditions
+        )
+        assert list(param.assignments.items()) == list(assignments.items())
+        assert param.free_parameters == free
+        assert param.residual_equations == residual
+        assert param.division_audit == audit
+        assert param.shape is shape
