@@ -186,32 +186,60 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
     )
 
 
+_PLUS_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 def _symbolic_det(entries: list[list[Poly]], variables: tuple[str, ...]) -> Poly:
-    """Determinant by Laplace expansion with memoized column subsets."""
-    size = len(entries)
-    memo: dict[tuple[int, ...], Poly] = {(): Poly.const(variables, 1)}
+    """Determinant of a block of zeros and unknowns, one term per permutation.
 
-    def minor(cols: tuple[int, ...]) -> Poly:
-        if cols in memo:
-            return memo[cols]
-        row = size - len(cols)
-        total = Poly.zero(variables)
-        for pos, col in enumerate(cols):
-            entry = entries[row][col]
-            if entry.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1 :]
-            sub = minor(rest)
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        memo[cols] = total
-        return total
+    Every entry must be zero or a single unknown with coefficient 1 (the
+    blocks shape_from_flag builds), so each permutation that avoids the
+    zeros contributes +-1 times a product of unknowns; contributions are
+    added, so a repeated unknown stays exact.  No polynomial is multiplied.
+    """
+    # positions[i][j]: index in `variables` of the unknown at (i, j), None for zero
+    positions = [[_unknown_index(entry, variables) for entry in row] for row in entries]
+    terms: dict[tuple[int, ...], Fraction] = {}
+    cols = tuple(range(len(entries)))
+    _add_permutation_terms(positions, 0, cols, 1, [0] * len(variables), terms)
+    return Poly._from_terms(variables, terms)
 
-    det = minor(tuple(range(size)))
-    # minor refers to itself through its closure, a reference cycle that
-    # would keep every memoized minor alive until the next full collection
-    memo.clear()
-    return det
+
+def _unknown_index(entry: Poly, variables: tuple[str, ...]) -> int | None:
+    """Position in variables of the unknown that entry is, or None for a zero entry."""
+    if entry.variables != variables:
+        raise ValueError("block entry over a different variable list")
+    if entry.is_zero():
+        return None
+    if len(entry.terms) == 1:
+        ((exps, coeff),) = entry.terms.items()
+        if coeff == 1 and sum(exps) == 1:
+            return exps.index(1)
+    raise ValueError(f"block entry {entry.to_str()} is not zero or a single unknown")
+
+
+def _add_permutation_terms(positions, row, cols, sign, exps, terms) -> None:
+    """Add sign times the products of rows row.. over the free columns cols into terms.
+
+    Taking the column at position pos of cols for this row flips the sign
+    when pos is odd, as in Laplace's expansion along the row.  exps holds
+    the exponents of the product chosen so far and is restored before
+    returning.
+    """
+    if row == len(positions):
+        key = tuple(exps)
+        one = _PLUS_ONE if sign > 0 else _MINUS_ONE
+        c = terms.get(key)
+        terms[key] = one if c is None else c + one
+        return
+    for pos, col in enumerate(cols):
+        index = positions[row][col]
+        if index is None:
+            continue
+        exps[index] += 1
+        rest = cols[:pos] + cols[pos + 1 :]
+        _add_permutation_terms(positions, row + 1, rest, -sign if pos % 2 else sign, exps, terms)
+        exps[index] -= 1
 
 
 def shape_from_flag(basis: AdaptedBasis) -> AutShape:

@@ -36,11 +36,12 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or literal like '-3/2' to a Fraction.
 
     The accepted literal grammar is ['-'] digits ['/' digits] with a
-    nonzero denominator.
+    nonzero denominator.  A bool is an int to Python but never a rational
+    here: a JSON true must not load as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

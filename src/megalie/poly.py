@@ -19,7 +19,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .linalg import format_rat
@@ -37,8 +38,8 @@ Exponents = tuple[int, ...]
 
 
 def _monomial_sort_key(exps: Exponents) -> tuple:
-    # graded lex, descending: higher total degree first, then lexicographic
-    return (-sum(exps), tuple(-e for e in exps))
+    # graded lex: the largest key leads (higher total degree, then lexicographic)
+    return (sum(exps), exps)
 
 
 Terms = Mapping[Exponents, Fraction]
@@ -241,7 +242,7 @@ class Poly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         if self._lead is None:
-            exps = min(self.terms, key=_monomial_sort_key)
+            exps = max(self.terms, key=_monomial_sort_key)
             object.__setattr__(self, "_lead", (exps, self.terms[exps]))
         return self._lead
 
@@ -292,20 +293,14 @@ class Poly:
         """Scale so coefficients are coprime integers, leading one positive."""
         if self.is_zero():
             return self
-        nums = [abs(c.numerator) for c in self.terms.values()]
-        dens = [c.denominator for c in self.terms.values()]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
-        l = 1
-        for v in dens:
-            l = l * v // gcd(l, v)
-        scale = Fraction(l, g)
-        scaled = self.scaled(scale)
-        _, lead = scaled.leading_term()
-        if lead < 0:
-            scaled = -scaled
-        return scaled
+        scale = Fraction(
+            lcm(*(c.denominator for c in self.terms.values())),
+            gcd(*(c.numerator for c in self.terms.values())),
+        )
+        _, lead = self.leading_term()
+        if scale == 1:
+            return self if lead > 0 else -self
+        return self.scaled(scale if lead > 0 else -scale)
 
     def monomial_variables(self) -> list[str] | None:
         """If self is a single term, the variables appearing in it; else None."""
@@ -320,14 +315,12 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=_monomial_sort_key):
+        for exps in sorted(self.terms, key=_monomial_sort_key, reverse=True):
             coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+            factors = [
+                name if e == 1 else f"{name}^{e}"
+                for name, e in compress(zip(self.variables, exps), exps)
+            ]
             mag = abs(coeff)
             if factors and mag == 1:
                 body = "*".join(factors)

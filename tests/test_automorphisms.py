@@ -133,6 +133,30 @@ class TestSymbolicDet:
         assert len(det.terms) == 120
         assert after - before == 1
 
+    def test_no_polynomial_products_or_sums(self, monkeypatch):
+        names = tuple(f"a{i}{j}" for i in range(6) for j in range(6))
+        entries = [[Poly.var(names, f"a{i}{j}") for j in range(6)] for i in range(6)]
+        calls = []
+        for method in ("__mul__", "__add__"):
+            original = getattr(Poly, method)
+
+            def counted(self, other, method=method, original=original):
+                calls.append(method)
+                return original(self, other)
+
+            monkeypatch.setattr(Poly, method, counted)
+        det = _symbolic_det(entries, names)
+        assert calls == []
+        assert len(det.terms) == 720
+
+    @pytest.mark.parametrize("text", ["2*a", "a + b", "a^2", "a*b", "-a", "1"])
+    def test_rejects_entries_that_are_not_single_unknowns(self, text):
+        names = ("a", "b")
+        zero = Poly.zero(names)
+        entries = [[parse_poly(text, names), zero], [zero, Poly.var(names, "b")]]
+        with pytest.raises(ValueError, match="not zero or a single unknown"):
+            _symbolic_det(entries, names)
+
 
 class TestStructureEquations:
     def test_abelian_empty(self, abelian3):

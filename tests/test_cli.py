@@ -388,6 +388,14 @@ class TestMalformedInputs:
         assert code == 2
         assert err.startswith(f"error: {path}: ") and message in err
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_coefficients_exit_2(self, value, tmp_path, capsys):
+        path = self.algebra(tmp_path, brackets=[{"left": "a", "right": "b", "result": {"a": value}}])
+        assert self.main(capsys, "validate", path) == (
+            2,
+            f"error: {path}: brackets[0].result['a']: cannot interpret bool as a rational\n",
+        )
+
     def test_long_integers_exit_2(self, tmp_path, capsys):
         digits = "1" * 5000  # past the interpreter's int-string digit limit
         path = self.algebra(tmp_path, brackets=[{"left": digits, "right": "b"}])

@@ -59,7 +59,9 @@ def wave6():
 
 
 # sha256 of canonical_json(analyze(g)) for the benchmark's algebras, built as
-# in bench/workloads.py.  A change that alters any report byte changes these.
+# in bench/workloads.py, and for h4 and diag9, whose 8x8 block determinants
+# (40,320 terms each) are the largest expansion.  A change that alters any
+# report byte changes these.
 REPORT_SHA256 = {
     "L8": (lambda: filiform(8), "c5a878146a322ac6e2879a2528ac7f06dae924ca0c7d15e9ca4bafd8102a4c84"),
     "L10": (lambda: filiform(10), "c6f31549028ca7ccd2e5e056886a0611ee857b70cbf647069c3e271102c02a12"),
@@ -67,6 +69,8 @@ REPORT_SHA256 = {
     "wave6": (wave6, "2e7f30097ba9f99008bc3d28636b677253d7ebf7b557b8232d52557ce6142a1f"),
     "h3": (lambda: heisenberg(3), "9c6da13e175856704edf997d87e701011ea81db396b1adbc4453972127c8fa46"),
     "diag8": (lambda: diagonal(8), "a9f2cc6e578d2bdf1ff20eb65590e19222cd1141fd4aebd33f1dc13611be8dd6"),
+    "h4": (lambda: heisenberg(4), "5eae7d99f40bfdbf535911231f27e1afe0c900205dac5bebb929b809584126b1"),
+    "diag9": (lambda: diagonal(9), "c2862556e2d9fdaf487f0b6539471ade0078e1f2c4752b196521a9fb95a29896"),
 }
 
 

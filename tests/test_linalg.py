@@ -18,9 +18,12 @@ class TestRat:
         assert rat("0") == 0
         assert rat("7") == 7
 
-    @pytest.mark.parametrize("bad", ["1/0", "1.5", "a", "1e3", "--2", "3/", "٣", "1/٣", "²"])
+    @pytest.mark.parametrize(
+        "bad", ["1/0", "1.5", "a", "1e3", "--2", "3/", "٣", "1/٣", "²", True, False]
+    )
     def test_rejects(self, bad):
-        with pytest.raises(ValueError):
+        # a bool is an int to Python, but a JSON true is not the rational 1
+        with pytest.raises(TypeError if isinstance(bad, bool) else ValueError):
             rat(bad)
 
 

@@ -117,6 +117,21 @@ class TestComputedOnce:
         assert p.leading_term() == ((1, 1, 0), Fraction(1))
         assert calls == []
 
+    def test_content_normalized_keeps_a_normalized_polynomial(self, monkeypatch):
+        calls = []
+        original = Poly.scaled
+
+        def counted(self, q):
+            calls.append(q)
+            return original(self, q)
+
+        monkeypatch.setattr(Poly, "scaled", counted)
+        p = P("2*x*y - 3*z + 1")
+        assert p.content_normalized() is p
+        assert calls == []
+        assert P("-4*x*y + 6*z - 2").content_normalized() == p
+        assert calls == [Fraction(-1, 2)]
+
     def test_substitute_rejects_images_over_other_variables(self):
         with pytest.raises(ValueError):
             P("x + y").substitute({"x": P("u", ("u", "x", "y", "z"))})

@@ -3,8 +3,10 @@
 sympy is used by tests only; without it this module is skipped.  Random
 fields have degree <= 3 and small rational coefficients; each result of
 megalie is converted to a sympy expression and compared after expansion.
-RREF and kernels are compared with sympy.Matrix, exact division with
-sympy.div, and the triangular elimination with a restart-loop reference.
+RREF, kernels and block determinants are compared with sympy.Matrix,
+exact division with sympy.div, the graded-lex term order with the key it
+was first defined by, and the triangular elimination with a restart-loop
+reference.
 """
 
 import json
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from megalie.algebra import algebra_from_brackets, change_basis
 from megalie.automorphisms import (
+    _symbolic_det,
     adapted_basis,
     shape_from_flag,
     structure_equations,
@@ -148,6 +151,88 @@ class TestPoly:
         images = {symbols[name]: to_sympy(image) for name, image in mapping.items()}
         expected = sympy.expand(to_sympy(p).subs(images, simultaneous=True))
         assert same(p.substitute(mapping), expected)
+
+
+# ---------------------------------------------------------------------------
+# the graded-lex order, against the key it was first defined by
+
+
+def reference_sort_key(exps):
+    # ascending order of this key is descending graded lex: the first term leads
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+def render_in_order(p: Poly, order) -> str:
+    """p printed term by term in the given order, each term printed on its own."""
+    first, *rest = order
+    text = Poly(p.variables, {first: p.terms[first]}).to_str()
+    for exps in rest:
+        c = p.terms[exps]
+        text += (" - " if c < 0 else " + ") + Poly(p.variables, {exps: abs(c)}).to_str()
+    return text
+
+
+VARS8 = tuple(f"v{i}" for i in range(8))
+
+
+class TestTermOrder:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_key(self, data):
+        variables = VARS8[: data.draw(st.integers(1, 8))]
+        nonzero = polys(variables, max_degree=4, max_terms=8).filter(lambda p: not p.is_zero())
+        p = data.draw(nonzero)
+        order = sorted(p.terms, key=reference_sort_key)
+        assert p.leading_term() == (order[0], p.terms[order[0]])
+        assert p.to_str() == render_in_order(p, order)
+
+
+# ---------------------------------------------------------------------------
+# block determinants
+
+
+def block_det(pattern):
+    """_symbolic_det of a grid of unknown names (None = zero) and sympy's Laplace det."""
+    names = tuple(dict.fromkeys(name for row in pattern for name in row if name))
+    entries = [
+        [Poly.var(names, name) if name else Poly.zero(names) for name in row] for row in pattern
+    ]
+    symbols = dict(zip(names, sympy.symbols(names)))
+    matrix = sympy.Matrix([[symbols[name] if name else 0 for name in row] for row in pattern])
+    return _symbolic_det(entries, names), sympy.expand(matrix.det(method="laplace"))
+
+
+@st.composite
+def zero_patterns(draw):
+    """Square grids of distinct unknowns a<i>_<j> with random zeros, up to 6x6."""
+    size = draw(st.integers(1, 6))
+    kept = st.booleans() if size < 6 else st.sampled_from([False, True, True])
+    return [
+        [f"a{i}_{j}" if draw(kept) else None for j in range(size)] for i in range(size)
+    ]
+
+
+class TestSymbolicDet:
+    @given(pattern=zero_patterns())
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_unknowns(self, pattern):
+        det, expected = block_det(pattern)
+        assert same(det, expected)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            # circulant: a^3 + b^3 + c^3 - 3*a*b*c, three permutations share a*b*c
+            [["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"]],
+            [["a", "a"], ["a", "a"]],  # every term cancels
+            [["a", "b", "c"], [None, None, None], ["d", "e", "f"]],  # a zero row
+            [["a", None, "b"], ["c", None, "d"], ["e", None, "f"]],  # a zero column
+        ],
+        ids=["repeated", "cancelling", "zero-row", "zero-column"],
+    )
+    def test_special_blocks(self, pattern):
+        det, expected = block_det(pattern)
+        assert same(det, expected)
 
 
 def rational(q: Fraction):
