@@ -11,14 +11,18 @@ adjoints.  Every structure tensor is built by algebra_from_brackets.
 The dense tensor `c` is the stored input form, kept for API and benchmark
 compatibility.  Everything else reads the constants through one sparse
 index of the nonzero ones, built with the algebra (see LieAlgebra); only
-the antisymmetry check reads `c`, because it checks the raw input.
+the antisymmetry check reads `c`, because it checks the raw input.  The
+index holds int numerators over one common denominator, so brackets of
+int rows, the closure's transporter solves and the derivation equations
+run on ints; the readers that report constants divide at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -27,11 +31,9 @@ from .linalg import (
     Subspace,
     Vector,
     format_rat,
-    kernel,
     rat,
     unit_vector,
     vec,
-    vec_dot,
 )
 
 
@@ -60,24 +62,31 @@ class LieAlgebra:
     c[i][j] has a nonzero entry, both orientations and the diagonal
     included, mapped to that row's nonzero entries ((k, q), ...) in
     increasing k.  Keeping every pair keeps a directly constructed tensor
-    exact even when it is not antisymmetric.
+    exact even when it is not antisymmetric.  Each q is an int, the
+    constant times `_denominator`, the lcm of all denominators in `c`
+    (1 when every constant is an integer).
     """
 
     name: str
     basis_names: tuple[str, ...]
     c: Tensor  # c[i][j][k], antisymmetric in (i, j)
-    _nonzero: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
+    _nonzero: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(
         init=False, compare=False, repr=False
     )
+    _denominator: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nonzero = {}
         for i, plane in enumerate(self.c):
             for j, row in enumerate(plane):
-                entries = tuple((k, q) for k, q in enumerate(row) if q != 0)
+                entries = tuple((k, q) for k, q in enumerate(row) if q)
                 if entries:
                     nonzero[(i, j)] = entries
+        d = lcm(*(q.denominator for row in nonzero.values() for _, q in row))
+        for key, row in nonzero.items():
+            nonzero[key] = tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
         object.__setattr__(self, "_nonzero", nonzero)
+        object.__setattr__(self, "_denominator", d)
 
     @property
     def dim(self) -> int:
@@ -87,11 +96,14 @@ class LieAlgebra:
         x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise AmbientMismatch("bracket arguments must have length dim")
-        return self._bracket(x, y)
+        return tuple(Fraction(v, self._denominator) for v in self._bracket(x, y))
 
-    def _bracket(self, x: Vector, y: Vector) -> Vector:
-        """bracket() of Fraction tuples, unchecked; walks only their nonzero entries."""
-        out = [Fraction(0)] * self.dim
+    def _bracket(self, x: Sequence, y: Sequence) -> tuple:
+        """bracket() times `_denominator`, unchecked; walks only the nonzero entries.
+
+        Int rows give an int row.
+        """
+        out = [0] * self.dim
         ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if a:
@@ -174,14 +186,15 @@ def validate(g: LieAlgebra) -> ValidationReport:
                     anti.append((i, j, k, g.c[i][j][k], g.c[j][i][k]))
     jacobi = []
     rows = g._nonzero
+    square = g._denominator**2
     for i, j, l in combinations(range(n), 3):
-        # component m of [[Q_i,Q_j],Q_l] + [[Q_j,Q_l],Q_i] + [[Q_l,Q_i],Q_j]
-        res = [Fraction(0)] * n
+        # component m of [[Q_i,Q_j],Q_l] + [[Q_j,Q_l],Q_i] + [[Q_l,Q_i],Q_j], times square
+        res = [0] * n
         for a, b, d in ((i, j, l), (j, l, i), (l, i, j)):
             for k, q in rows.get((a, b), ()):
                 for m, p in rows.get((k, d), ()):
                     res[m] += q * p
-        jacobi.extend((i, j, l, m, r) for m, r in enumerate(res) if r != 0)
+        jacobi.extend((i, j, l, m, Fraction(r, square)) for m, r in enumerate(res) if r)
     return ValidationReport(tuple(anti), tuple(jacobi))
 
 
@@ -195,6 +208,7 @@ def ad(g: LieAlgebra, x: Sequence) -> Matrix:
     n = g.dim
     if len(x) != n:
         raise AmbientMismatch("bracket arguments must have length dim")
+    x = tuple(v / g._denominator for v in x)
     m = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), row in g._nonzero.items():
         if x[i]:
@@ -203,15 +217,19 @@ def ad(g: LieAlgebra, x: Sequence) -> Matrix:
     return Matrix(m)
 
 
-def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[Vector]]:
-    """The bracket table of (a, b): [[w, v] for v in b] for each basis row w of a."""
+def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[tuple[int, ...]]]:
+    """The bracket table of (a, b): [[w, v] for v in b.rows] for each w in a.rows.
+
+    The rows are the canonical int rows, so every bracket is an int row (times
+    the algebra's common denominator, which changes no span or solve).
+    """
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise AmbientMismatch("subspaces must lie in the algebra")
-    return [[g._bracket(w, v) for v in b.basis.entries] for w in a.basis.entries]
+    return [[g._bracket(w, v) for v in b.rows] for w in a.rows]
 
 
-def _span_of_images(g: LieAlgebra, images: list[list[Vector]], provenance: str = "") -> Subspace:
-    return Subspace(g.dim, Matrix._from_rows([v for row in images for v in row], g.dim), provenance)
+def _span_of_images(g: LieAlgebra, images: list, provenance: str = "") -> Subspace:
+    return Subspace._from_rows(g.dim, [v for row in images for v in row], provenance)
 
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace, provenance: str = "") -> Subspace:
@@ -220,9 +238,12 @@ def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace, provenance: str =
 
 
 def _transport(within: Subspace, images: list, into: Subspace, provenance: str = "") -> Subspace:
-    """transporter(g, within, of, into) from images = _bracket_images(g, within, of)."""
-    rows = [tuple(x for v in row for x in into._reduce(v)) for row in images]
-    return within.where_zero(rows, provenance)
+    """transporter(g, within, of, into) from images = _bracket_images(g, within, of).
+
+    _reduce is linear, so the remainders of row i are the images of within.rows[i].
+    """
+    rows = [tuple(chain.from_iterable(map(into._reduce, row))) for row in images]
+    return within._where_zero(zip(*rows), provenance)
 
 
 def transporter(
@@ -364,8 +385,8 @@ def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
 # Killing form, radical, nilradical
 
 
-def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad_i ad_j); symmetric and invariant.
+def _killing_numerators(g: LieAlgebra) -> list[list[int]]:
+    """trace(ad_i ad_j) times the square of the common denominator, as int rows.
 
     The trace is summed straight from the nonzero structure constants,
     sum over k, l of c[i][l][k] c[j][k][l].
@@ -375,25 +396,29 @@ def killing_form(g: LieAlgebra) -> Matrix:
     for (i, l), row in g._nonzero.items():
         for k, q in row:
             terms[i][(l, k)] = q
-    form = [[Fraction(0)] * n for _ in range(n)]
+    form = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = sum(
-                (q * terms[j][(k, l)] for (l, k), q in terms[i].items() if (k, l) in terms[j]),
-                Fraction(0),
-            )
-            form[i][j] = t
-            form[j][i] = t
-    return Matrix(form)
+            t = sum(q * terms[j][(k, l)] for (l, k), q in terms[i].items() if (k, l) in terms[j])
+            form[i][j] = form[j][i] = t
+    return form
+
+
+def killing_form(g: LieAlgebra) -> Matrix:
+    """K[i][j] = trace(ad_i ad_j); symmetric and invariant."""
+    square = g._denominator**2
+    return Matrix([[Fraction(t, square) for t in row] for row in _killing_numerators(g)])
 
 
 def _killing_orthogonal(
-    k: Matrix, within: Subspace, against: Subspace, provenance: str = ""
+    k: list[list[int]], within: Subspace, against: Subspace, provenance: str = ""
 ) -> Subspace:
-    """{x in `within` : K(x, y) = 0 for every basis vector y of `against`}."""
-    k_against = [k.matvec(y) for y in against.basis.entries]
-    images = [tuple(vec_dot(w, ky) for ky in k_against) for w in within.basis.entries]
-    return within.where_zero(images, provenance)
+    """{x in `within` : K(x, y) = 0 for every y in `against`}; k is K times a positive int."""
+    conditions = []
+    for y in against.rows:
+        ky = [sum(a * b for a, b in zip(row, y)) for row in k]
+        conditions.append([sum(a * b for a, b in zip(w, ky)) for w in within.rows])
+    return within._where_zero(conditions, provenance)
 
 
 def radical(g: LieAlgebra, provenance: str = "rad(g)") -> Subspace:
@@ -404,7 +429,7 @@ def radical(g: LieAlgebra, provenance: str = "rad(g)") -> Subspace:
     """
     full = g.full_space()
     return _killing_orthogonal(
-        killing_form(g), full, bracket_subspaces(g, full, full), provenance
+        _killing_numerators(g), full, bracket_subspaces(g, full, full), provenance
     )
 
 
@@ -417,7 +442,7 @@ def nilradical_approx(g: LieAlgebra, provenance: str = "nil(g)") -> tuple[Subspa
     'exact' when the fixed point is nilpotent, otherwise 'stalled' (the
     over-approximation is still returned).
     """
-    k = killing_form(g)
+    k = _killing_numerators(g)
     full = g.full_space()
     current = _killing_orthogonal(k, full, bracket_subspaces(g, full, full))
     while not current.is_zero():
@@ -449,8 +474,9 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
     n = g.dim
     # Equation (i, j, m), i < j, reads
     #   sum_k c[i][j][k] D[m][k] - sum_l c[l][j][m] D[l][i] - sum_l c[i][l][m] D[l][j] = 0,
-    # so each nonzero constant enters it in up to three places.
-    equations: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    # so each nonzero constant enters it in up to three places.  It is linear
+    # in c, so the int constants of _nonzero give it times the common denominator.
+    equations: dict[tuple[int, int, int], dict[int, int]] = {}
 
     def add(i, j, m, unknown, q):
         eq = equations.setdefault((i, j, m), {})
@@ -467,11 +493,11 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
                 add(a, j, k, b * n + j, -q)
     rows = []
     for key in sorted(equations):
-        row = [Fraction(0)] * (n * n)
+        row = [0] * (n * n)
         for unknown, q in equations[key].items():
             row[unknown] = q
         rows.append(row)
-    solutions = kernel(Matrix(rows, cols=n * n))
+    solutions = Subspace.full(n * n)._where_zero(rows)
     return [
         Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
         for row in solutions.basis.entries
@@ -603,7 +629,7 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
         {
             "left": names[i],
             "right": names[j],
-            "result": {names[k]: format_rat(q) for k, q in row},
+            "result": {names[k]: format_rat(Fraction(q, g._denominator)) for k, q in row},
         }
         for (i, j), row in g._nonzero.items()
         if i < j

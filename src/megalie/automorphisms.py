@@ -311,7 +311,9 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
         raise ValueError("shape dimension does not match the algebra")
     n = g.dim
     variables = shape.unknowns
-    # the nonzero c[p][q][m] of each component m, in (p, q) order
+    # The nonzero c[p][q][m] of each component m, in (p, q) order.  The index
+    # holds them times g._denominator; every equation is linear in c, and
+    # content normalization takes that positive factor out again.
     component = [[] for _ in range(n)]
     for (p, q), row in g._nonzero.items():
         for m, coeff in row:

@@ -2,28 +2,36 @@
 
 Matrices with Fraction entries, reduced row echelon form, kernels, and
 canonical subspace arithmetic.  All values are immutable, all results are
-exact; no floating point enters anywhere.  Subspaces are kept in RREF
-with leading coefficient 1, so two subspaces are equal precisely when
-their basis matrices are entry-wise equal.  A Subspace is row-reduced
-once, when it is built, and keeps its pivot columns for reduction and
-coordinates.  Subspace.where_zero -- the part of a space that a linear
-map sends to zero -- is the one kernel solve behind intersections,
-kernels and every constructor in the algebra module.
+exact; no floating point enters anywhere.
 
-Values are checked and coerced at the boundary: Matrix(...), reduce,
-contains and coordinates.  Internal rows are Fraction tuples already, so
-results go through the trusted Matrix._from_rows and Subspace._reduce.
+Internal rows are int tuples.  A Subspace keeps its canonical form as
+primitive int rows, each RREF row times the lcm of its denominators, so
+every pivot is a positive integer and two subspaces are equal precisely
+when their rows are.  A Subspace is row-reduced once, when it is built,
+and keeps its pivot columns for reduction and coordinates.  One
+fraction-free Gauss-Jordan routine, _echelon, does every elimination:
+subspace construction, the kernel solve of Subspace.where_zero, and
+Matrix.rref_with_pivots, which scales each row to integers and divides by
+the pivots at the end.  where_zero -- the part of a space that a linear
+map sends to zero -- is the one kernel solve behind intersections,
+kernels and every constructor in the algebra module; they call its int
+form, _where_zero, on the canonical rows.
+
+Values become Fractions at the boundary, where they are checked and
+coerced: Matrix(...), Subspace.basis, reduce, contains and coordinates.
+The trusted internal paths check nothing: Subspace._from_rows, _reduce
+and _where_zero take int rows, Matrix._from_rows Fraction rows.
 """
 
 from __future__ import annotations
 
-import copy
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+IntRow = tuple[int, ...]
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
@@ -134,10 +142,9 @@ class Matrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        # with no rows, zip(*entries) would drop the cols empty rows
+        columns = zip(*self.entries) if self.rows else [()] * self.cols
+        return Matrix._from_rows(columns, self.rows)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -175,31 +182,14 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def rref_with_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form with zero rows removed, plus pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, len(m)):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            if m[r][c] != 1:
-                inv = Fraction(1) / m[r][c]
-                m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return Matrix._from_rows(map(tuple, m[:r]), self.cols), tuple(pivots)
+        """Reduced row echelon form with zero rows removed, plus pivot columns.
+
+        Each row is scaled to integers, which leaves the RREF unchanged, the
+        rows are reduced fraction-free by _echelon, and each reduced row is
+        divided by its pivot at the end.
+        """
+        rows, pivots = _echelon(map(_integral, self.entries), self.cols)
+        return _normalized(rows, pivots, self.cols), pivots
 
     def kernel_rows(self) -> list[Vector]:
         """Basis of {v : self @ v = 0}, one free coordinate set to 1 per row."""
@@ -244,28 +234,118 @@ def solve(a: Matrix, b: Sequence) -> Vector | None:
     return tuple(x)
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """Linear subspace of Q^n, kept as the RREF of its basis.
+# ---------------------------------------------------------------------------
+# the integer core
 
-    The constructor row-reduces the basis it is given, once, and stores
-    the pivot columns next to it; every later operation reads those.
-    Equality looks only at the ambient dimension and the basis matrix, and
-    hashing at the ambient dimension and the pivots; the provenance string
-    records how the space was constructed and never affects identity.
+
+def _integral(row: Iterable) -> tuple[int, ...]:
+    """The smallest positive multiple of a rational row with int entries."""
+    row = tuple(row)
+    d = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (d // x.denominator) for x in row)
+
+
+def _echelon(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[IntRow], tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination of int rows; the one elimination.
+
+    Returns one row per pivot column, in increasing pivot order: primitive
+    (the gcd of its entries is taken out), positive at its pivot and zero in
+    every other pivot column.  That is each RREF row times the lcm of its
+    denominators, so the result is exactly as canonical as the RREF.
+    """
+    rest = [tuple(row) for row in rows if any(row)]
+    done: list[IntRow] = []
+    pivots: list[int] = []
+    for c in range(cols):
+        if not rest:
+            break
+        i = next((i for i, row in enumerate(rest) if row[c]), None)
+        if i is None:
+            continue
+        p = rest.pop(i)
+        g = gcd(*p) if p[c] > 0 else -gcd(*p)
+        if g != 1:
+            p = tuple(x // g for x in p)
+        a = p[c]
+        for group in (done, rest):
+            for k, row in enumerate(group):
+                b = row[c]
+                if b:
+                    if a == 1:
+                        row = tuple(x - b * y for x, y in zip(row, p))
+                    else:
+                        row = tuple(a * x - b * y for x, y in zip(row, p))
+                    g = gcd(*row)
+                    group[k] = row if g < 2 else tuple(x // g for x in row)
+        rest = [row for row in rest if any(row)]
+        done.append(p)
+        pivots.append(c)
+    return done, tuple(pivots)
+
+
+def _combination(coefficients: Iterable[int], rows: Iterable[IntRow], width: int) -> list[int]:
+    """sum c_i rows[i] over the nonzero c_i, for int rows of the given width."""
+    out = [0] * width
+    for c, row in zip(coefficients, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def _normalized(rows: Sequence[IntRow], pivots: Sequence[int], cols: int) -> Matrix:
+    """The RREF of canonical rows: each row divided by its pivot, as Fractions."""
+    return Matrix._from_rows(
+        (
+            tuple(map(Fraction, row)) if row[p] == 1 else tuple(Fraction(x, row[p]) for x in row)
+            for p, row in zip(pivots, rows)
+        ),
+        cols,
+    )
+
+
+class Subspace:
+    """Linear subspace of Q^n in canonical form.
+
+    The form is the RREF of the basis with each row times the lcm of its
+    denominators: primitive int rows with positive pivots (`rows`), and the
+    pivot columns (`pivots`).  It is built once, when the space is built,
+    and every later operation reads it.  `basis`, the RREF as a Fraction
+    matrix, is derived from the rows on first use and cached.  Equality
+    looks only at the ambient dimension and the rows, and hashing at the
+    ambient dimension and the pivots; the provenance string records how the
+    space was constructed and never affects identity.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    provenance: str = field(default="", compare=False)
-    pivots: tuple[int, ...] = field(init=False, compare=False)
+    __slots__ = ("ambient_dim", "rows", "pivots", "provenance", "_basis")
 
-    def __post_init__(self):
-        if self.basis.cols != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Matrix, provenance: str = ""):
+        """The span of the rows of `basis`; their RREF becomes the cached basis."""
+        if basis.cols != ambient_dim:
             raise AmbientMismatch("basis width does not match ambient dimension")
-        basis, pivots = self.basis.rref_with_pivots()
-        object.__setattr__(self, "basis", basis)
+        reduced, pivots = basis.rref_with_pivots()
+        self.__post_init__(ambient_dim, tuple(map(_integral, reduced.entries)), pivots, provenance)
+        object.__setattr__(self, "_basis", reduced)
+
+    @staticmethod
+    def _from_rows(ambient_dim: int, rows: Iterable[Sequence[int]], provenance: str = "") -> Subspace:
+        """Trusted constructor: the span of int rows of the ambient length."""
+        space = object.__new__(Subspace)
+        space.__post_init__(ambient_dim, *_echelon(rows, ambient_dim), provenance)
+        return space
+
+    def __post_init__(self, ambient_dim: int, rows, pivots: tuple[int, ...], provenance: str):
+        """Every constructor ends here, with the canonical rows and their pivots.
+
+        bench/layers.py traces this name to count the subspaces built.
+        """
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_basis", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
 
     @staticmethod
     def spanned_by(ambient_dim: int, vectors: Iterable[Sequence], provenance: str = "") -> "Subspace":
@@ -276,11 +356,12 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int, provenance: str = "0") -> "Subspace":
-        return Subspace(ambient_dim, Matrix([], cols=ambient_dim), provenance)
+        return Subspace._from_rows(ambient_dim, (), provenance)
 
     @staticmethod
     def full(ambient_dim: int, provenance: str = "g") -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim), provenance)
+        units = (tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return Subspace._from_rows(ambient_dim, units, provenance)
 
     # -- identity ----------------------------------------------------------
 
@@ -288,12 +369,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        # equal subspaces have equal RREF, hence equal pivots; this skips
-        # Fraction.__hash__ (a modular inverse) on every basis entry
+        # equal subspaces have equal canonical rows, hence equal pivots
         return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self) -> str:
@@ -301,15 +381,24 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: [{rows}])"
 
     @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            basis = _normalized(self.rows, self.pivots, self.ambient_dim)
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def sort_key(self) -> tuple:
         return (self.dim, tuple(x for row in self.basis.entries for x in row))
 
     def with_provenance(self, provenance: str) -> "Subspace":
-        """The same space under another name; basis and pivots are shared."""
-        twin = copy.copy(self)
+        """The same space under another name; rows, pivots and basis are shared."""
+        twin = object.__new__(Subspace)
+        for name in Subspace.__slots__:
+            object.__setattr__(twin, name, getattr(self, name))
         object.__setattr__(twin, "provenance", provenance)
         return twin
 
@@ -326,26 +415,46 @@ class Subspace:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
     def reduce(self, v: Sequence) -> Vector:
-        """Remainder of v after elimination against the RREF basis."""
+        """Remainder of v after elimination against the RREF basis.
+
+        Each basis row is zero at the other rows' pivots, so the remainder
+        is v minus v[p] times the row of pivot p, for every pivot p.
+        """
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
-        return self._reduce(v)
-
-    def _reduce(self, v: Vector) -> Vector:
-        """reduce() for a Fraction tuple of the ambient length, unchecked."""
         for p, row in zip(self.pivots, self.basis.entries):
             f = v[p]
             if f:
-                v = tuple(a - f * b if b else a for a, b in zip(v, row))
+                v = tuple(a - f * b for a, b in zip(v, row))
         return v
+
+    def _reduce(self, v: Sequence[int]) -> IntRow:
+        """reduce() of an int row of the ambient length, unchecked and fraction-free.
+
+        The remainder comes out times the product of the pivots, whatever v
+        is: a row whose pivot is not 1 scales v even where v[p] is 0.  So
+        _reduce is linear, and remainders of different vectors can be added.
+        """
+        if not any(v):
+            return tuple(v)
+        for p, row in zip(self.pivots, self.rows):
+            f, a = v[p], row[p]
+            if a == 1:
+                if f:
+                    v = tuple(x - f * y for x, y in zip(v, row))
+            elif f:
+                v = tuple(a * x - f * y for x, y in zip(v, row))
+            else:
+                v = tuple(a * x for x in v)
+        return tuple(v)
 
     def contains(self, v: Sequence) -> bool:
         return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return not any(x for row in other.basis.entries for x in self._reduce(row))
+        return not any(any(self._reduce(row)) for row in other.rows)
 
     def coordinates(self, v: Sequence) -> Vector | None:
         """Coefficients of v over the RREF basis rows, or None if outside.
@@ -367,30 +476,44 @@ class Subspace:
         the result is the part of this space that the map sends to zero:
         one kernel solve in the coordinates of this space, mapped back.
         Every subspace constructor that cuts out a space by linear
-        conditions goes through here.  Int images are allowed: they only
-        enter the solve for the t_i, and the result is built from the
-        Fraction basis rows.
+        conditions goes through here or through _where_zero.  The images
+        may be ints or Fractions.
         """
-        rows = [row for row in zip(*images) if any(row)]
-        if not rows:
+        # rows[i] is b_i times its pivot entry a_i, so its image is a_i images[i]
+        pivot_entries = (row[p] for p, row in zip(self.pivots, self.rows))
+        images = [[a * x for x in image] for a, image in zip(pivot_entries, images)]
+        return self._where_zero(map(_integral, zip(*images)), provenance)
+
+    def _where_zero(self, conditions: Iterable[Sequence[int]], provenance: str = "") -> "Subspace":
+        """{sum t_i rows[i] : sum t_i e[i] = 0 for every condition e}, on int conditions.
+
+        Condition e lists, for each canonical row, one int component of its
+        image: the images are taken of `rows`, not of the basis rows.
+        """
+        reduced, pivots = _echelon(conditions, self.dim)
+        if not pivots:
             return self.with_provenance(provenance)
-        t = Matrix._from_rows(Matrix._from_rows(rows, self.dim).kernel_rows(), self.dim)
-        return Subspace(self.ambient_dim, t @ self.basis, provenance)
+        # kernel vector of free column f: t_f = m, t_p = -e[f] m / e[p] on each reduced e
+        m = lcm(*(e[p] for p, e in zip(pivots, reduced)))
+        vectors = []
+        for f in (c for c in range(self.dim) if c not in pivots):
+            t = [0] * self.dim
+            t[f] = m
+            for p, e in zip(pivots, reduced):
+                t[p] = -e[f] * (m // e[p])
+            vectors.append(_combination(t, self.rows, self.ambient_dim))
+        return Subspace._from_rows(self.ambient_dim, vectors, provenance)
 
     def sum(self, other: "Subspace", provenance: str = "") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.spanned_by(
-            self.ambient_dim,
-            list(self.basis.entries) + list(other.basis.entries),
-            provenance,
-        )
+        return Subspace._from_rows(self.ambient_dim, self.rows + other.rows, provenance)
 
     def intersect(self, other: "Subspace", provenance: str = "") -> "Subspace":
         """The part of this space whose remainder against `other` is zero."""
         self._check_ambient(other)
-        return self.where_zero([other._reduce(w) for w in self.basis.entries], provenance)
+        return self._where_zero(zip(*map(other._reduce, self.rows)), provenance)
 
 
 def kernel(m: Matrix, provenance: str = "") -> Subspace:
     """Null space {v : m @ v = 0} as a canonical subspace of Q^cols."""
-    return Subspace.full(m.cols).where_zero(list(zip(*m.entries)), provenance)
+    return Subspace.full(m.cols)._where_zero(map(_integral, m.entries), provenance)

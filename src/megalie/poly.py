@@ -11,7 +11,8 @@ Grammar accepted by parse():
     factor := rational | var | var '^' uint | '(' expr ')'
 
 with variable names matching [A-Za-z_][A-Za-z0-9_]* and rationals being
-digits ['/' digits].
+digits ['/' digits].  Parentheses nest at most _MAX_NESTING deep, and no
+exponent, product or parsed polynomial has total degree above _MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -398,6 +399,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # Each parenthesis level costs three Python frames of the recursive descent.
 _MAX_NESTING = 100
+# The shipped fixtures have degree at most 3.  Pushing a term of degree k
+# forward expands it into up to k + 1 terms or more, so k is bounded.
+_MAX_DEGREE = 100
+
+
+def _degree(p: Poly) -> int:
+    return max(map(sum, p.terms), default=0)
 
 
 class _Parser:
@@ -442,10 +450,14 @@ class _Parser:
     def parse_term(self) -> Poly:
         result = self.parse_factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.parse_factor()
+                factor = self.parse_factor()
+                # deg(pq) = deg p + deg q over the rationals; checked before expanding
+                if _degree(result) + _degree(factor) > _MAX_DEGREE:
+                    raise PolyError(f"degree above {_MAX_DEGREE}", pos)
+                result = result * factor
             else:
                 return result
 
@@ -467,6 +479,9 @@ class _Parser:
                 kind3, value3, pos3 = self.advance()
                 if kind3 != "rational" or "/" in value3:
                     raise PolyError("exponent must be an unsigned integer", pos3)
+                # the length test keeps int() off digit strings past its limit
+                if len(value3.lstrip("0")) > len(str(_MAX_DEGREE)) or int(value3) > _MAX_DEGREE:
+                    raise PolyError(f"degree above {_MAX_DEGREE}", pos3)
                 return base ** int(value3)
             return base
         if kind == "op" and value == "(":

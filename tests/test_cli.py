@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -428,6 +429,14 @@ class TestMalformedInputs:
         code, err = self.main(capsys, "vf", "bracket-table", path)
         assert code == 2
         assert err == f"error: {path}: parentheses nested deeper than 100 (at position 100)\n"
+
+    def test_high_degree_exit_2(self, fixtures_dir, tmp_path, capsys):
+        # expanding (t - 1)^100000 under the time shift would not finish
+        path = self.fields(tmp_path, "t^100000")
+        started = time.perf_counter()
+        code, err = self.main(capsys, "vf", "pushforward", path, fixtures_dir / "maps" / "tshift.json")
+        assert time.perf_counter() - started < 0.5
+        assert (code, err) == (2, f"error: {path}: degree above 100 (at position 2)\n")
 
     @pytest.mark.parametrize("command", [["validate"], ["vf", "bracket-table"]])
     def test_deep_json_exit_2(self, command, tmp_path, capsys):

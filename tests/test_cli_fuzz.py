@@ -2,12 +2,11 @@
 
 Random subtrees of the shipped JSON fixtures are replaced by random JSON
 values: non-ASCII digit strings, deeply nested parentheses, basis and
-variable names, and JSON nested far past the decoder's recursion limit.
-Whatever the input, `validate`, `vf bracket-table` and `vf pushforward`
-answer with a documented exit code (0-3) and never report an internal
-error.  Exponent sizes are not fuzzed: the cost of pushing forward x^k
-grows with k without bound (an open item in CHANGES.md), and a test that
-waits on it says nothing about exit codes.
+variable names, powers and products of any degree, and JSON nested far
+past the decoder's recursion limit.  Whatever the input, `validate`,
+`vf bracket-table` and `vf pushforward` answer with a documented exit code
+(0-3) and never report an internal error.  The parser's degree bound keeps
+every push-forward of a mutated field cheap.
 """
 
 import contextlib
@@ -35,7 +34,14 @@ MAPS = [load(f"maps/{name}.json") for name in ("tshift", "uscale", "ugauge")]
 
 NAMES = ALGEBRA["basis"] + FIELDS["variables"] + ["0", "4", "5"]
 # non-ASCII digits and parentheses nested past any reasonable depth
-ODD = ["²", "(" * 5000 + "u", "٣", "١٢*t"]
+ODD = ["²", "(" * 5000 + "u", "٣", "١٢*t", "t^" + "9" * 5000, "(t + u)*t^99"]
+# powers around and far past the degree bound, alone and in products
+powers = st.builds(
+    lambda var, k, more: "*".join([f"{var}^{k}"] * more),
+    st.sampled_from(["t", "u", "x", "(t + 1)"]),
+    st.sampled_from([0, 1, 99, 100, 101, 2_000, 100_000]) | st.integers(0, 10**9),
+    st.integers(1, 3),
+)
 # a marker string that becomes raw nested JSON text after dumping
 DEEP = re.compile(r'"\\u0000deep(\d+)\\u0000"')
 
@@ -44,6 +50,7 @@ scalars = st.one_of(
 )
 strings = st.one_of(
     st.sampled_from(NAMES),
+    powers,
     st.text(alphabet="0123456789/+-*() tuxfg_٣²", max_size=12),
     st.text(max_size=6),
 )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -212,6 +213,15 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix([[1, 2], [2, 4]]).inverse()
 
+    def test_transpose(self):
+        m = Matrix([[1, "1/2", 0], [0, 3, "-2/3"]])
+        assert m.transpose() == Matrix([[1, 0], ["1/2", 3], [0, "-2/3"]])
+        assert m.transpose().transpose() == m
+        # no rows: the transpose has one empty row per column, and back
+        empty = Matrix([], cols=3)
+        assert (empty.transpose().rows, empty.transpose().cols) == (3, 0)
+        assert empty.transpose().transpose() == empty
+
     def test_power(self):
         m = Matrix([[0, 1], [0, 0]])
         assert not m.is_zero() and (m @ m).is_zero()
@@ -241,8 +251,8 @@ class TestCoercionBoundary:
         )
 
     def test_where_zero_with_int_images(self):
-        # pivot 1 and untouched entries keep the solve in ints; the result
-        # is still built from Fraction basis rows
+        # the solve runs on ints either way; the basis handed out is still
+        # made of Fraction rows
         for space in (Subspace.full(3), Subspace.spanned_by(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1)])):
             got = space.where_zero([(1,), (2,), (3,)])
             assert got.dim == 2
@@ -272,3 +282,137 @@ class TestCoercionBoundary:
                 transporter(m5, *args)
         with pytest.raises(AmbientMismatch):
             bracket_subspaces(m5, full, small)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Gauss-Jordan loop that the integer core replaced, kept as the
+# reference: RREF, reduction against an RREF basis, and where_zero on it
+
+
+def reference_rref(rows, cols):
+    """RREF of Fraction rows with zero rows removed, plus pivot columns."""
+    m = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], tuple(pivots)
+
+
+def reference_reduce(basis, pivots, v):
+    for p, row in zip(pivots, basis):
+        f = v[p]
+        if f:
+            v = tuple(a - f * b for a, b in zip(v, row))
+    return v
+
+
+def reference_where_zero(basis, cols, images):
+    """{sum t_i basis[i] : sum t_i images[i] = 0}, as (RREF, pivots)."""
+    dim = len(basis)
+    reduced, pivots = reference_rref([row for row in zip(*images) if any(row)], dim)
+    vectors = []
+    for f in (c for c in range(dim) if c not in pivots):
+        t = [Fraction(0)] * dim
+        t[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            t[p] = -reduced[r][f]
+        vectors.append([sum(t[i] * basis[i][k] for i in range(dim)) for k in range(cols)])
+    return reference_rref(vectors, cols)
+
+
+def lcm_scaled(row):
+    """A rational row times the lcm of its denominators, as ints."""
+    d = math.lcm(*(x.denominator for x in row))
+    return tuple(int(x * d) for x in row)
+
+
+rational = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
+
+
+@st.composite
+def rational_rows(draw, cols):
+    """Rows with denominators, negative and non-unit pivots, zero and repeated rows."""
+    row = st.lists(rational | st.just(Fraction(0)), min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        scale = draw(rational)
+        source = rows[draw(st.integers(0, len(rows) - 1))] if rows else [Fraction(0)] * cols
+        rows.insert(at, [scale * x for x in source])
+    return rows
+
+
+@st.composite
+def rational_spaces(draw):
+    cols = draw(st.integers(1, 6))
+    return cols, draw(rational_rows(cols))
+
+
+class TestIntegerCoreAgainstReference:
+    """The fraction-free core gives exactly the Fraction loop's RREF, pivots,
+    remainders and kernels, and its canonical rows are the RREF rows times
+    the lcm of their denominators."""
+
+    @given(rational_spaces())
+    @settings(max_examples=100, deadline=None)
+    def test_rref_and_canonical_rows(self, space):
+        cols, rows = space
+        basis, pivots = reference_rref(rows, cols)
+        assert Matrix._from_rows(map(tuple, rows), cols).rref_with_pivots() == (
+            Matrix._from_rows(basis, cols),
+            pivots,
+        )
+        s = Subspace.spanned_by(cols, rows)
+        assert s.basis == Matrix._from_rows(basis, cols) and s.pivots == pivots
+        assert s.rows == tuple(map(lcm_scaled, basis))
+        assert all(type(x) is int for row in s.rows for x in row)
+        from_reference = Subspace.spanned_by(cols, basis[::-1])
+        assert from_reference == s and hash(from_reference) == hash(s)
+        # the trusted int path reaches the same canonical rows from unreduced ints
+        from_ints = Subspace._from_rows(cols, map(lcm_scaled, rows))
+        assert from_ints.rows == s.rows and from_ints.pivots == pivots
+        shifted = Subspace.spanned_by(cols, [[x + 1 for x in row] for row in basis])
+        assert (shifted == s) == (shifted.basis == s.basis)
+
+    @given(rational_spaces(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduce(self, space, data):
+        cols, rows = space
+        s = Subspace.spanned_by(cols, rows)
+        basis, pivots = reference_rref(rows, cols)
+        vector = st.lists(rational, min_size=cols, max_size=cols)
+        u, w = data.draw(vector), data.draw(vector)
+        assert s.reduce(u) == reference_reduce(basis, pivots, tuple(u))
+        assert s.contains(u) == (not any(reference_reduce(basis, pivots, tuple(u))))
+        # on int rows the remainder is one fixed multiple of the true one, so it is linear
+        iu, iw = (tuple(int(x * 720720) for x in v) for v in (u, w))
+        total = tuple(a + b for a, b in zip(iu, iw))
+        assert s._reduce(total) == tuple(a + b for a, b in zip(s._reduce(iu), s._reduce(iw)))
+
+    @given(rational_spaces(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_where_zero(self, space, data):
+        cols, rows = space
+        s = Subspace.spanned_by(cols, rows)
+        width = data.draw(st.integers(0, 4))
+        images = data.draw(
+            st.lists(st.lists(rational, min_size=width, max_size=width), min_size=s.dim, max_size=s.dim)
+        )
+        basis, pivots = reference_where_zero(list(s.basis.entries), cols, images)
+        got = s.where_zero(images, provenance="cut")
+        assert got.basis == Matrix._from_rows(basis, cols) and got.pivots == pivots
+        assert got == Subspace.spanned_by(cols, basis) and got.provenance == "cut"

@@ -1,6 +1,8 @@
+import fractions
 import itertools
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -262,12 +264,20 @@ def dense_transporter(g, within, of, into):
 
 
 @st.composite
-def conjugate(draw, g):
-    """g in the basis given by the rows of L @ U, L unit lower and U upper triangular."""
-    n, small, sign = g.dim, st.integers(-2, 2), st.sampled_from([1, -1])
-    below = [[draw(small) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+def triangular_basis(draw, n, rational=False):
+    """L @ U, L unit lower and U upper triangular: a random change of basis.
+
+    With `rational`, the entries of U include 1/2, -2/3 and 3/5 and its
+    diagonal 2 and -1/3, so the structure constants and the members' RREF
+    rows have denominators and the canonical int rows non-unit pivots.
+    """
+    small, sign = st.integers(-2, 2), st.sampled_from([1, -1])
+    if rational:
+        small = small | st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)])
+        sign = st.sampled_from([1, -1, 2, Fraction(-1, 3)])
+    below = [[draw(st.integers(-2, 2)) if i > j else int(i == j) for j in range(n)] for i in range(n)]
     above = [[draw(small) if i < j else draw(sign) if i == j else 0 for j in range(n)] for i in range(n)]
-    return change_basis(g, dense_matmul(Matrix(below), Matrix(above)))
+    return dense_matmul(Matrix(below), Matrix(above))
 
 
 def spans(n):
@@ -280,12 +290,30 @@ class TestDenseReference:
     exactly with their dense formulas."""
 
     @given(data=st.data())
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=12, deadline=None)
     def test_random_conjugates(self, data, m5, sl2d):
-        g = data.draw(conjugate(data.draw(st.sampled_from([m5, sl2d, filiform(6)]))))
+        base = data.draw(st.sampled_from([m5, sl2d, filiform(6)]))
+        b = data.draw(triangular_basis(base.dim, rational=data.draw(st.booleans())))
+        g = change_basis(base, b)
+        # The lattice of base in the coordinates of g, where v = x @ b.  Every
+        # solve of the closure of g is an intersection of two of these members
+        # or a transporter on three of them with dim(into) <= dim(of), so those
+        # are checked first: a wrong solve fails here instead of growing the
+        # closure without end.
+        inverse = b.inverse()
+        lattice = [Subspace(g.dim, m.basis @ inverse) for m in closure(base).members]
+        for within, of in itertools.product(lattice, repeat=2):
+            meet = within.intersect(of)
+            assert within.contains_subspace(meet) and of.contains_subspace(meet)
+            assert meet.dim == within.dim + of.dim - within.sum(of).dim
+        for within, of, into in itertools.product(lattice, repeat=3):
+            if into.dim <= of.dim:
+                assert transporter(g, within, of, into) == dense_transporter(g, within, of, into)
         derivs = derivations(g)
         members = list(closure(g).members)
-        spaces = members + data.draw(st.lists(spans(g.dim), min_size=2, max_size=3))
+        assert set(members) == set(lattice)
+        drawn = data.draw(st.lists(spans(g.dim), min_size=2, max_size=3))
+        spaces = members + drawn
         for s in spaces:
             verdict = verify_megaideal(g, s, derivs)
             assert (verdict.is_ideal, verdict.is_derivation_invariant) == dense_verify(g, s, derivs)
@@ -405,3 +433,28 @@ class TestComputedOnce:
         repeated = [pair for pair, count in Counter(pairs).items() if count > 1]
         assert pairs
         assert not repeated, f"{len(repeated)} member pairs bracketed more than once"
+
+
+class TestIntegerCore:
+    def test_transport_constructs_no_fraction(self):
+        # The closure brackets and solves on the members' canonical int rows
+        # with the algebra's int constants: no Fraction code runs at all.
+        g = filiform(8)
+        members = closure(g).members
+        entered = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                entered.append(frame.f_code.co_name)
+
+        solved = []
+        sys.setprofile(watch)
+        try:
+            for a in members:
+                for b in members:
+                    images = megalie.algebra._bracket_images(g, a, b)
+                    solved.extend(megalie.algebra._transport(a, images, c) for c in members)
+        finally:
+            sys.setprofile(None)
+        assert len(solved) == len(members) ** 3 > 1
+        assert not entered, f"Fraction code entered: {sorted(set(entered))}"

@@ -57,6 +57,21 @@ class TestParse:
                 P("(" * depth + "x" + ")" * depth)
             assert info.value.position == 100
 
+    def test_degree_is_bounded(self):
+        assert P("x^100") == P("x") ** 100
+        assert P("x^50*y^25*(z^25 + 1)") == P("x^50*y^25*z^25 + x^50*y^25")
+        assert P("x^0100 + y^100 - y^100") == P("x") ** 100
+        for text, position in [
+            ("x^101", 2),
+            ("1 + x^" + "9" * 5000, 6),  # past the int-string digit limit
+            ("x^60*y^41", 4),
+            ("x^50*(y^25 + z)*(y^25*z + 1)*x", 15),
+            ("(x^40*y^40)*(z^20 + 1)*(x + 1)", 22),
+        ]:
+            with pytest.raises(PolyError, match="degree above 100") as info:
+                P(text)
+            assert info.value.position == position
+
     @pytest.mark.parametrize("text", ["٣", "x + ٣", "x^٣", "1/٣", "²"])
     def test_only_ascii_digits(self, text):
         with pytest.raises(PolyError, match="unexpected character"):
