@@ -66,7 +66,7 @@ from .automorphisms import (
     substitute_parameters,
     triangular_solve,
 )
-from .poly import Poly, PolyError, parse_poly
+from .poly import ExpansionError, Poly, PolyError, parse_poly
 from .vectorfield import (
     FAMILY_VARIABLES,
     LinearlyDependent,

@@ -10,9 +10,10 @@ Commands:
 
 Exit codes: 0 success, 1 validation failure (not a Lie algebra),
 2 parse/format error (malformed or too deeply nested input, bad options,
-unwritable --out), 3 analysis incompleteness (bracket escapes the span,
-fields are linearly dependent, or residual equations remain), 4 internal
-error (any other exception; a one-line JSON diagnostic goes to stderr).
+unwritable --out, polynomials too large to expand), 3 analysis
+incompleteness (bracket escapes the span, fields are linearly dependent,
+or residual equations remain), 4 internal error (any other exception; a
+one-line JSON diagnostic goes to stderr).
 All machine output is JSON; --text is a human projection and is never
 parsed back.
 """
@@ -28,7 +29,7 @@ import traceback
 
 from .algebra import FormatError, algebra_from_dict, algebra_to_dict, validate
 from .analysis import AnalyzeOptions, analyze, canonical_json, validation_dict
-from .poly import PolyError
+from .poly import ExpansionError, PolyError
 from .vectorfield import (
     LinearlyDependent,
     NotClosed,
@@ -260,7 +261,10 @@ def _cmd_vf_pushforward(args) -> int:
     if pm.variables != variables:
         raise CliError(EXIT_FORMAT, "map and field files declare different variables")
     chosen = _select_fields(named_fields, args.fields, args.file)
-    pushed = [(name, pushforward(pm, fld)) for name, fld in chosen]
+    try:
+        pushed = [(name, pushforward(pm, fld)) for name, fld in chosen]
+    except ExpansionError as exc:
+        raise CliError(EXIT_FORMAT, f"{args.file} under {args.map}: {exc}") from exc
     _write(canonical_json(fields_to_dict(variables, pushed)), args.out)
     return EXIT_OK
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -319,12 +320,11 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots", "provenance", "_basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix, provenance: str = ""):
-        """The span of the rows of `basis`; their RREF becomes the cached basis."""
+        """The span of the rows of `basis`."""
         if basis.cols != ambient_dim:
             raise AmbientMismatch("basis width does not match ambient dimension")
-        reduced, pivots = basis.rref_with_pivots()
-        self.__post_init__(ambient_dim, tuple(map(_integral, reduced.entries)), pivots, provenance)
-        object.__setattr__(self, "_basis", reduced)
+        rows = map(_integral, basis.entries)
+        self.__post_init__(ambient_dim, *_echelon(rows, ambient_dim), provenance)
 
     @staticmethod
     def _from_rows(ambient_dim: int, rows: Iterable[Sequence[int]], provenance: str = "") -> Subspace:
@@ -414,27 +414,30 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Remainder of v after elimination against the RREF basis.
-
-        Each basis row is zero at the other rows' pivots, so the remainder
-        is v minus v[p] times the row of pivot p, for every pivot p.
-        """
+    def _vector(self, v: Sequence) -> Vector:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
-        for p, row in zip(self.pivots, self.basis.entries):
-            f = v[p]
-            if f:
-                v = tuple(a - f * b for a, b in zip(v, row))
         return v
 
-    def _reduce(self, v: Sequence[int]) -> IntRow:
-        """reduce() of an int row of the ambient length, unchecked and fraction-free.
+    def reduce(self, v: Sequence) -> Vector:
+        """Remainder of v after elimination against the RREF basis.
 
-        The remainder comes out times the product of the pivots, whatever v
-        is: a row whose pivot is not 1 scales v even where v[p] is 0.  So
-        _reduce is linear, and remainders of different vectors can be added.
+        _reduce of the smallest int multiple of v, divided back by that
+        multiple and by the product of the pivot entries.
+        """
+        v = self._vector(v)
+        scale = lcm(*(x.denominator for x in v))
+        scale *= prod(row[p] for p, row in zip(self.pivots, self.rows))
+        return tuple(Fraction(x, scale) for x in self._reduce(_integral(v)))
+
+    def _reduce(self, v: Sequence[int]) -> IntRow:
+        """The remainder of an int row of the ambient length, fraction-free and unchecked.
+
+        The remainder comes out times the product of the pivot entries,
+        whatever v is: a row whose pivot is not 1 scales v even where v[p]
+        is 0.  So _reduce is linear, and remainders of different vectors
+        can be added.
         """
         if not any(v):
             return tuple(v)
@@ -450,7 +453,7 @@ class Subspace:
         return tuple(v)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return not any(self._reduce(_integral(self._vector(v))))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -462,10 +465,21 @@ class Subspace:
         The coefficient of row r is v at pivot r, since every other row is
         zero there.
         """
-        v = vec(v)
+        v = self._vector(v)
         if not self.contains(v):
             return None
         return tuple(v[p] for p in self.pivots)
+
+    def is_invariant_under(self, m: Matrix) -> bool:
+        """Whether m @ v lies in this space for every v in it."""
+        n = self.ambient_dim
+        if (m.rows, m.cols) != (n, n):
+            raise AmbientMismatch("matrix does not act on the ambient space")
+        # the columns of m times one positive int, so every image is scaled alike
+        scaled = _integral(chain.from_iterable(m.entries))
+        columns = [scaled[j::n] for j in range(n)]
+        images = (_combination(r, columns, n) for r in self.rows)
+        return not any(any(self._reduce(image)) for image in images)
 
     # -- lattice operations ---------------------------------------------------
 

@@ -35,7 +35,7 @@ from .algebra import (
     radical,
     upper_central_series,
 )
-from .linalg import Matrix, Subspace, _combination, _integral
+from .linalg import Matrix, Subspace
 
 TRANSPORTER_COMPLETENESS_NOTE = (
     "transporter(i0, i1, i2) = {x in i0 : [x, i1] subset of i2} is evaluated "
@@ -91,15 +91,7 @@ def verify_megaideal(
     """
     ideal_ok = is_ideal(g, s)
     derivs = derivations(g) if derivs is None else derivs
-    n = g.dim
-
-    def images(d: Matrix):
-        # the columns of d times one positive int; D r is the sum of r_j D[:, j]
-        scaled = _integral(x for row in d.entries for x in row)
-        columns = [scaled[j::n] for j in range(n)]
-        return (_combination(r, columns, n) for r in s.rows)
-
-    deriv_ok = not any(any(s._reduce(v)) for d in derivs for v in images(d))
+    deriv_ok = all(s.is_invariant_under(d) for d in derivs)
     notes = ("derivation invariance is necessary, not sufficient",)
     return MegaidealVerdict(ideal_ok, deriv_ok, notes)
 

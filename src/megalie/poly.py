@@ -12,7 +12,12 @@ Grammar accepted by parse():
 
 with variable names matching [A-Za-z_][A-Za-z0-9_]* and rationals being
 digits ['/' digits].  Parentheses nest at most _MAX_NESTING deep, and no
-exponent, product or parsed polynomial has total degree above _MAX_DEGREE.
+exponent, product or parsed polynomial has total degree above MAX_DEGREE.
+
+The work of expanding products is bounded too.  A product of polynomials
+with a and b terms forms a*b term pairs; one parse, and one substitute_all
+call, forms at most _MAX_PAIRS of them in all.  So a short input can
+neither parse nor push forward into millions of terms.
 """
 
 from __future__ import annotations
@@ -35,6 +40,23 @@ class PolyError(ValueError):
         self.position = position
 
 
+class ExpansionError(ValueError):
+    """A substitution too large to expand or to read back.
+
+    It would form more than _MAX_PAIRS term pairs, or (in a push-forward)
+    give a polynomial of degree above MAX_DEGREE.
+    """
+
+
+# The shipped fixtures have degree at most 3.  Pushing a term of degree k
+# forward expands it into up to k + 1 terms or more, so k is bounded.
+MAX_DEGREE = 100
+# A product of Fraction terms costs several microseconds per term pair,
+# so this caps one parse or one substitution at about a second.  The test
+# suite and the benchmark workloads form fewer than 100 pairs per product.
+_MAX_PAIRS = 100_000
+
+
 Exponents = tuple[int, ...]
 
 
@@ -55,6 +77,25 @@ def _mul_terms(left: Terms, right: Terms) -> dict[Exponents, Fraction]:
             c = out.get(key)
             out[key] = c1 * c2 if c is None else c + c1 * c2
     return out
+
+
+def _nonzero(terms: Terms) -> dict[Exponents, Fraction]:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _power(terms: Terms, k: int, times=_mul_terms) -> Terms:
+    """terms^k for k >= 1 by repeated squaring: about 2*log2(k) products, never more than k.
+
+    Each product is times(left, right); cancelled terms are dropped after it.
+    """
+    result = None
+    while k:
+        if k & 1:
+            result = terms if result is None else _nonzero(times(result, terms))
+        k >>= 1
+        if k:
+            terms = _nonzero(times(terms, terms))
+    return result
 
 
 class Poly:
@@ -86,7 +127,7 @@ class Poly:
         """
         p = object.__new__(Poly)
         object.__setattr__(p, "variables", variables)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", _nonzero(terms))
         object.__setattr__(p, "_lead", None)
         return p
 
@@ -117,6 +158,10 @@ class Poly:
         return Poly(variables, {exps: Fraction(1)})
 
     # -- predicates ------------------------------------------------------------
+
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max(map(sum, self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -175,18 +220,11 @@ class Poly:
         return Poly._from_terms(self.variables, {e: q * c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
-        """By repeated squaring: about 2*log2(k) products, never more than k."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = None
-        square = self
-        while k:
-            if k & 1:
-                result = square if result is None else result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return Poly.const(self.variables, 1) if result is None else result
+        if k == 0:
+            return Poly.const(self.variables, 1)
+        return Poly._from_terms(self.variables, _power(self.terms, k))
 
     # -- calculus ----------------------------------------------------------
 
@@ -342,8 +380,21 @@ class Poly:
 
 
 def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[Poly]:
-    """[p.substitute(mapping) for p in polys], with one memo of image powers for all."""
-    powers: dict[tuple[int, int], dict[Exponents, Fraction]] = {}
+    """[p.substitute(mapping) for p in polys], with one memo of image powers for all.
+
+    Every product counts its term pairs before it is expanded; past
+    _MAX_PAIRS in all, ExpansionError is raised instead.
+    """
+    powers: dict[tuple[int, int], Terms] = {}
+    pairs = 0
+
+    def times(left: Terms, right: Terms) -> dict[Exponents, Fraction]:
+        nonlocal pairs
+        pairs += len(left) * len(right)
+        if pairs > _MAX_PAIRS:
+            raise ExpansionError(f"substitution expands past {_MAX_PAIRS} term pairs")
+        return _mul_terms(left, right)
+
     results = []
     for p in polys:
         if any(image.variables != p.variables for image in mapping.values()):
@@ -359,8 +410,8 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[P
                 e = exps[idx]
                 if e:
                     if (idx, e) not in powers:
-                        powers[idx, e] = (image**e).terms
-                    term = _mul_terms(term, powers[idx, e])
+                        powers[idx, e] = _power(image.terms, e, times)
+                    term = times(term, powers[idx, e])
             for key, c in term.items():
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
@@ -399,13 +450,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # Each parenthesis level costs three Python frames of the recursive descent.
 _MAX_NESTING = 100
-# The shipped fixtures have degree at most 3.  Pushing a term of degree k
-# forward expands it into up to k + 1 terms or more, so k is bounded.
-_MAX_DEGREE = 100
-
-
-def _degree(p: Poly) -> int:
-    return max(map(sum, p.terms), default=0)
 
 
 class _Parser:
@@ -414,6 +458,7 @@ class _Parser:
         self.variables = tuple(variables)
         self.index = 0
         self.depth = 0
+        self.pairs = 0  # term pairs of the products expanded so far
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -455,8 +500,11 @@ class _Parser:
                 self.advance()
                 factor = self.parse_factor()
                 # deg(pq) = deg p + deg q over the rationals; checked before expanding
-                if _degree(result) + _degree(factor) > _MAX_DEGREE:
-                    raise PolyError(f"degree above {_MAX_DEGREE}", pos)
+                if result.degree() + factor.degree() > MAX_DEGREE:
+                    raise PolyError(f"degree above {MAX_DEGREE}", pos)
+                self.pairs += len(result.terms) * len(factor.terms)
+                if self.pairs > _MAX_PAIRS:
+                    raise PolyError(f"products expand past {_MAX_PAIRS} term pairs", pos)
                 result = result * factor
             else:
                 return result
@@ -480,8 +528,8 @@ class _Parser:
                 if kind3 != "rational" or "/" in value3:
                     raise PolyError("exponent must be an unsigned integer", pos3)
                 # the length test keeps int() off digit strings past its limit
-                if len(value3.lstrip("0")) > len(str(_MAX_DEGREE)) or int(value3) > _MAX_DEGREE:
-                    raise PolyError(f"degree above {_MAX_DEGREE}", pos3)
+                if len(value3.lstrip("0")) > len(str(MAX_DEGREE)) or int(value3) > MAX_DEGREE:
+                    raise PolyError(f"degree above {MAX_DEGREE}", pos3)
                 return base ** int(value3)
             return base
         if kind == "op" and value == "(":

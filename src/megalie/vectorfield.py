@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, algebra_from_brackets, validate
 from .linalg import Matrix, format_rat, rat, solve as linear_solve
-from .poly import Exponents, Poly, parse_poly, substitute_all
+from .poly import MAX_DEGREE, ExpansionError, Exponents, Poly, parse_poly, substitute_all
 
 FAMILY_VARIABLES = ("t", "x", "u", "u_x", "f", "g")
 
@@ -339,6 +339,9 @@ def pushforward(pm: PointMap, q: PolyVectorField) -> PolyVectorField:
     totals = {name: q.apply_to(pm.forward[name]) for name in pm.variables}
     names = [name for name, total in totals.items() if not total.is_zero()]
     images = substitute_all([totals[name] for name in names], pm.inverse)
+    # past the parser's bound the result could not be read back in
+    if any(image.degree() > MAX_DEGREE for image in images):
+        raise ExpansionError(f"push-forward of degree above {MAX_DEGREE}")
     return PolyVectorField(pm.variables, dict(zip(names, images)))
 
 

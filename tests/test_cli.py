@@ -438,6 +438,41 @@ class TestMalformedInputs:
         assert time.perf_counter() - started < 0.5
         assert (code, err) == (2, f"error: {path}: degree above 100 (at position 2)\n")
 
+    def test_large_pushforward_exit_2(self, fixtures_dir, tmp_path, capsys):
+        # (t - x - u - u_x - f - g)^100 has about 10^8 terms
+        family = json.loads((fixtures_dir / "wave_eq_family.json").read_text(encoding="utf-8"))
+        variables = family["variables"]
+        shear = {
+            "variables": variables,
+            "forward": {"t": "t + x + u + u_x + f + g"},
+            "inverse": {"t": "t - x - u - u_x - f - g"},
+        }
+        map_path = tmp_path / "shear.json"
+        map_path.write_text(json.dumps(shear), encoding="utf-8")
+        path = tmp_path / "fields.json"
+        fields = [{"name": "A", "components": {"t": "t^100"}}] + family["fields"]
+        path.write_text(json.dumps({"variables": variables, "fields": fields}), encoding="utf-8")
+        started = time.perf_counter()
+        code, err = self.main(capsys, "vf", "pushforward", path, map_path)
+        assert time.perf_counter() - started < 0.5
+        assert (code, err) == (
+            2,
+            f"error: {path} under {map_path}: substitution expands past 100000 term pairs\n",
+        )
+        # the family itself pushes forward under the shear
+        code, _ = self.main(capsys, "vf", "pushforward", fixtures_dir / "wave_eq_family.json", map_path)
+        assert code == 0
+
+    def test_pushforward_past_the_degree_bound_exit_2(self, fixtures_dir, tmp_path, capsys):
+        # u -> u - x^2 turns u^100 into a polynomial of degree 200, which no parse reads back
+        ugauge = fixtures_dir / "maps" / "ugauge.json"
+        variables = json.loads(ugauge.read_text(encoding="utf-8"))["variables"]
+        path = tmp_path / "fields.json"
+        data = {"variables": variables, "fields": [{"name": "A", "components": {"u": "u^100"}}]}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, err = self.main(capsys, "vf", "pushforward", path, ugauge)
+        assert (code, err) == (2, f"error: {path} under {ugauge}: push-forward of degree above 100\n")
+
     @pytest.mark.parametrize("command", [["validate"], ["vf", "bracket-table"]])
     def test_deep_json_exit_2(self, command, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -5,8 +5,10 @@ values: non-ASCII digit strings, deeply nested parentheses, basis and
 variable names, powers and products of any degree, and JSON nested far
 past the decoder's recursion limit.  Whatever the input, `validate`,
 `vf bracket-table` and `vf pushforward` answer with a documented exit code
-(0-3) and never report an internal error.  The parser's degree bound keeps
-every push-forward of a mutated field cheap.
+(0-3) and never report an internal error.  The parser's degree and
+expansion bounds and the work bound on substitutions keep every parse and
+every push-forward of a mutated input cheap, under the shipped maps and
+under an affine shear that mixes all six variables.
 """
 
 import contextlib
@@ -30,7 +32,12 @@ def load(name):
 
 ALGEBRA = load("m5.json")
 FIELDS = load("wave_eq_family.json")
-MAPS = [load(f"maps/{name}.json") for name in ("tshift", "uscale", "ugauge")]
+SHEAR = {
+    "variables": FIELDS["variables"],
+    "forward": {"t": "t + x + u + u_x + f + g"},
+    "inverse": {"t": "t - x - u - u_x - f - g"},
+}
+MAPS = [load(f"maps/{name}.json") for name in ("tshift", "uscale", "ugauge")] + [SHEAR]
 
 NAMES = ALGEBRA["basis"] + FIELDS["variables"] + ["0", "4", "5"]
 # non-ASCII digits and parentheses nested past any reasonable depth

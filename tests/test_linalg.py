@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from megalie import linalg
 from megalie.linalg import AmbientMismatch, Matrix, Subspace, kernel, rat
 
 
@@ -123,19 +124,23 @@ class TestCanonicalForm:
 
     def test_spanned_by_reduces_once(self, monkeypatch):
         calls = []
-        original = Matrix.rref_with_pivots
+        original = linalg._echelon
 
-        def counting(self):
-            calls.append(self.rows)
-            return original(self)
+        def counting(rows, cols):
+            rows = list(rows)
+            calls.append(len(rows))
+            return original(rows, cols)
 
-        monkeypatch.setattr(Matrix, "rref_with_pivots", counting)
+        monkeypatch.setattr(linalg, "_echelon", counting)
         s = Subspace.spanned_by(4, [[1, 2, 0, 0], [2, 4, 1, 0], [0, 0, 3, 0]])
-        assert len(calls) == 1
+        assert calls == [3]
         renamed = s.with_provenance("renamed")
         s.reduce([1, 1, 1, 1])
+        s.contains([1, 1, 1, 1])
         s.coordinates([1, 2, 1, 0])
-        assert len(calls) == 1
+        assert calls == [3]
+        # membership and remainders run on the int rows; the Fraction basis stays unbuilt
+        assert s._basis is None
         assert renamed == s and renamed.pivots == s.pivots == (0, 2)
         assert renamed.provenance == "renamed" and s.provenance == ""
 
@@ -416,3 +421,23 @@ class TestIntegerCoreAgainstReference:
         got = s.where_zero(images, provenance="cut")
         assert got.basis == Matrix._from_rows(basis, cols) and got.pivots == pivots
         assert got == Subspace.spanned_by(cols, basis) and got.provenance == "cut"
+
+    @given(rational_spaces(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_is_invariant_under(self, space, data):
+        cols, rows = space
+        entries = st.lists(st.lists(rational, min_size=cols, max_size=cols), min_size=cols, max_size=cols)
+        m = Matrix(data.draw(entries))
+        basis, pivots = reference_rref(rows, cols)
+        images = (m.matvec(row) for row in basis)
+        expected = not any(any(reference_reduce(basis, pivots, image)) for image in images)
+        assert Subspace.spanned_by(cols, rows).is_invariant_under(m) == expected
+        # P B P^-1 keeps the span of P's first k columns when B keeps that of e_0 .. e_k-1
+        k = data.draw(st.integers(0, cols))
+        block = [[data.draw(rational) if i < k or j >= k else 0 for j in range(cols)] for i in range(cols)]
+        unit_lower = [[data.draw(rational) if i > j else int(i == j) for j in range(cols)] for i in range(cols)]
+        block, p = Matrix(block), Matrix(unit_lower)
+        first_columns = p.transpose().entries[:k]
+        assert Subspace.spanned_by(cols, first_columns).is_invariant_under(p @ block @ p.inverse())
+        with pytest.raises(AmbientMismatch):
+            Subspace.full(cols + 1).is_invariant_under(m)

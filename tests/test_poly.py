@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from megalie.poly import Poly, PolyError, parse_poly
+from megalie.poly import ExpansionError, Poly, PolyError, parse_poly, substitute_all
 
 VARS = ("x", "y", "z")
 
@@ -71,6 +71,26 @@ class TestParse:
             with pytest.raises(PolyError, match="degree above 100") as info:
                 P(text)
             assert info.value.position == position
+
+    def test_product_expansion_is_bounded(self):
+        # the 26th product passes 10^5 term pairs in all; the degree stays far below 100
+        factor = "(x + y + z + 1)"
+        assert len(P("*".join([factor] * 20)).terms) == 1771
+        with pytest.raises(PolyError, match="products expand past 100000 term pairs") as info:
+            P("*".join([factor] * 40))
+        assert info.value.position == 26 * (len(factor) + 1) - 1
+
+    def test_substitution_expansion_is_bounded(self):
+        mapping = {"x": P("x + y + z + 1")}
+        assert P("x^12").substitute(mapping) == mapping["x"] ** 12
+        with pytest.raises(ExpansionError, match="substitution expands past 100000 term pairs"):
+            P("x^100").substitute(mapping)
+        # the bound counts every product of one substitute_all call
+        polys = [P("x^16"), P("x^17"), P("x^18")]
+        for p in polys:
+            p.substitute(mapping)  # 30000 to 40000 pairs each
+        with pytest.raises(ExpansionError):
+            substitute_all(polys, mapping)
 
     @pytest.mark.parametrize("text", ["٣", "x + ٣", "x^٣", "1/٣", "²"])
     def test_only_ascii_digits(self, text):
