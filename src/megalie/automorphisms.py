@@ -186,9 +186,6 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
     )
 
 
-_PLUS_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
 def _symbolic_det(entries: list[list[Poly]], variables: tuple[str, ...]) -> Poly:
     """Determinant of a block of zeros and unknowns, one term per permutation.
 
@@ -199,7 +196,7 @@ def _symbolic_det(entries: list[list[Poly]], variables: tuple[str, ...]) -> Poly
     """
     # positions[i][j]: index in `variables` of the unknown at (i, j), None for zero
     positions = [[_unknown_index(entry, variables) for entry in row] for row in entries]
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     cols = tuple(range(len(entries)))
     _add_permutation_terms(positions, 0, cols, 1, [0] * len(variables), terms)
     return Poly._from_terms(variables, terms)
@@ -228,9 +225,8 @@ def _add_permutation_terms(positions, row, cols, sign, exps, terms) -> None:
     """
     if row == len(positions):
         key = tuple(exps)
-        one = _PLUS_ONE if sign > 0 else _MINUS_ONE
         c = terms.get(key)
-        terms[key] = one if c is None else c + one
+        terms[key] = sign if c is None else c + sign
         return
     for pos, col in enumerate(cols):
         index = positions[row][col]
@@ -328,7 +324,7 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
                     if name is None:
                         continue
                     exps = _variable_exps(variables, {name: 1})
-                    terms[exps] = terms.get(exps, Fraction(0)) + coeff
+                    terms[exps] = terms.get(exps, 0) + coeff
                 for p, q, coeff in component[m]:
                     name_p, name_q = shape.pattern[p][i], shape.pattern[q][j]
                     if name_p is None or name_q is None:
@@ -336,7 +332,7 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
                     counts = {name_p: 1}
                     counts[name_q] = counts.get(name_q, 0) + 1
                     exps = _variable_exps(variables, counts)
-                    terms[exps] = terms.get(exps, Fraction(0)) - coeff
+                    terms[exps] = terms.get(exps, 0) - coeff
                 poly = Poly(variables, terms).content_normalized()
                 if not poly.is_zero():
                     equations.setdefault(poly)
@@ -429,16 +425,23 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
                     "divided_by": coeff.content_normalized().to_str(),
                 }
             )
+        # Only polynomials that mention the unknown change; the equations are
+        # content-normalized already, so the others are kept as they are.
         substitution = {name: solution}
-        assignments = {key: value.substitute(substitution) for key, value in assignments.items()}
+        assignments = {
+            key: value.substitute(substitution) if value.mentions(name) else value
+            for key, value in assignments.items()
+        }
         assignments[name] = solution
         new_equations = []
         for pos, other in enumerate(equations):
             if pos == index:
                 continue
-            reduced = other.substitute(substitution).content_normalized()
-            if not reduced.is_zero():
-                new_equations.append(reduced)
+            if other.mentions(name):
+                other = other.substitute(substitution).content_normalized()
+                if other.is_zero():
+                    continue
+            new_equations.append(other)
         equations = new_equations
     free = tuple(name for name in shape.unknowns if name not in assignments)
     residual = tuple(dict.fromkeys(equations))  # deduplicated, in order
@@ -495,12 +498,12 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
         raise ValueError("subspace has wrong ambient dimension")
     entries = param.matrix_entries()
     for v in s.basis.entries:
-        by_monomial: dict[tuple[int, ...], list[Fraction]] = {}
+        by_monomial: dict[tuple[int, ...], list] = {}
         for i in range(n):
             for j in range(n):
                 if v[j] != 0:
                     for exps, coeff in entries[i][j].terms.items():
-                        by_monomial.setdefault(exps, [Fraction(0)] * n)[i] += coeff * v[j]
+                        by_monomial.setdefault(exps, [0] * n)[i] += coeff * v[j]
         if not all(s.contains(column) for column in by_monomial.values()):
             return False
     return True

@@ -207,7 +207,12 @@ def _cmd_vf_bracket_table(args) -> int:
         for j in range(i + 1, len(named_fields)):
             left_name, left = named_fields[i]
             right_name, right = named_fields[j]
-            br = lie_bracket(left, right)
+            try:
+                br = lie_bracket(left, right)
+            except ExpansionError as exc:
+                raise CliError(
+                    EXIT_FORMAT, f"{args.file}: [{left_name},{right_name}]: {exc}"
+                ) from exc
             entries.append(
                 {
                     "left": left_name,
@@ -231,6 +236,8 @@ def _cmd_vf_extract(args) -> int:
     name = args.name if args.name else ",".join(n for n, _ in chosen)
     try:
         algebra = extract_structure(chosen, name=name)
+    except ExpansionError as exc:
+        raise CliError(EXIT_FORMAT, f"{args.file}: {exc}") from exc
     except NotClosed as exc:
         detail = {
             "error": "NotClosed",

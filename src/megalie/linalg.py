@@ -63,8 +63,8 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def format_rat(q: Fraction) -> str:
-    # Fraction.__str__ is 'p/q' or 'p', which is exactly the literal grammar.
+def format_rat(q: int | Fraction) -> str:
+    # str of an int or a Fraction is 'p/q' or 'p', which is exactly the literal grammar.
     return str(q)
 
 

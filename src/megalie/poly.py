@@ -1,8 +1,14 @@
 """Exact multivariate polynomials over the rationals.
 
 Terms are stored sparsely as {exponent tuple: coefficient} over a fixed,
-ordered variable list.  Printing uses the graded lexicographic order and
-produces strings that re-parse to the same polynomial.
+ordered variable list.  A coefficient is a Python int when it is integral
+and a Fraction only where a denominator survives, so polynomials with
+integer coefficients (the wave-equation fields and maps, the structure
+equations) run on int arithmetic alone.  An int and a Fraction of equal
+value compare and hash alike, so equality, hashing and printing do not
+depend on which one is stored; no float ever enters.  Printing uses the
+graded lexicographic order and produces strings that re-parse to the same
+polynomial.
 
 Grammar accepted by parse():
 
@@ -15,9 +21,10 @@ digits ['/' digits].  Parentheses nest at most _MAX_NESTING deep, and no
 exponent, product or parsed polynomial has total degree above MAX_DEGREE.
 
 The work of expanding products is bounded too.  A product of polynomials
-with a and b terms forms a*b term pairs; one parse, and one substitute_all
-call, forms at most _MAX_PAIRS of them in all.  So a short input can
-neither parse nor push forward into millions of terms.
+with a and b terms forms a*b term pairs; one parse, one substitute_all
+call, and one Lie bracket of vector fields (src/megalie/vectorfield.py)
+forms at most MAX_PAIRS of them in all.  So a short input can neither
+parse, bracket nor push forward into millions of terms.
 """
 
 from __future__ import annotations
@@ -41,20 +48,21 @@ class PolyError(ValueError):
 
 
 class ExpansionError(ValueError):
-    """A substitution too large to expand or to read back.
+    """A substitution or bracket too large to expand or to read back.
 
-    It would form more than _MAX_PAIRS term pairs, or (in a push-forward)
-    give a polynomial of degree above MAX_DEGREE.
+    It would form more than MAX_PAIRS term pairs, or (in a push-forward or
+    a bracket) give a polynomial of degree above MAX_DEGREE.
     """
 
 
 # The shipped fixtures have degree at most 3.  Pushing a term of degree k
 # forward expands it into up to k + 1 terms or more, so k is bounded.
 MAX_DEGREE = 100
-# A product of Fraction terms costs several microseconds per term pair,
-# so this caps one parse or one substitution at about a second.  The test
-# suite and the benchmark workloads form fewer than 100 pairs per product.
-_MAX_PAIRS = 100_000
+# A product of rational terms costs up to several microseconds per term
+# pair, so this caps one parse, substitution or bracket at about a second.
+# The test suite and the benchmark workloads form fewer than 100 pairs per
+# product.
+MAX_PAIRS = 100_000
 
 
 Exponents = tuple[int, ...]
@@ -65,12 +73,25 @@ def _monomial_sort_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-Terms = Mapping[Exponents, Fraction]
+# An int when integral, else a Fraction; equal values compare and hash alike.
+Coefficient = int | Fraction
+Terms = Mapping[Exponents, Coefficient]
 
 
-def _mul_terms(left: Terms, right: Terms) -> dict[Exponents, Fraction]:
+def _coefficient(value) -> Coefficient:
+    """An int, Fraction or other rational as a coefficient: an int when integral.
+
+    A bool becomes 0 or 1.
+    """
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _mul_terms(left: Terms, right: Terms) -> dict[Exponents, Coefficient]:
     """Product of two term dicts; cancelled terms stay in as zero coefficients."""
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Coefficient] = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             key = tuple(map(operator.add, e1, e2))
@@ -79,8 +100,13 @@ def _mul_terms(left: Terms, right: Terms) -> dict[Exponents, Fraction]:
     return out
 
 
-def _nonzero(terms: Terms) -> dict[Exponents, Fraction]:
-    return {e: c for e, c in terms.items() if c}
+def _nonzero(terms: Terms) -> dict[Exponents, Coefficient]:
+    """The nonzero terms, an integral Fraction (say 1/2 + 1/2) turned into its int."""
+    return {
+        e: c if type(c) is int or c.denominator != 1 else c.numerator
+        for e, c in terms.items()
+        if c
+    }
 
 
 def _power(terms: Terms, k: int, times=_mul_terms) -> Terms:
@@ -103,15 +129,15 @@ class Poly:
 
     __slots__ = ("variables", "terms", "_lead")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Coefficient] | None = None):
         object.__setattr__(self, "variables", tuple(variables))
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         if terms:
             width = len(self.variables)
             for exps, coeff in terms.items():
                 if len(exps) != width:
                     raise ValueError("exponent tuple width does not match variables")
-                coeff = Fraction(coeff)
+                coeff = _coefficient(coeff)
                 if coeff != 0:
                     clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
@@ -122,8 +148,9 @@ class Poly:
         """Trusted constructor for code that built the term dict itself.
 
         The keys must already be exponent tuples as wide as `variables` and
-        the values Fractions; zero coefficients are dropped, nothing else is
-        checked or coerced.  Outside input goes through Poly(...).
+        the values ints or Fractions; zero coefficients are dropped and an
+        integral Fraction becomes its int, nothing else is checked or
+        coerced.  Outside input goes through Poly(...).
         """
         p = object.__new__(Poly)
         object.__setattr__(p, "variables", variables)
@@ -142,10 +169,8 @@ class Poly:
 
     @staticmethod
     def const(variables: Sequence[str], value) -> "Poly":
-        value = Fraction(value)
-        if value == 0:
-            return Poly(variables)
-        return Poly(variables, {(0,) * len(tuple(variables)): value})
+        variables = tuple(variables)
+        return Poly(variables, {(0,) * len(variables): value})
 
     @staticmethod
     def var(variables: Sequence[str], name: str) -> "Poly":
@@ -155,7 +180,7 @@ class Poly:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return Poly(variables, {exps: Fraction(1)})
+        return Poly(variables, {exps: 1})
 
     # -- predicates ------------------------------------------------------------
 
@@ -172,7 +197,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self.terms.get((0,) * len(self.variables), 0))
 
     def mentions(self, name: str) -> bool:
         idx = self.variables.index(name)
@@ -216,7 +241,7 @@ class Poly:
         return Poly._from_terms(self.variables, _mul_terms(self.terms, other.terms))
 
     def scaled(self, q) -> "Poly":
-        q = Fraction(q)
+        q = _coefficient(q)
         return Poly._from_terms(self.variables, {e: q * c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
@@ -230,7 +255,7 @@ class Poly:
 
     def derivative(self, name: str) -> "Poly":
         idx = self.variables.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, coeff in self.terms.items():
             e = exps[idx]
             if e:
@@ -266,7 +291,7 @@ class Poly:
                 positions.append(variables.index(name))
             except ValueError:
                 raise ValueError(f"target variables are missing {name!r}") from None
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, coeff in self.terms.items():
             key = [0] * len(variables)
             for pos, e in zip(positions, exps):
@@ -276,7 +301,7 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
-    def leading_term(self) -> tuple[Exponents, Fraction]:
+    def leading_term(self) -> tuple[Exponents, Coefficient]:
         """Graded-lex leading (exponents, coefficient); scanned once, then cached."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -291,8 +316,8 @@ class Poly:
         Returns (coeff, rest), both free of the variable, or None.
         """
         idx = self.variables.index(name)
-        coeff: dict[Exponents, Fraction] = {}
-        rest: dict[Exponents, Fraction] = {}
+        coeff: dict[Exponents, Coefficient] = {}
+        rest: dict[Exponents, Coefficient] = {}
         saw_linear = False
         for exps, c in self.terms.items():
             e = exps[idx]
@@ -323,7 +348,8 @@ class Poly:
             diff = tuple(a - b for a, b in zip(r_exps, lead_exps))
             if any(d < 0 for d in diff):
                 return None
-            factor = Poly(self.variables, {diff: r_coeff / lead_coeff})
+            # Fraction(a, b), not a / b: two ints would divide into a float
+            factor = Poly(self.variables, {diff: Fraction(r_coeff, lead_coeff)})
             quotient = quotient + factor
             remainder = remainder - factor * divisor
         return quotient
@@ -383,16 +409,16 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[P
     """[p.substitute(mapping) for p in polys], with one memo of image powers for all.
 
     Every product counts its term pairs before it is expanded; past
-    _MAX_PAIRS in all, ExpansionError is raised instead.
+    MAX_PAIRS in all, ExpansionError is raised instead.
     """
     powers: dict[tuple[int, int], Terms] = {}
     pairs = 0
 
-    def times(left: Terms, right: Terms) -> dict[Exponents, Fraction]:
+    def times(left: Terms, right: Terms) -> dict[Exponents, Coefficient]:
         nonlocal pairs
         pairs += len(left) * len(right)
-        if pairs > _MAX_PAIRS:
-            raise ExpansionError(f"substitution expands past {_MAX_PAIRS} term pairs")
+        if pairs > MAX_PAIRS:
+            raise ExpansionError(f"substitution expands past {MAX_PAIRS} term pairs")
         return _mul_terms(left, right)
 
     results = []
@@ -400,7 +426,7 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[P
         if any(image.variables != p.variables for image in mapping.values()):
             raise ValueError("substitution images must be over the polynomial's variables")
         mapped = [(idx, mapping[name]) for idx, name in enumerate(p.variables) if name in mapping]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for exps, coeff in p.terms.items():
             kept = list(exps)
             for idx, _ in mapped:
@@ -503,8 +529,8 @@ class _Parser:
                 if result.degree() + factor.degree() > MAX_DEGREE:
                     raise PolyError(f"degree above {MAX_DEGREE}", pos)
                 self.pairs += len(result.terms) * len(factor.terms)
-                if self.pairs > _MAX_PAIRS:
-                    raise PolyError(f"products expand past {_MAX_PAIRS} term pairs", pos)
+                if self.pairs > MAX_PAIRS:
+                    raise PolyError(f"products expand past {MAX_PAIRS} term pairs", pos)
                 result = result * factor
             else:
                 return result
@@ -515,7 +541,7 @@ class _Parser:
             num, _, den = value.partition("/")
             if den and int(den) == 0:
                 raise PolyError("zero denominator", pos)
-            q = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            q = Fraction(int(num), int(den)) if den else int(num)
             return Poly.const(self.variables, q)
         if kind == "name":
             if value not in self.variables:

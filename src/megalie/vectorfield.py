@@ -17,7 +17,16 @@ from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, algebra_from_brackets, validate
 from .linalg import Matrix, format_rat, rat, solve as linear_solve
-from .poly import MAX_DEGREE, ExpansionError, Exponents, Poly, parse_poly, substitute_all
+from .poly import (
+    MAX_DEGREE,
+    MAX_PAIRS,
+    Coefficient,
+    ExpansionError,
+    Exponents,
+    Poly,
+    parse_poly,
+    substitute_all,
+)
 
 FAMILY_VARIABLES = ("t", "x", "u", "u_x", "f", "g")
 
@@ -86,15 +95,27 @@ class PolyVectorField:
         """Directional derivative Q(h) = sum_v component_v * dh/dv."""
         if h.variables != self.variables:
             h = h.lift(self.variables)
-        return Poly._from_terms(self.variables, self._add_applied({}, h, 1))
+        terms: dict[Exponents, Coefficient] = {}
+        self._add_applied(terms, h, 1)
+        return Poly._from_terms(self.variables, terms)
 
-    def _add_applied(self, out: dict[Exponents, Fraction], h: Poly, sign: int) -> dict:
-        """Add sign * Q(h) into the term dict `out` and return it.
+    def _add_applied(
+        self, out: dict[Exponents, Coefficient], h: Poly, sign: int, pairs: int = 0
+    ) -> int:
+        """Add sign * Q(h) into the term dict `out`; return pairs plus the pairs formed.
 
         Each product term goes straight into `out`; h must be over
         self.variables.  No derivative, product or sum polynomial is built,
-        and cancelled terms stay in `out` as zeros.
+        and cancelled terms stay in `out` as zeros.  The term pairs of h
+        and each component are counted onto `pairs` before anything is
+        expanded; past MAX_PAIRS, ExpansionError is raised instead.
         """
+        for p in self.components.values():
+            pairs += len(h.terms) * len(p.terms)
+        if pairs > MAX_PAIRS:
+            raise ExpansionError(
+                f"derivative along a field expands past {MAX_PAIRS} term pairs"
+            )
         for name, p in self.components.items():
             idx = self.variables.index(name)
             for exps, coeff in h.terms.items():
@@ -107,7 +128,7 @@ class PolyVectorField:
                     key = tuple(map(operator.add, pe, lowered))
                     c = out.get(key)
                     out[key] = pc * d if c is None else c + pc * d
-        return out
+        return pairs
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         if self.variables != other.variables:
@@ -118,29 +139,38 @@ class PolyVectorField:
         return PolyVectorField(self.variables, merged)
 
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return self + other.scaled(Fraction(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, q) -> "PolyVectorField":
-        q = Fraction(rat(q))
+        q = rat(q)
         return PolyVectorField(
             self.variables, {name: p.scaled(q) for name, p in self.components.items()}
         )
 
 
 def lie_bracket(q1: PolyVectorField, q2: PolyVectorField) -> PolyVectorField:
-    """[Q1, Q2]^i = Q1(Q2^i) - Q2(Q1^i), exactly."""
+    """[Q1, Q2]^i = Q1(Q2^i) - Q2(Q1^i), exactly.
+
+    Raises ExpansionError when the bracket would form more than MAX_PAIRS
+    term pairs in all, or has a degree above MAX_DEGREE (no parse could
+    read it back).
+    """
     if q1.variables != q2.variables:
         raise ValueError("fields over different variable lists")
     components = {}
+    pairs = 0
     for name in q1.variables:
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Coefficient] = {}
         if name in q2.components:
-            q1._add_applied(terms, q2.components[name], 1)
+            pairs = q1._add_applied(terms, q2.components[name], 1, pairs)
         if name in q1.components:
-            q2._add_applied(terms, q1.components[name], -1)
+            pairs = q2._add_applied(terms, q1.components[name], -1, pairs)
         p = Poly._from_terms(q1.variables, terms)
-        if not p.is_zero():
-            components[name] = p
+        if p.is_zero():
+            continue
+        if p.degree() > MAX_DEGREE:
+            raise ExpansionError(f"bracket of degree above {MAX_DEGREE}")
+        components[name] = p
     return PolyVectorField(q1.variables, components)
 
 

@@ -473,6 +473,45 @@ class TestMalformedInputs:
         code, err = self.main(capsys, "vf", "pushforward", path, ugauge)
         assert (code, err) == (2, f"error: {path} under {ugauge}: push-forward of degree above 100\n")
 
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [(["vf", "bracket-table"], "[A,B]: "), (["vf", "extract"], "")],
+    )
+    def test_large_bracket_exit_2(self, command, prefix, fixtures_dir, tmp_path, capsys):
+        # every component expands to 792 terms, well inside the parse budget;
+        # one bracket would form 6 * 792 * 792 term pairs per component
+        variables = json.loads((fixtures_dir / "wave_eq_family.json").read_text(encoding="utf-8"))[
+            "variables"
+        ]
+        product = "*".join(["(t + x + u + u_x + f + g)"] * 7)
+        fields = [
+            {"name": name, "components": {v: product for v in variables}} for name in ("A", "B")
+        ]
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps({"variables": variables, "fields": fields}), encoding="utf-8")
+        started = time.perf_counter()
+        code, err = self.main(capsys, *command, path)
+        assert time.perf_counter() - started < 0.5
+        assert (code, err) == (
+            2,
+            f"error: {path}: {prefix}derivative along a field expands past 100000 term pairs\n",
+        )
+
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [(["vf", "bracket-table"], "[A,B]: "), (["vf", "extract"], "")],
+    )
+    def test_bracket_past_the_degree_bound_exit_2(self, command, prefix, tmp_path, capsys):
+        # [t^100 dt, t^2 dt] = -98 t^101 dt, which no parse reads back
+        path = tmp_path / "fields.json"
+        fields = [
+            {"name": "A", "components": {"t": "t^100"}},
+            {"name": "B", "components": {"t": "t^2"}},
+        ]
+        path.write_text(json.dumps({"variables": ["t"], "fields": fields}), encoding="utf-8")
+        code, err = self.main(capsys, *command, path)
+        assert (code, err) == (2, f"error: {path}: {prefix}bracket of degree above 100\n")
+
     @pytest.mark.parametrize("command", [["validate"], ["vf", "bracket-table"]])
     def test_deep_json_exit_2(self, command, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -252,3 +253,181 @@ class TestProperties:
         lhs = (a * b).derivative("x")
         rhs = a.derivative("x") * b + a * b.derivative("x")
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Coefficients are ints where integral and Fractions only where a denominator
+# survives.  The reference below is the all-Fraction arithmetic of the
+# polynomial core on plain {exponents: Fraction} dicts, with `/` for division.
+
+
+def ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_scaled(a, q):
+    return ref_clean({e: Fraction(q) * c for e, c in a.items()})
+
+
+def ref_derivative(a, idx):
+    out = {}
+    for e, c in a.items():
+        if e[idx]:
+            out[e[:idx] + (e[idx] - 1,) + e[idx + 1 :]] = c * e[idx]
+    return ref_clean(out)
+
+
+def ref_substitute(a, images):
+    """images: {variable index: reference terms}."""
+    out = {}
+    for e, c in a.items():
+        term = {tuple(0 if i in images else x for i, x in enumerate(e)): c}
+        for idx, image in images.items():
+            for _ in range(e[idx]):
+                term = ref_mul(term, image)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_lead(a):
+    e = max(a, key=lambda e: (sum(e), e))
+    return e, a[e]
+
+
+def ref_exact_div(a, b):
+    if all(sum(e) == 0 for e in b):
+        return ref_scaled(a, 1 / b[(0,) * len(VARS)])
+    quotient, remainder = {}, dict(a)
+    lead_e, lead_c = ref_lead(b)
+    while remainder:
+        r_e, r_c = ref_lead(remainder)
+        diff = tuple(x - y for x, y in zip(r_e, lead_e))
+        if any(d < 0 for d in diff):
+            return None
+        step = {diff: r_c / lead_c}
+        quotient = ref_add(quotient, step)
+        remainder = ref_add(remainder, ref_mul(step, b), -1)
+    return quotient
+
+
+def ref_content_normalized(a):
+    if not a:
+        return a
+    scale = Fraction(
+        lcm(*(c.denominator for c in a.values())), gcd(*(c.numerator for c in a.values()))
+    )
+    return ref_scaled(a, scale if ref_lead(a)[1] > 0 else -scale)
+
+
+def fraction_poly(terms):
+    """A Poly holding the reference terms as they are, every coefficient a Fraction."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "variables", VARS)
+    object.__setattr__(p, "terms", dict(terms))
+    object.__setattr__(p, "_lead", None)
+    return p
+
+
+def assert_matches(result, reference):
+    for c in result.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    expected = fraction_poly(reference)
+    assert all(type(c) is Fraction for c in expected.terms.values())
+    assert result.terms == expected.terms
+    assert result == expected
+    assert result.to_str() == expected.to_str()
+    assert hash(result) == hash(expected)
+
+
+def term_text(e, c):
+    factors = [f"{name}^{k}" for name, k in zip(VARS, e) if k]
+    return "*".join([f"({c})" if c < 0 else str(c)] + factors)
+
+
+# ints (some past the range of a float), rationals with a denominator, and
+# integral Fractions such as 4/2
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    coeffs,
+    st.builds(Fraction, st.integers(min_value=-12, max_value=12), st.sampled_from([1, 2, 3])),
+)
+mixed_terms = st.dictionaries(exponent_tuples, mixed_coeffs, max_size=5)
+int_terms = st.dictionaries(
+    exponent_tuples, st.integers(min_value=-5, max_value=5), min_size=1, max_size=4
+).filter(lambda d: any(d.values()))
+
+
+class TestIntegerCoefficientsAgainstReference:
+    @given(mixed_terms)
+    @settings(max_examples=80, deadline=None)
+    def test_construct_and_parse(self, terms):
+        reference = ref_clean(terms)
+        assert_matches(Poly(VARS, terms), reference)
+        text = " + ".join(term_text(e, Fraction(c)) for e, c in terms.items()) or "0"
+        assert_matches(parse_poly(text, VARS), reference)
+        assert_matches(parse_poly(Poly(VARS, terms).to_str(), VARS), reference)
+
+    @given(mixed_terms, mixed_terms, mixed_coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic(self, a, b, q):
+        pa, pb = Poly(VARS, a), Poly(VARS, b)
+        ra, rb = ref_clean(a), ref_clean(b)
+        assert_matches(pa + pb, ref_add(ra, rb))
+        assert_matches(pa - pb, ref_add(ra, rb, -1))
+        assert_matches(-pa, ref_scaled(ra, -1))
+        assert_matches(pa * pb, ref_mul(ra, rb))
+        assert_matches(pa.scaled(q), ref_scaled(ra, q))
+        for idx, name in enumerate(VARS):
+            assert_matches(pa.derivative(name), ref_derivative(ra, idx))
+        assert_matches(pa.content_normalized(), ref_content_normalized(ra))
+
+    @given(mixed_terms, mixed_terms, mixed_terms)
+    @settings(max_examples=60, deadline=None)
+    def test_substitute(self, a, x_image, z_image):
+        images = {0: ref_clean(x_image), 2: ref_clean(z_image)}
+        mapping = {"x": Poly(VARS, x_image), "z": Poly(VARS, z_image)}
+        assert_matches(Poly(VARS, a).substitute(mapping), ref_substitute(ref_clean(a), images))
+
+    @given(mixed_terms, int_terms, st.sampled_from([2, 3, -5]))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_div(self, a, b, factor):
+        # divisors with int coefficients and a leading coefficient that is not +-1
+        divisor = Poly(VARS, b).scaled(factor)
+        rb = ref_clean(divisor.terms)
+        assert abs(ref_lead(rb)[1]) > 1
+        for dividend in (Poly(VARS, a) * divisor, Poly(VARS, a)):
+            reference = ref_exact_div(ref_clean(dividend.terms), rb)
+            quotient = dividend.exact_div(divisor)
+            if reference is None:
+                assert quotient is None
+            else:
+                assert_matches(quotient, reference)
+
+    def test_exact_div_by_a_non_monic_int_polynomial(self):
+        # the quotient of int polynomials has denominators: 1/3 is no float
+        quotient = P("x^2 - 1").exact_div(P("3*x + 3"))
+        assert_matches(quotient, {(1, 0, 0): Fraction(1, 3), (0, 0, 0): Fraction(-1, 3)})
+        assert_matches(P("6*x^2 + 4*x").exact_div(P("3*x + 2")), {(1, 0, 0): Fraction(2)})
+        # a / b of two ints this large has no float value at all
+        big = 10**400
+        product = P(f"{big}*x*y + 1") * P("3*x + 1")
+        quotient = product.exact_div(P("3*x + 1"))
+        assert_matches(quotient, {(1, 1, 0): Fraction(big), (0, 0, 0): Fraction(1)})
+        assert P("x^2 + 1").exact_div(P("3*x")) is None

@@ -1,6 +1,8 @@
+import fractions
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -357,3 +359,34 @@ class TestFusedKernel:
         for fld in results:
             for p in fld.components.values():
                 assert p.terms and 0 not in p.terms.values()
+
+
+class TestIntegerCoefficients:
+    def test_bracket_and_pushforward_construct_no_fraction(self, fixtures_dir):
+        # The wave generators, the D(x^k), G(x^k) parameters and the tshift
+        # and ugauge maps all have int coefficients, so brackets and
+        # push-forwards run on ints: no Fraction code runs at all.
+        named = [(kind, realize_family(kind)) for kind in ("Du", "Dt", "Pt", "F1", "F2")]
+        for k in range(9):
+            param = xpoly(f"x^{k}")
+            named += [(f"D{k}", realize_family("D", param)), (f"G{k}", realize_family("G", param))]
+        maps = [
+            pointmap_from_dict(json.loads((fixtures_dir / "maps" / f"{name}.json").read_text()))
+            for name in ("tshift", "ugauge")
+        ]
+        entered = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                entered.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            brackets = [lie_bracket(a, b) for _, a in named for _, b in named]
+            reports = [verify_homomorphism(pm, named) for pm in maps]
+        finally:
+            sys.setprofile(None)
+        assert len(brackets) == 23 * 23
+        assert any(not br.is_zero() for br in brackets)
+        assert all(report["ok"] and report["pairs"] == 23 * 22 // 2 for report in reports)
+        assert not entered, f"Fraction code entered: {sorted(set(entered))}"
