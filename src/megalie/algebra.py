@@ -335,16 +335,17 @@ def upper_central_series(g: LieAlgebra) -> SeriesReport:
 # quotients and changes of basis
 
 
-def _induced_algebra(g: LieAlgebra, name: str, names, vectors, coordinates) -> LieAlgebra:
-    """g's bracket on the new basis `vectors`, read back through `coordinates`.
+def _induced_algebra(g: LieAlgebra, name: str, names, vectors, to_new: Matrix) -> LieAlgebra:
+    """g's bracket on the new basis `vectors`, read back through `to_new`.
 
-    coordinates maps an ambient vector to its coefficients over `vectors`;
-    only the pairs i < j are bracketed.
+    A row of ambient coordinates times to_new gives its coefficients over
+    `vectors`.  The brackets of all pairs i < j are stacked as rows and
+    multiplied by to_new once.
     """
-    brackets = {
-        (i, j): dict(enumerate(coordinates(g.bracket(vectors[i], vectors[j]))))
-        for i, j in combinations(range(len(vectors)), 2)
-    }
+    pairs = list(combinations(range(len(vectors)), 2))
+    stacked = Matrix._from_rows((g.bracket(vectors[i], vectors[j]) for i, j in pairs), g.dim)
+    coordinates = (stacked @ to_new).entries
+    brackets = {pair: dict(enumerate(row)) for pair, row in zip(pairs, coordinates)}
     return algebra_from_brackets(name, names, brackets)
 
 
@@ -357,28 +358,21 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """
     if not is_ideal(g, ideal):
         raise NotAnIdeal("quotient requires an ideal")
-    n = g.dim
-    pivots = ideal.pivots
-    pivot_set = set(pivots)
-    complement = [j for j in range(n) if j not in pivot_set]
-    proj_rows = []
-    for q in complement:
-        row = [Fraction(0)] * n
-        row[q] = Fraction(1)
-        for r, p in enumerate(pivots):
-            row[p] = -ideal.basis.entries[r][q]
-        proj_rows.append(row)
-    proj = Matrix(proj_rows, cols=n)
+    complement = [j for j in range(g.dim) if j not in ideal.pivots]
+    # row j: basis vector j modulo the ideal, in the complement coordinates
+    reduced = (ideal.reduce(g.basis_vector(j)) for j in range(g.dim))
+    to_new = Matrix._from_rows((tuple(r[q] for q in complement) for r in reduced), len(complement))
     names = tuple(g.basis_names[q] for q in complement)
     vectors = [g.basis_vector(q) for q in complement]
-    return _induced_algebra(g, f"{g.name}/{ideal.dim}d", names, vectors, proj.matvec), proj
+    algebra = _induced_algebra(g, f"{g.name}/{ideal.dim}d", names, vectors, to_new)
+    return algebra, to_new.transpose()
 
 
 def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
     """Structure constants in the new basis given by the rows of b."""
     if b.rows != g.dim or b.cols != g.dim:
         raise ValueError("change of basis must be square of the algebra dimension")
-    return _induced_algebra(g, g.name, g.basis_names, b.entries, b.inverse().transpose().matvec)
+    return _induced_algebra(g, g.name, g.basis_names, b.entries, b.inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra
-from .linalg import Matrix, Subspace, format_rat
+from .linalg import Matrix, Subspace, format_rat, rat
 from .megaideals import MegaidealLattice
 from .poly import Poly
 
@@ -176,11 +176,11 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
     for member in lattice.members:
         if member in chain_set or member.is_zero():
             continue
-        # an RREF basis spans a coordinate subspace when each row is a unit vector
-        transformed = Subspace(n, member.basis @ inverse)
-        if all(sum(x != 0 for x in row) == 1 for row in transformed.basis.entries):
-            extras.append(transformed.pivots)
-    algebra = _induced_algebra(g, g.name, g.basis_names, basis.entries, inverse.transpose().matvec)
+        # member.dim independent new basis rows inside the member span it
+        inside = tuple(k for k, row in enumerate(rows) if member.contains(row))
+        if len(inside) == member.dim:
+            extras.append(inside)
+    algebra = _induced_algebra(g, g.name, g.basis_names, basis.entries, inverse)
     return AdaptedBasis(
         basis, inverse, algebra, tuple(chain), tuple(block_sizes), tuple(sorted(set(extras)))
     )
@@ -471,7 +471,7 @@ def substitute_parameters(param: AutParametrization, values: dict) -> Matrix:
     """
     if not param.solved:
         raise ResidualSystem("parametrization has residual equations")
-    values = {name: Fraction(v) for name, v in values.items()}
+    values = {name: rat(v) for name, v in values.items()}
     for condition in param.side_conditions:
         if condition.substitute(param.assignments).evaluate(values) == 0:
             raise ValueError(f"side condition {condition.to_str()} vanishes")
@@ -606,7 +606,7 @@ def inner_consistency(
         except NotNilpotent:
             continue
         for t in t_values:
-            t = Fraction(t)
+            t = rat(t)
             adapted = exp_at(t)
             values = {
                 name: adapted.entries[i][j] for name, (i, j) in free_positions.items()

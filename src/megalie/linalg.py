@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices with Fraction entries, reduced row echelon form, kernels, and
-canonical subspace arithmetic.  All values are immutable, all results are
-exact; no floating point enters anywhere.
+Canonical subspace arithmetic on int rows, and Matrix, the boundary type
+with Fraction entries (input, products, inverses, RREF).  All values are
+immutable, all results are exact; no floating point enters anywhere.
 
 Internal rows are int tuples.  A Subspace keeps its canonical form as
 primitive int rows, each RREF row times the lcm of its denominators, so
@@ -192,20 +192,6 @@ class Matrix:
         rows, pivots = _echelon(map(_integral, self.entries), self.cols)
         return _normalized(rows, pivots, self.cols), pivots
 
-    def kernel_rows(self) -> list[Vector]:
-        """Basis of {v : self @ v = 0}, one free coordinate set to 1 per row."""
-        reduced, pivots = self.rref_with_pivots()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        rows = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -reduced.entries[r][f]
-            rows.append(tuple(v))
-        return rows
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
@@ -215,24 +201,6 @@ class Matrix:
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix._from_rows((row[n:] for row in reduced.entries), n)
-
-
-def solve(a: Matrix, b: Sequence) -> Vector | None:
-    """One exact solution of a @ x = b, or None when inconsistent.
-
-    Free coordinates are set to zero, which makes the answer deterministic.
-    """
-    b = vec(b)
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(a.entries)], cols=a.cols + 1)
-    reduced, pivots = aug.rref_with_pivots()
-    if a.cols in pivots:
-        return None
-    x = [Fraction(0)] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entries[r][a.cols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

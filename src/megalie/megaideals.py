@@ -18,6 +18,7 @@ TRANSPORTER_COMPLETENESS_NOTE.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -285,26 +286,17 @@ def essential_filter(lattice: MegaidealLattice) -> MegaidealLattice:
     """Flag members that are sums of two other proper members.
 
     Those give no constraints beyond their summands.  Nothing is removed;
-    only the essential flags change.
+    only the essential flags change.  A pair a, b is tried only when both
+    lie strictly inside member i and dim a + dim b >= dim i: a + b = i
+    needs both, since dim(a + b) <= dim a + dim b.
     """
-    entries = lattice.entries
-    spaces = [e.subspace for e in entries]
-    proper = [i for i, s in enumerate(spaces) if not s.is_full() and not s.is_zero()]
+    spaces = [e.subspace for e in lattice.entries]
+    proper = [s for s in spaces if not s.is_full() and not s.is_zero()]
     flagged = []
-    for i, entry in enumerate(entries):
-        inessential = False
-        for a in proper:
-            if a == i:
-                continue
-            if not spaces[i].contains_subspace(spaces[a]):
-                continue
-            for b in proper:
-                if b == i or b < a:
-                    continue
-                if spaces[a].sum(spaces[b]) == spaces[i]:
-                    inessential = True
-                    break
-            if inessential:
-                break
+    for entry, whole in zip(lattice.entries, spaces):
+        inside = [a for a in proper if a.dim < whole.dim and whole.contains_subspace(a)]
+        inessential = any(
+            a.dim + b.dim >= whole.dim and a.sum(b) == whole for a, b in combinations(inside, 2)
+        )
         flagged.append(replace(entry, essential=not inessential))
     return replace(lattice, entries=tuple(flagged))

@@ -36,7 +36,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .linalg import format_rat
+from .linalg import format_rat, rat
 
 
 class PolyError(ValueError):
@@ -79,13 +79,14 @@ Terms = Mapping[Exponents, Coefficient]
 
 
 def _coefficient(value) -> Coefficient:
-    """An int, Fraction or other rational as a coefficient: an int when integral.
+    """An int, Fraction or rational literal as a coefficient: an int when integral.
 
-    A bool becomes 0 or 1.
+    A bool becomes 0 or 1; anything else goes through linalg.rat, so a
+    float is refused.
     """
     if type(value) is int:
         return value
-    value = Fraction(value)
+    value = rat(int(value) if isinstance(value, bool) else value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -278,7 +279,7 @@ class Poly:
             prod = coeff
             for name, e in zip(self.variables, exps):
                 if e:
-                    prod *= Fraction(values[name]) ** e
+                    prod *= rat(values[name]) ** e
             total += prod
         return total
 

@@ -11,12 +11,13 @@ fields forward under explicit invertible polynomial point maps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, algebra_from_brackets, validate
-from .linalg import Matrix, format_rat, rat, solve as linear_solve
+from .linalg import Matrix, format_rat, rat
 from .poly import (
     MAX_DEGREE,
     MAX_PAIRS,
@@ -237,10 +238,10 @@ def realize_family(kind: str, param: Poly | None = None) -> PolyVectorField:
 # structure extraction
 
 
-def _flatten_basis(fields: Sequence[PolyVectorField], extra: Sequence[PolyVectorField]):
+def _flatten_basis(fields: Sequence[PolyVectorField]):
     variables = fields[0].variables
     keys = set()
-    for fld in list(fields) + list(extra):
+    for fld in fields:
         for name, p in fld.components.items():
             idx = variables.index(name)
             for exps in p.terms:
@@ -260,11 +261,13 @@ def _flatten(fld: PolyVectorField, keys) -> list[Fraction]:
 def extract_structure(named_fields: Sequence[tuple[str, PolyVectorField]], name: str = "") -> LieAlgebra:
     """Structure constants of a span of fields closed under the bracket.
 
-    Fields and all pairwise brackets are flattened over the joint monomial
-    basis; each bracket is solved exactly for its coordinates in the span.
-    Raises LinearlyDependent (with a witness relation) or NotClosed (with
-    the offending pair).  The resulting constants are cross-checked against
-    the Jacobi identity.
+    The m fields, then the brackets of the pairs i < j, are flattened over
+    the joint monomial basis into the columns of one matrix, reduced once.
+    The first field column without a pivot raises LinearlyDependent (the
+    relation sets that field to 1); else the first pivot past the fields is
+    the first bracket outside their span, raising NotClosed for its pair;
+    else bracket k has coordinates column m + k of the first m rows.  The
+    constants are cross-checked against the Jacobi identity.
     """
     names = [n for n, _ in named_fields]
     fields = [fld for _, fld in named_fields]
@@ -277,26 +280,25 @@ def extract_structure(named_fields: Sequence[tuple[str, PolyVectorField]], name:
         if fld.variables != variables:
             raise ValueError("fields over different variable lists")
     m = len(fields)
-    brackets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            brackets[(i, j)] = lie_bracket(fields[i], fields[j])
-    keys = _flatten_basis(fields, list(brackets.values()))
-    rows = [_flatten(fld, keys) for fld in fields]
-    span = Matrix(rows, cols=len(keys)) if keys else Matrix([], cols=0)
-    transposed = span.transpose()
-    dependence = transposed.kernel_rows() if keys else [tuple([Fraction(1)] * m)]
-    if dependence:
-        witness = dependence[0]
-        raise LinearlyDependent(
-            {names[k]: witness[k] for k in range(m) if witness[k] != 0}
-        )
-    constants = {}
-    for (i, j), br in brackets.items():
-        coords = linear_solve(transposed, _flatten(br, keys))
-        if coords is None:
-            raise NotClosed(names[i], names[j], br)
-        constants[(i, j)] = dict(enumerate(coords))
+    pairs = list(combinations(range(m), 2))
+    brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
+    keys = _flatten_basis(fields + brackets)
+    if not keys:
+        # every field is zero
+        raise LinearlyDependent({n: Fraction(1) for n in names})
+    columns = [_flatten(fld, keys) for fld in fields + brackets]
+    reduced, pivots = Matrix(list(zip(*columns)), cols=len(columns)).rref_with_pivots()
+    free = next((f for f in range(m) if f >= len(pivots) or pivots[f] != f), None)
+    if free is not None:
+        # columns 0 .. free-1 are the pivots of rows 0 .. free-1
+        relation = {names[r]: -row[free] for r, row in enumerate(reduced.entries[:free]) if row[free]}
+        raise LinearlyDependent({**relation, names[free]: Fraction(1)})
+    if len(pivots) > m:
+        k = pivots[m] - m
+        raise NotClosed(names[pairs[k][0]], names[pairs[k][1]], brackets[k])
+    constants = {
+        pair: {r: reduced.entries[r][m + k] for r in range(m)} for k, pair in enumerate(pairs)
+    }
     algebra = algebra_from_brackets(name or ",".join(names), names, constants)
     report = validate(algebra)
     if not report.ok:
@@ -308,18 +310,19 @@ def extract_structure(named_fields: Sequence[tuple[str, PolyVectorField]], name:
 # point maps and push-forwards
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointMap:
     """Invertible polynomial change of coordinates.
 
     Both directions are explicit; missing components default to the
     identity.  Composition in both orders is verified to be the identity
-    at construction time, exactly.
+    at construction time, exactly.  Two maps are equal when their
+    variables and their completed forward and inverse maps are.
     """
 
     variables: tuple[str, ...]
-    forward: Mapping[str, Poly] = field(compare=False)
-    inverse: Mapping[str, Poly] = field(compare=False)
+    forward: Mapping[str, Poly]
+    inverse: Mapping[str, Poly]
 
     def __post_init__(self):
         forward = self._complete(self.forward)
@@ -333,6 +336,16 @@ class PointMap:
             roundtrip = inverse[name].substitute(forward)
             if roundtrip != Poly.var(self.variables, name):
                 raise ValueError(f"inverse o forward is not the identity on {name!r}")
+
+    def _key(self) -> tuple:
+        # the completed maps list every variable, in the order of `variables`
+        return (self.variables, tuple(self.forward.values()), tuple(self.inverse.values()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointMap) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _complete(self, mapping: Mapping[str, Poly]) -> dict[str, Poly]:
         out = {}

@@ -532,3 +532,62 @@ class TestAdaptedAlgebra:
         monkeypatch.setattr(Matrix, "inverse", counted)
         analyze(m5)
         assert len(calls) == 1
+
+    def test_analyze_makes_no_matvec(self, monkeypatch):
+        # the adapted algebra is one product of the stacked brackets with the
+        # inverse, not one matrix-vector product per bracket pair
+        from megalie.analysis import analyze
+
+        calls = []
+        original = Matrix.matvec
+
+        def counted(self, v):
+            calls.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(Matrix, "matvec", counted)
+        g = algebra_from_brackets(
+            "L10", [f"e{i}" for i in range(1, 11)], {(0, i): {i + 1: 1} for i in range(1, 9)}
+        )
+        analyze(g)
+        assert calls == []
+
+
+def reference_extra_members(lattice, basis):
+    """The extra coordinate members as each member's basis times the inverse,
+    kept when every row of its RREF is a unit vector."""
+    n = basis.inverse.rows
+    chain_set = set(basis.flag)
+    extras = []
+    for member in lattice.members:
+        if member in chain_set or member.is_zero():
+            continue
+        transformed = Subspace(n, member.basis @ basis.inverse)
+        if all(sum(x != 0 for x in row) == 1 for row in transformed.basis.entries):
+            extras.append(transformed.pivots)
+    return tuple(sorted(set(extras)))
+
+
+class TestExtraMembersAgainstReference:
+    def test_containment_matches_the_transformed_basis(self, reference_lattices):
+        found = 0
+        for name, (g, lattice) in reference_lattices.items():
+            basis = adapted_basis(g, lattice)
+            assert basis.extra_coordinate_members == reference_extra_members(lattice, basis), name
+            found += len(basis.extra_coordinate_members)
+        assert found > 0
+
+
+class TestFloatsRefused:
+    def test_substitute_parameters(self, m5_solution):
+        _, _, _, param = m5_solution
+        values = {name: 1 for name in param.free_parameters}
+        substitute_parameters(param, values)
+        values[param.free_parameters[0]] = 0.1
+        with pytest.raises(TypeError):
+            substitute_parameters(param, values)
+
+    def test_inner_consistency_t_values(self, m5, m5_solution):
+        basis, _, _, param = m5_solution
+        with pytest.raises(TypeError):
+            inner_consistency(m5, param, basis, t_values=(0.1,))

@@ -2,6 +2,7 @@ import fractions
 import itertools
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -458,3 +459,39 @@ class TestIntegerCore:
             sys.setprofile(None)
         assert len(solved) == len(members) ** 3 > 1
         assert not entered, f"Fraction code entered: {sorted(set(entered))}"
+
+
+def reference_essential_filter(lattice):
+    """essential_filter as every pair of proper members, summed and compared."""
+    entries = lattice.entries
+    spaces = [e.subspace for e in entries]
+    proper = [i for i, s in enumerate(spaces) if not s.is_full() and not s.is_zero()]
+    flagged = []
+    for i, entry in enumerate(entries):
+        inessential = False
+        for a in proper:
+            if a == i:
+                continue
+            if not spaces[i].contains_subspace(spaces[a]):
+                continue
+            for b in proper:
+                if b == i or b < a:
+                    continue
+                if spaces[a].sum(spaces[b]) == spaces[i]:
+                    inessential = True
+                    break
+            if inessential:
+                break
+        flagged.append(replace(entry, essential=not inessential))
+    return replace(lattice, entries=tuple(flagged))
+
+
+class TestEssentialFilterAgainstReference:
+    def test_flags_match_every_pair(self, reference_lattices):
+        inessential = 0
+        for name, (g, lattice) in reference_lattices.items():
+            filtered = essential_filter(lattice)
+            assert filtered == reference_essential_filter(lattice), name
+            inessential += sum(not e.essential for e in filtered.entries)
+        # the comparison covers members that are sums, not only essential ones
+        assert inessential > 0

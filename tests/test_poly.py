@@ -134,6 +134,26 @@ class TestArithmetic:
         assert (-P("x - 2")).content_normalized() == P("x - 2")
 
 
+class TestFloatsRefused:
+    # 0.1 is not 1/10 in binary; every rational entry point refuses it
+    def test_constructors_and_scaling(self):
+        with pytest.raises(TypeError):
+            Poly(VARS, {(1, 0, 0): 0.1})
+        with pytest.raises(TypeError):
+            Poly.const(VARS, 0.1)
+        with pytest.raises(TypeError):
+            P("x").scaled(0.1)
+
+    def test_evaluate(self):
+        with pytest.raises(TypeError):
+            P("x + y").evaluate({"x": 0.1, "y": 1})
+
+    def test_bool_is_zero_or_one(self):
+        assert Poly.const(VARS, True) == P("1")
+        assert P("x").scaled(False).is_zero()
+        assert Poly(VARS, {(1, 0, 0): Fraction(1, 2)}) == P("1/2*x")
+
+
 class TestComputedOnce:
     def test_leading_term_scanned_once(self, monkeypatch):
         import megalie.poly

@@ -1,4 +1,6 @@
+import collections
 import fractions
+import itertools
 import json
 import random
 import re
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from megalie.algebra import algebra_from_brackets
+from megalie.linalg import Matrix
 from megalie.poly import Poly, parse_poly
 from megalie.vectorfield import (
     FAMILY_VARIABLES,
@@ -21,8 +25,11 @@ from megalie.vectorfield import (
     fields_to_dict,
     lie_bracket,
     pointmap_from_dict,
+    pointmap_to_dict,
     pushforward,
     realize_family,
+    _flatten,
+    _flatten_basis,
     verify_homomorphism,
 )
 
@@ -193,6 +200,17 @@ class TestPointMap:
         for name in ("Dt", "F2", "Gx2", "Dx2"):
             q = family[name]
             assert pushforward(pm2, pushforward(pm1, q)) == pushforward(composite, q)
+
+    def test_equality_sees_the_maps(self, fixtures_dir):
+        tshift = pointmap_from_dict(json.loads((fixtures_dir / "maps" / "tshift.json").read_text()))
+        identity = PointMap.identity(V)
+        assert tshift != identity
+        assert len({tshift, identity}) == 2
+        reloaded = pointmap_from_dict(pointmap_to_dict(tshift))
+        assert reloaded == tshift and hash(reloaded) == hash(tshift)
+        # missing components are the identity, so an explicit one changes nothing
+        explicit = PointMap(V, {"x": fp("x")}, {})
+        assert explicit == identity and hash(explicit) == hash(identity)
 
     def test_verify_homomorphism(self, family):
         pm = PointMap(V, {"t": fp("t + 1")}, {"t": fp("t - 1")})
@@ -390,3 +408,99 @@ class TestIntegerCoefficients:
         assert any(not br.is_zero() for br in brackets)
         assert all(report["ok"] and report["pairs"] == 23 * 22 // 2 for report in reports)
         assert not entered, f"Fraction code entered: {sorted(set(entered))}"
+
+
+# reference: a kernel solve for dependence, then one solve per bracket
+
+
+def reference_kernel_rows(a):
+    """Basis of {v : a @ v = 0}, one free coordinate set to 1 per row."""
+    reduced, pivots = a.rref_with_pivots()
+    rows = []
+    for f in (c for c in range(a.cols) if c not in pivots):
+        v = [Fraction(0)] * a.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.entries[r][f]
+        rows.append(tuple(v))
+    return rows
+
+
+def reference_solve(a, b):
+    """One solution of a @ x = b with the free coordinates zero, or None."""
+    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(a.entries)], cols=a.cols + 1)
+    reduced, pivots = aug.rref_with_pivots()
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced.entries[r][a.cols]
+    return tuple(x)
+
+
+def reference_extract(named_fields, name=""):
+    names = [n for n, _ in named_fields]
+    fields = [fld for _, fld in named_fields]
+    m = len(fields)
+    brackets = {(i, j): lie_bracket(fields[i], fields[j]) for i, j in itertools.combinations(range(m), 2)}
+    keys = _flatten_basis(fields + list(brackets.values()))
+    if not keys:
+        raise LinearlyDependent({n: Fraction(1) for n in names})
+    transposed = Matrix([_flatten(fld, keys) for fld in fields], cols=len(keys)).transpose()
+    dependence = reference_kernel_rows(transposed)
+    if dependence:
+        witness = dependence[0]
+        raise LinearlyDependent({names[k]: witness[k] for k in range(m) if witness[k] != 0})
+    constants = {}
+    for (i, j), br in brackets.items():
+        coords = reference_solve(transposed, _flatten(br, keys))
+        if coords is None:
+            raise NotClosed(names[i], names[j], br)
+        constants[(i, j)] = dict(enumerate(coords))
+    return algebra_from_brackets(name or ",".join(names), names, constants)
+
+
+def outcome(extract, named_fields):
+    try:
+        g = extract(named_fields)
+    except LinearlyDependent as exc:
+        return ("LinearlyDependent", tuple(exc.relation.items()))
+    except NotClosed as exc:
+        return ("NotClosed", exc.left, exc.right, exc.bracket)
+    return ("closed", g.name, g.basis_names, g.c)
+
+
+class TestExtractAgainstReference:
+    def test_fixture_subsets(self, fixtures_dir):
+        # every 2- and 3-subset of the fixture fields, and each again with a
+        # scaled copy of one of its fields put in at a position that varies
+        _, named = fields_from_dict(json.loads((fixtures_dir / "wave_eq_family.json").read_text()))
+        subsets = [list(s) for size in (2, 3) for s in itertools.combinations(named, size)]
+        for k, subset in enumerate(list(subsets)):
+            copy = ("copy", subset[k % len(subset)][1].scaled(Fraction(-3, 2)))
+            subsets.append(subset[: k % 4] + [copy] + subset[k % 4 :])
+        kinds = collections.Counter()
+        for subset in subsets:
+            expected = outcome(reference_extract, subset)
+            assert outcome(extract_structure, subset) == expected, [n for n, _ in subset]
+            kinds[expected[0]] += 1
+        assert set(kinds) == {"closed", "NotClosed", "LinearlyDependent"}
+
+    def test_zero_fields(self):
+        zero = PolyVectorField(V, {})
+        for subset in ([("Z", zero)], [("Z", zero), ("Y", zero)], [("Pt", realize_family("Pt")), ("Z", zero)]):
+            assert outcome(extract_structure, subset) == outcome(reference_extract, subset)
+
+    def test_one_elimination(self, monkeypatch):
+        fields = [(k, realize_family(k)) for k in ("Du", "Dt", "Pt", "F1", "F2")]
+        fields.append(("G1", realize_family("G", xpoly("1"))))
+        calls = []
+        original = Matrix.rref_with_pivots
+
+        def counted(self):
+            calls.append((self.rows, self.cols))
+            return original(self)
+
+        monkeypatch.setattr(Matrix, "rref_with_pivots", counted)
+        extract_structure(fields, name="wave6")
+        assert len(calls) == 1
