@@ -228,31 +228,25 @@ def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[tuple[
     return [[g._bracket(w, v) for v in b.rows] for w in a.rows]
 
 
-def _span_of_images(g: LieAlgebra, images: list, provenance: str = "") -> Subspace:
-    return Subspace._from_rows(g.dim, [v for row in images for v in row], provenance)
+def _span_of_images(g: LieAlgebra, images: list) -> Subspace:
+    return Subspace._from_rows(g.dim, [v for row in images for v in row])
 
 
-def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace, provenance: str = "") -> Subspace:
+def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [x, y] over basis pairs x in a, y in b."""
-    return _span_of_images(g, _bracket_images(g, a, b), provenance)
+    return _span_of_images(g, _bracket_images(g, a, b))
 
 
-def _transport(within: Subspace, images: list, into: Subspace, provenance: str = "") -> Subspace:
+def _transport(within: Subspace, images: list, into: Subspace) -> Subspace:
     """transporter(g, within, of, into) from images = _bracket_images(g, within, of).
 
     _reduce is linear, so the remainders of row i are the images of within.rows[i].
     """
     rows = [tuple(chain.from_iterable(map(into._reduce, row))) for row in images]
-    return within._where_zero(zip(*rows), provenance)
+    return within._where_zero(zip(*rows))
 
 
-def transporter(
-    g: LieAlgebra,
-    within: Subspace,
-    of: Subspace,
-    into: Subspace,
-    provenance: str = "",
-) -> Subspace:
+def transporter(g: LieAlgebra, within: Subspace, of: Subspace, into: Subspace) -> Subspace:
     """{x in `within` : [x, b] in `into` for every basis vector b of `of`}.
 
     The bracket table of (within, of), then one kernel solve: x = sum t_i w_i
@@ -264,19 +258,19 @@ def transporter(
     invariant-subspace constructor.
     """
     within._check_ambient(into)
-    return _transport(within, _bracket_images(g, within, of), into, provenance)
+    return _transport(within, _bracket_images(g, within, of), into)
 
 
-def center(g: LieAlgebra, provenance: str = "Z(g)") -> Subspace:
-    return transporter(g, g.full_space(), g.full_space(), g.zero_space(), provenance)
+def center(g: LieAlgebra) -> Subspace:
+    return transporter(g, g.full_space(), g.full_space(), g.zero_space())
 
 
-def centralizer(g: LieAlgebra, within: Subspace, of: Subspace, provenance: str = "") -> Subspace:
-    return transporter(g, within, of, g.zero_space(), provenance)
+def centralizer(g: LieAlgebra, within: Subspace, of: Subspace) -> Subspace:
+    return transporter(g, within, of, g.zero_space())
 
 
-def normalizer(g: LieAlgebra, within: Subspace, of: Subspace, provenance: str = "") -> Subspace:
-    return transporter(g, within, of, of, provenance)
+def normalizer(g: LieAlgebra, within: Subspace, of: Subspace) -> Subspace:
+    return transporter(g, within, of, of)
 
 
 def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
@@ -404,30 +398,26 @@ def killing_form(g: LieAlgebra) -> Matrix:
     return Matrix([[Fraction(t, square) for t in row] for row in _killing_numerators(g)])
 
 
-def _killing_orthogonal(
-    k: list[list[int]], within: Subspace, against: Subspace, provenance: str = ""
-) -> Subspace:
+def _killing_orthogonal(k: list[list[int]], within: Subspace, against: Subspace) -> Subspace:
     """{x in `within` : K(x, y) = 0 for every y in `against`}; k is K times a positive int."""
     conditions = []
     for y in against.rows:
         ky = [sum(a * b for a, b in zip(row, y)) for row in k]
         conditions.append([sum(a * b for a, b in zip(w, ky)) for w in within.rows])
-    return within._where_zero(conditions, provenance)
+    return within._where_zero(conditions)
 
 
-def radical(g: LieAlgebra, provenance: str = "rad(g)") -> Subspace:
+def radical(g: LieAlgebra) -> Subspace:
     """Maximal solvable ideal, via K-orthogonality to the derived algebra.
 
     Over a field of characteristic zero the radical equals
     {x : K(x, [g, g]) = 0}, which is one exact kernel computation.
     """
     full = g.full_space()
-    return _killing_orthogonal(
-        _killing_numerators(g), full, bracket_subspaces(g, full, full), provenance
-    )
+    return _killing_orthogonal(_killing_numerators(g), full, bracket_subspaces(g, full, full))
 
 
-def nilradical_approx(g: LieAlgebra, provenance: str = "nil(g)") -> tuple[Subspace, str]:
+def nilradical_approx(g: LieAlgebra) -> tuple[Subspace, str]:
     """Iterative over-approximation of the nilradical.
 
     Start from the radical and repeatedly keep the part of the current term
@@ -452,7 +442,7 @@ def nilradical_approx(g: LieAlgebra, provenance: str = "nil(g)") -> tuple[Subspa
             break
         term = nxt
     status = "exact" if term.is_zero() else "stalled"
-    return current.with_provenance(provenance), status
+    return current, status
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,20 @@ def matrix_rows(m: Matrix) -> list[list[str]]:
     return [[format_rat(x) for x in row] for row in m.entries]
 
 
-def subspace_dict(s: Subspace) -> dict:
+def subspace_dict(s: Subspace, label: str = "") -> dict:
+    """A subspace's dimension and RREF basis, under the label the report gives it."""
     out = {"dim": s.dim, "basis": matrix_rows(s.basis)}
-    if s.provenance:
-        out["provenance"] = s.provenance
+    if label:
+        out["provenance"] = label
     return out
 
 
 def _series_dict(report) -> dict:
+    """The series terms; only the first is labelled: g, or Z(g) for the upper central series."""
+    first = "Z(g)" if report.kind == "upper_central" else "g"
     return {
         "kind": report.kind,
-        "terms": [subspace_dict(t) for t in report.terms],
+        "terms": [subspace_dict(t, "" if k else first) for k, t in enumerate(report.terms)],
         "stabilized": report.stabilized,
     }
 
@@ -143,7 +146,9 @@ def analyze(g: LieAlgebra, options: AnalyzeOptions = AnalyzeOptions(), input_dig
         aut["note"] = f"enumeration skipped: dimension exceeds cap {options.max_enum_dim}"
     else:
         invariant = enumerate_coordinate_megaideals(g, param, basis, options.max_enum_dim)
-        aut["invariant_coordinate_subspaces"] = [subspace_dict(s) for s in invariant]
+        aut["invariant_coordinate_subspaces"] = [
+            subspace_dict(s, f"aut-invariant{list(coordinates)}") for coordinates, s in invariant
+        ]
     report["automorphisms"] = aut
     report["inner_consistency"] = inner_consistency(g, param, basis)
     return report

@@ -186,33 +186,20 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
     )
 
 
-def _symbolic_det(entries: list[list[Poly]], variables: tuple[str, ...]) -> Poly:
-    """Determinant of a block of zeros and unknowns, one term per permutation.
+def _symbolic_det(block: Sequence[Sequence[str | None]], variables: tuple[str, ...]) -> Poly:
+    """Determinant of a grid of unknown names, None for a forced zero, over variables.
 
-    Every entry must be zero or a single unknown with coefficient 1 (the
-    blocks shape_from_flag builds), so each permutation that avoids the
-    zeros contributes +-1 times a product of unknowns; contributions are
-    added, so a repeated unknown stays exact.  No polynomial is multiplied.
+    Each permutation that avoids the zeros contributes +-1 times a product
+    of unknowns; contributions are added, so a repeated unknown stays
+    exact.  No polynomial is multiplied.
     """
+    index = {name: k for k, name in enumerate(variables)}
     # positions[i][j]: index in `variables` of the unknown at (i, j), None for zero
-    positions = [[_unknown_index(entry, variables) for entry in row] for row in entries]
+    positions = [[None if name is None else index[name] for name in row] for row in block]
     terms: dict[tuple[int, ...], int] = {}
-    cols = tuple(range(len(entries)))
+    cols = tuple(range(len(block)))
     _add_permutation_terms(positions, 0, cols, 1, [0] * len(variables), terms)
     return Poly._from_terms(variables, terms)
-
-
-def _unknown_index(entry: Poly, variables: tuple[str, ...]) -> int | None:
-    """Position in variables of the unknown that entry is, or None for a zero entry."""
-    if entry.variables != variables:
-        raise ValueError("block entry over a different variable list")
-    if entry.is_zero():
-        return None
-    if len(entry.terms) == 1:
-        ((exps, coeff),) = entry.terms.items()
-        if coeff == 1 and sum(exps) == 1:
-            return exps.index(1)
-    raise ValueError(f"block entry {entry.to_str()} is not zero or a single unknown")
 
 
 def _add_permutation_terms(positions, row, cols, sign, exps, terms) -> None:
@@ -278,13 +265,7 @@ def shape_from_flag(basis: AdaptedBasis) -> AutShape:
     conditions = []
     start = 0
     for boundary in boundaries:
-        block = []
-        for i in range(start, boundary):
-            row = []
-            for j in range(start, boundary):
-                name = pattern[i][j]
-                row.append(Poly.var(variables, name) if name else Poly.zero(variables))
-            block.append(row)
+        block = [row[start:boundary] for row in pattern[start:boundary]]
         conditions.append(_symbolic_det(block, variables))
         start = boundary
     return AutShape(n, tuple(pattern), variables, tuple(conditions))
@@ -514,14 +495,15 @@ def enumerate_coordinate_megaideals(
     param: AutParametrization,
     basis: AdaptedBasis,
     max_dim: int = 16,
-) -> list[Subspace]:
+) -> list[tuple[tuple[int, ...], Subspace]]:
     """All coordinate spans (in the adapted basis) fixed by every A.
 
-    Scans all 2^n subsets in (popcount, index) order and returns the
-    invariant ones, converted back to ambient coordinates.  The span of
-    the coordinates J is invariant exactly when A[i][j] is the zero
-    polynomial for every j in J and every i outside J.  The zero and full
-    spans are included; they are invariant trivially.
+    Scans all 2^n subsets in (popcount, index) order and returns each
+    invariant one as a pair: its coordinates J in the adapted basis, and
+    its span in ambient coordinates.  The span of the coordinates J is
+    invariant exactly when A[i][j] is the zero polynomial for every j in J
+    and every i outside J.  The zero and full spans are included; they
+    are invariant trivially.
     """
     if not param.solved:
         raise ResidualSystem("parametrization has residual equations")
@@ -538,13 +520,7 @@ def enumerate_coordinate_megaideals(
             if any(leaks[j] & ~inside for j in subset):
                 continue
             ambient_rows = [basis.change_of_basis.entries[j] for j in subset]
-            results.append(
-                Subspace.spanned_by(
-                    g.dim,
-                    ambient_rows,
-                    provenance=f"aut-invariant{list(subset)}",
-                )
-            )
+            results.append((subset, Subspace.spanned_by(g.dim, ambient_rows)))
     return results
 
 

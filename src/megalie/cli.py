@@ -214,13 +214,7 @@ def _cmd_vf_bracket_table(args) -> int:
                     EXIT_FORMAT, f"{args.file}: [{left_name},{right_name}]: {exc}"
                 ) from exc
             entries.append(
-                {
-                    "left": left_name,
-                    "right": right_name,
-                    "bracket": {
-                        v: br.components[v].to_str() for v in variables if v in br.components
-                    },
-                }
+                {"left": left_name, "right": right_name, "bracket": br.components_dict()}
             )
     table = {"variables": list(variables), "brackets": entries}
     text = _render_table_text(table) if args.text else canonical_json(table)
@@ -229,7 +223,7 @@ def _cmd_vf_bracket_table(args) -> int:
 
 
 def _cmd_vf_extract(args) -> int:
-    variables, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
+    _, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
     chosen = _select_fields(named_fields, args.fields, args.file)
     if not chosen:
         raise CliError(EXIT_FORMAT, f"{args.file}: no fields given")
@@ -243,11 +237,7 @@ def _cmd_vf_extract(args) -> int:
             "error": "NotClosed",
             "left": exc.left,
             "right": exc.right,
-            "bracket": {
-                v: exc.bracket.components[v].to_str()
-                for v in variables
-                if v in exc.bracket.components
-            },
+            "bracket": exc.bracket.components_dict(),
         }
         sys.stderr.write(canonical_json(detail))
         return EXIT_INCOMPLETE

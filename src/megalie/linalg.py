@@ -7,20 +7,23 @@ immutable, all results are exact; no floating point enters anywhere.
 Internal rows are int tuples.  A Subspace keeps its canonical form as
 primitive int rows, each RREF row times the lcm of its denominators, so
 every pivot is a positive integer and two subspaces are equal precisely
-when their rows are.  A Subspace is row-reduced once, when it is built,
-and keeps its pivot columns for reduction and coordinates.  One
-fraction-free Gauss-Jordan routine, _echelon, does every elimination:
-subspace construction, the kernel solve of Subspace.where_zero, and
-Matrix.rref_with_pivots, which scales each row to integers and divides by
-the pivots at the end.  where_zero -- the part of a space that a linear
-map sends to zero -- is the one kernel solve behind intersections,
-kernels and every constructor in the algebra module; they call its int
-form, _where_zero, on the canonical rows.
+when their rows are.  A Subspace is a plain value, that form and its
+pivot columns with the Fraction basis cached, and carries no label: the
+report names what it prints.  It is row-reduced once, when spanned_by or
+the trusted _from_rows builds it.  One fraction-free Gauss-Jordan
+routine, _echelon, does every elimination: subspace construction, the
+kernel solve of Subspace.where_zero, and Matrix.rref_with_pivots, which
+scales each row to integers and divides by the pivots at the end.
+where_zero -- the part of a space that a linear map sends to zero -- is
+the one kernel solve behind intersections, kernels and every constructor
+in the algebra module; they call its int form, _where_zero, on the
+canonical rows.
 
 Values become Fractions at the boundary, where they are checked and
-coerced: Matrix(...), Subspace.basis, reduce, contains and coordinates.
-The trusted internal paths check nothing: Subspace._from_rows, _reduce
-and _where_zero take int rows, Matrix._from_rows Fraction rows.
+coerced: Matrix(...), Subspace.spanned_by, Subspace.basis, reduce,
+contains and coordinates.  The trusted internal paths check nothing:
+Subspace._from_rows, _reduce and _where_zero take int rows,
+Matrix._from_rows Fraction rows.
 """
 
 from __future__ import annotations
@@ -273,7 +276,7 @@ def _normalized(rows: Sequence[IntRow], pivots: Sequence[int], cols: int) -> Mat
 
 
 class Subspace:
-    """Linear subspace of Q^n in canonical form.
+    """Linear subspace of Q^n in canonical form, and nothing else.
 
     The form is the RREF of the basis with each row times the lcm of its
     denominators: primitive int rows with positive pivots (`rows`), and the
@@ -281,27 +284,23 @@ class Subspace:
     and every later operation reads it.  `basis`, the RREF as a Fraction
     matrix, is derived from the rows on first use and cached.  Equality
     looks only at the ambient dimension and the rows, and hashing at the
-    ambient dimension and the pivots; the provenance string records how the
-    space was constructed and never affects identity.
+    ambient dimension and the pivots.  A space carries no label: the report
+    names what it prints.
+
+    There are two constructors: spanned_by checks and coerces its vectors,
+    and the trusted _from_rows takes int rows.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "provenance", "_basis")
-
-    def __init__(self, ambient_dim: int, basis: Matrix, provenance: str = ""):
-        """The span of the rows of `basis`."""
-        if basis.cols != ambient_dim:
-            raise AmbientMismatch("basis width does not match ambient dimension")
-        rows = map(_integral, basis.entries)
-        self.__post_init__(ambient_dim, *_echelon(rows, ambient_dim), provenance)
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
     @staticmethod
-    def _from_rows(ambient_dim: int, rows: Iterable[Sequence[int]], provenance: str = "") -> Subspace:
+    def _from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Subspace:
         """Trusted constructor: the span of int rows of the ambient length."""
         space = object.__new__(Subspace)
-        space.__post_init__(ambient_dim, *_echelon(rows, ambient_dim), provenance)
+        space.__post_init__(ambient_dim, *_echelon(rows, ambient_dim))
         return space
 
-    def __post_init__(self, ambient_dim: int, rows, pivots: tuple[int, ...], provenance: str):
+    def __post_init__(self, ambient_dim: int, rows, pivots: tuple[int, ...]):
         """Every constructor ends here, with the canonical rows and their pivots.
 
         bench/layers.py traces this name to count the subspaces built.
@@ -309,27 +308,27 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @staticmethod
-    def spanned_by(ambient_dim: int, vectors: Iterable[Sequence], provenance: str = "") -> "Subspace":
-        rows = [tuple(v) for v in vectors]
+    def spanned_by(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        """The span of rational vectors of length ambient_dim, checked and coerced."""
+        rows = [vec(v) for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise AmbientMismatch("generator length does not match ambient dimension")
-        return Subspace(ambient_dim, Matrix(rows, cols=ambient_dim), provenance)
+        return Subspace._from_rows(ambient_dim, map(_integral, rows))
 
     @staticmethod
-    def zero(ambient_dim: int, provenance: str = "0") -> "Subspace":
-        return Subspace._from_rows(ambient_dim, (), provenance)
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace._from_rows(ambient_dim, ())
 
     @staticmethod
-    def full(ambient_dim: int, provenance: str = "g") -> "Subspace":
+    def full(ambient_dim: int) -> "Subspace":
         units = (tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
-        return Subspace._from_rows(ambient_dim, units, provenance)
+        return Subspace._from_rows(ambient_dim, units)
 
     # -- identity ----------------------------------------------------------
 
@@ -361,14 +360,6 @@ class Subspace:
 
     def sort_key(self) -> tuple:
         return (self.dim, tuple(x for row in self.basis.entries for x in row))
-
-    def with_provenance(self, provenance: str) -> "Subspace":
-        """The same space under another name; rows, pivots and basis are shared."""
-        twin = object.__new__(Subspace)
-        for name in Subspace.__slots__:
-            object.__setattr__(twin, name, getattr(self, name))
-        object.__setattr__(twin, "provenance", provenance)
-        return twin
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -451,7 +442,7 @@ class Subspace:
 
     # -- lattice operations ---------------------------------------------------
 
-    def where_zero(self, images: Sequence[Sequence], provenance: str = "") -> "Subspace":
+    def where_zero(self, images: Sequence[Sequence]) -> "Subspace":
         """{sum t_i b_i : sum t_i images[i] = 0} over the basis rows b_i.
 
         images[i] is the image of basis row i under some linear map, and
@@ -464,9 +455,9 @@ class Subspace:
         # rows[i] is b_i times its pivot entry a_i, so its image is a_i images[i]
         pivot_entries = (row[p] for p, row in zip(self.pivots, self.rows))
         images = [[a * x for x in image] for a, image in zip(pivot_entries, images)]
-        return self._where_zero(map(_integral, zip(*images)), provenance)
+        return self._where_zero(map(_integral, zip(*images)))
 
-    def _where_zero(self, conditions: Iterable[Sequence[int]], provenance: str = "") -> "Subspace":
+    def _where_zero(self, conditions: Iterable[Sequence[int]]) -> "Subspace":
         """{sum t_i rows[i] : sum t_i e[i] = 0 for every condition e}, on int conditions.
 
         Condition e lists, for each canonical row, one int component of its
@@ -474,7 +465,7 @@ class Subspace:
         """
         reduced, pivots = _echelon(conditions, self.dim)
         if not pivots:
-            return self.with_provenance(provenance)
+            return self
         # kernel vector of free column f: t_f = m, t_p = -e[f] m / e[p] on each reduced e
         m = lcm(*(e[p] for p, e in zip(pivots, reduced)))
         vectors = []
@@ -484,18 +475,18 @@ class Subspace:
             for p, e in zip(pivots, reduced):
                 t[p] = -e[f] * (m // e[p])
             vectors.append(_combination(t, self.rows, self.ambient_dim))
-        return Subspace._from_rows(self.ambient_dim, vectors, provenance)
+        return Subspace._from_rows(self.ambient_dim, vectors)
 
-    def sum(self, other: "Subspace", provenance: str = "") -> "Subspace":
+    def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace._from_rows(self.ambient_dim, self.rows + other.rows, provenance)
+        return Subspace._from_rows(self.ambient_dim, self.rows + other.rows)
 
-    def intersect(self, other: "Subspace", provenance: str = "") -> "Subspace":
+    def intersect(self, other: "Subspace") -> "Subspace":
         """The part of this space whose remainder against `other` is zero."""
         self._check_ambient(other)
-        return self._where_zero(zip(*map(other._reduce, self.rows)), provenance)
+        return self._where_zero(zip(*map(other._reduce, self.rows)))
 
 
-def kernel(m: Matrix, provenance: str = "") -> Subspace:
+def kernel(m: Matrix) -> Subspace:
     """Null space {v : m @ v = 0} as a canonical subspace of Q^cols."""
-    return Subspace.full(m.cols)._where_zero(map(_integral, m.entries), provenance)
+    return Subspace.full(m.cols)._where_zero(map(_integral, m.entries))

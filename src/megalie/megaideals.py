@@ -276,9 +276,7 @@ def closure(
     for old in order:
         prov = _render(builder.prov[old], labels)
         aliases = tuple(_render(p, labels) for p in builder.aliases[old])
-        entries.append(
-            LatticeEntry(builder.spaces[old].with_provenance(prov), prov, aliases)
-        )
+        entries.append(LatticeEntry(builder.spaces[old], prov, aliases))
     return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes, series)
 
 

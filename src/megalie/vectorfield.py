@@ -76,6 +76,10 @@ class PolyVectorField:
     def is_zero(self) -> bool:
         return not self.components
 
+    def components_dict(self) -> dict[str, str]:
+        """The nonzero components as {variable: polynomial text}, in variable order."""
+        return {v: self.components[v].to_str() for v in self.variables if v in self.components}
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolyVectorField)
@@ -462,14 +466,7 @@ def fields_from_dict(data: Mapping) -> tuple[tuple[str, ...], list[tuple[str, Po
 
 
 def fields_to_dict(variables: Sequence[str], named_fields: Sequence[tuple[str, PolyVectorField]]) -> dict:
-    entries = []
-    for name, fld in named_fields:
-        components = {
-            var: fld.components[var].to_str()
-            for var in variables
-            if var in fld.components
-        }
-        entries.append({"name": name, "components": components})
+    entries = [{"name": name, "components": fld.components_dict()} for name, fld in named_fields]
     return {"variables": list(variables), "fields": entries}
 
 

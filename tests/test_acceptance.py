@@ -176,7 +176,7 @@ def test_criterion_5_invariant_enumeration(m5):
     basis, shape, system, param = solve_in_adapted_basis(m5, closure(m5))
     found = enumerate_coordinate_megaideals(m5, param, basis)
     elapsed = time.perf_counter() - start
-    proper = [s for s in found if 0 < s.dim < 5]
+    proper = [s for _, s in found if 0 < s.dim < 5]
     assert len(proper) == 5
     e = [m5.basis_vector(i) for i in range(5)]
     pt_span = span(5, e[0], e[1], e[3])  # <G1, F1, Pt>

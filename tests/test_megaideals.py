@@ -302,7 +302,9 @@ class TestDenseReference:
         # are checked first: a wrong solve fails here instead of growing the
         # closure without end.
         inverse = b.inverse()
-        lattice = [Subspace(g.dim, m.basis @ inverse) for m in closure(base).members]
+        lattice = [
+            Subspace.spanned_by(g.dim, (m.basis @ inverse).entries) for m in closure(base).members
+        ]
         for within, of in itertools.product(lattice, repeat=2):
             meet = within.intersect(of)
             assert within.contains_subspace(meet) and of.contains_subspace(meet)
@@ -397,10 +399,10 @@ class TestComputedOnce:
             monkeypatch, megalie.algebra.upper_central_series, megalie.algebra.center
         )
 
-        def recorded(within, images, into, provenance=""):
+        def recorded(within, images, into):
             if not in_series:
                 solved.append((within, id(images), into))
-            return original(within, images, into, provenance)
+            return original(within, images, into)
 
         rebind(monkeypatch, original, recorded)
         lattice = closure(filiform(6))

@@ -194,12 +194,9 @@ class TestTermOrder:
 def block_det(pattern):
     """_symbolic_det of a grid of unknown names (None = zero) and sympy's Laplace det."""
     names = tuple(dict.fromkeys(name for row in pattern for name in row if name))
-    entries = [
-        [Poly.var(names, name) if name else Poly.zero(names) for name in row] for row in pattern
-    ]
     symbols = dict(zip(names, sympy.symbols(names)))
     matrix = sympy.Matrix([[symbols[name] if name else 0 for name in row] for row in pattern])
-    return _symbolic_det(entries, names), sympy.expand(matrix.det(method="laplace"))
+    return _symbolic_det(pattern, names), sympy.expand(matrix.det(method="laplace"))
 
 
 @st.composite

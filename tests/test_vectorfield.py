@@ -228,6 +228,12 @@ class TestFileFormats:
         assert variables == V
         assert loaded == named
 
+    def test_components_dict_in_variable_order(self):
+        # components given out of order, one of them zero: rendered in V's order, zero dropped
+        field = PolyVectorField(V, {V[-1]: fp("t + 1"), V[0]: fp("x^2"), V[1]: fp("0")})
+        assert list(field.components_dict().items()) == [(V[0], "x^2"), (V[-1], "t + 1")]
+        assert PolyVectorField(V, {}).components_dict() == {}
+
     def test_pointmap_file_roundtrip(self, fixtures_dir):
         data = json.loads((fixtures_dir / "maps" / "ugauge.json").read_text())
         pm = pointmap_from_dict(data)
