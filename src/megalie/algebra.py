@@ -1,17 +1,18 @@
 """Finite-dimensional Lie algebras given by rational structure constants.
 
-A LieAlgebra is a tensor c[i][j][k] with [Q_i, Q_j] = sum_k c[i][j][k] Q_k.
+A LieAlgebra holds constants c_ijk with [Q_i, Q_j] = sum_k c_ijk Q_k.
 The module validates antisymmetry and the Jacobi identity exactly, and
 provides the bracket calculus used everywhere else: adjoint matrices,
 brackets of subspaces, centralizers/normalizers, the three structural
 series, quotients and changes of basis, the Killing form, the radical, a
 nilradical approximation, derivations, and exponentials of nilpotent
-adjoints.  Every structure tensor is built by algebra_from_brackets.
+adjoints.  Every structure tensor is built by algebra_from_brackets, the
+one builder that checks its input and fills in the antisymmetric
+counterparts.
 
-The dense tensor `c` is the stored input form, kept for API and benchmark
-compatibility.  Everything else reads the constants through one sparse
-index of the nonzero ones, built with the algebra (see LieAlgebra); only
-the antisymmetry check reads `c`, because it checks the raw input.  The
+The constants are stored once, as a sparse index of the nonzero ones (see
+LieAlgebra), and every reader, the antisymmetry check included, reads
+that index; the dense tensor `c` is a view built on first read.  The
 index holds int numerators over one common denominator, so brackets of
 int rows, the closure's transporter solves and the derivation equations
 run on ints; the readers that report constants divide at the boundary.
@@ -19,8 +20,9 @@ run on ints; the readers that report constants divide at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 from typing import Mapping, Sequence
@@ -50,43 +52,51 @@ class FormatError(ValueError):
 
 
 Tensor = tuple[tuple[Vector, ...], ...]
+Constants = Mapping[tuple[int, int], Mapping[int, object]]
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
-    """Structure constants c[i][j][k] with [Q_i, Q_j] = sum_k c[i][j][k] Q_k.
+    """Structure constants c_ijk with [Q_i, Q_j] = sum_k c_ijk Q_k.
 
-    `c` is the stored input form, kept as the dataclass field for API
-    compatibility.  The bracket calculus reads the constants only through
-    `_nonzero`, built once from `c`: every ordered pair (i, j) whose row
-    c[i][j] has a nonzero entry, both orientations and the diagonal
-    included, mapped to that row's nonzero entries ((k, q), ...) in
-    increasing k.  Keeping every pair keeps a directly constructed tensor
-    exact even when it is not antisymmetric.  Each q is an int, the
-    constant times `_denominator`, the lcm of all denominators in `c`
-    (1 when every constant is an integer).
+    The constructor takes them sparse, {(i, j): {k: c_ijk}}, exactly as
+    given: it mirrors and checks nothing, so that `validate` can report a
+    raw table (algebra_from_brackets is the checked builder).  They are
+    stored once, as `_nonzero`: every ordered pair (i, j) with a nonzero
+    constant, in increasing (i, j), mapped to that row's nonzero entries
+    ((k, q), ...) in increasing k.  Each q is an int, the constant times
+    `_denominator`, the lcm of all denominators (1 when every constant is
+    an integer).  That form is canonical, so equality and hashing read it.
     """
 
     name: str
     basis_names: tuple[str, ...]
-    c: Tensor  # c[i][j][k], antisymmetric in (i, j)
-    _nonzero: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    _denominator: int = field(init=False, compare=False, repr=False)
+    constants: InitVar[Constants]
+    _nonzero: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(init=False)
+    _denominator: int = field(init=False)
 
-    def __post_init__(self):
-        nonzero = {}
-        for i, plane in enumerate(self.c):
-            for j, row in enumerate(plane):
-                entries = tuple((k, q) for k, q in enumerate(row) if q)
-                if entries:
-                    nonzero[(i, j)] = entries
-        d = lcm(*(q.denominator for row in nonzero.values() for _, q in row))
-        for key, row in nonzero.items():
-            nonzero[key] = tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
+    def __post_init__(self, constants: Constants):
+        d = lcm(*(q.denominator for row in constants.values() for q in row.values()))
+        nonzero = {
+            key: tuple((k, q.numerator * (d // q.denominator)) for k, q in sorted(row.items()) if q)
+            for key, row in sorted(constants.items())
+            if any(row.values())
+        }
         object.__setattr__(self, "_nonzero", nonzero)
         object.__setattr__(self, "_denominator", d)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.basis_names, self._denominator, tuple(self._nonzero.items())))
+
+    @cached_property
+    def c(self) -> Tensor:
+        """The dense tensor c[i][j][k] of Fractions, built on first read."""
+        n = self.dim
+        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), row in self._nonzero.items():
+            for k, q in row:
+                c[i][j][k] = Fraction(q, self._denominator)
+        return tuple(tuple(map(tuple, plane)) for plane in c)
 
     @property
     def dim(self) -> int:
@@ -125,35 +135,30 @@ class LieAlgebra:
         return Subspace.zero(self.dim)
 
 
-def algebra_from_brackets(
-    name: str,
-    basis_names: Sequence[str],
-    brackets: Mapping[tuple[int, int], Mapping[int, object]],
-) -> LieAlgebra:
-    """Build an algebra from sparse brackets {(i, j): {k: coeff}}.
+def algebra_from_brackets(name: str, basis_names: Sequence[str], brackets: Constants) -> LieAlgebra:
+    """Build an algebra from sparse brackets {(i, j): {k: coeff}}, checked.
 
-    The antisymmetric counterparts are filled in automatically; this is the
-    one builder of the structure tensor, used by every loader.
+    This is the one checked builder, used by every loader: every index must
+    lie in range, [x, x] must be zero, and a pair given in both orientations
+    must agree.  The antisymmetric counterparts are filled in.
     """
     names = tuple(basis_names)
     n = len(names)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    constants: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), result in brackets.items():
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"bracket index ({i},{j}) out of range")
         for k in result:
             if not 0 <= k < n:
                 raise FormatError(f"bracket ({i},{j}) component index {k} out of range")
-        if i == j:
-            if any(rat(v) != 0 for v in result.values()):
-                raise FormatError(f"bracket [{names[i]},{names[i]}] must be zero")
-            continue
-        for k, value in result.items():
-            q = rat(value)
-            c[i][j][k] = q
-            c[j][i][k] = -q
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return LieAlgebra(name, names, tensor)
+        row = {k: q for k, value in result.items() if (q := rat(value))}
+        if i == j and row:
+            raise FormatError(f"bracket [{names[i]},{names[i]}] must be zero")
+        if constants.setdefault((i, j), row) != row:
+            a, b = names[min(i, j)], names[max(i, j)]
+            raise FormatError(f"brackets ({a},{b}) and ({b},{a}) are inconsistent")
+        constants[(j, i)] = {k: -q for k, q in row.items()}
+    return LieAlgebra(name, names, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +182,15 @@ def validate(g: LieAlgebra) -> ValidationReport:
     orders carry no extra information once antisymmetry holds, and when
     antisymmetry fails the report already fails on that list.
     """
-    n = g.dim
+    n, rows = g.dim, g._nonzero
     anti = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if g.c[i][j][k] != -g.c[j][i][k]:
-                    anti.append((i, j, k, g.c[i][j][k], g.c[j][i][k]))
+    for i, j in sorted({(min(pair), max(pair)) for pair in rows}):
+        ij, ji = dict(rows.get((i, j), ())), dict(rows.get((j, i), ()))
+        for k in sorted(ij.keys() | ji.keys()):
+            a, b = ij.get(k, 0), ji.get(k, 0)
+            if a != -b:
+                anti.append((i, j, k, Fraction(a, g._denominator), Fraction(b, g._denominator)))
     jacobi = []
-    rows = g._nonzero
     square = g._denominator**2
     for i, j, l in combinations(range(n), 3):
         # component m of [[Q_i,Q_j],Q_l] + [[Q_j,Q_l],Q_i] + [[Q_l,Q_i],Q_j], times square
@@ -550,8 +555,10 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
     "right": nameOrIndex, "result": {nameOrIndex: rationalString}}...]}
 
     Integer references are 0-based positions in the basis array.  Omitted
-    brackets are zero; antisymmetric counterparts are filled in; supplying
-    both (i, j) and (j, i) inconsistently is a load error.
+    brackets are zero.  This loader checks the shape, the references, the
+    rationals and that no pair or result key is given twice;
+    algebra_from_brackets fills in the antisymmetric counterparts and
+    rejects a nonzero [x, x] and a pair given inconsistently in both orders.
     """
     if not isinstance(data, Mapping):
         raise FormatError("algebra file must be a JSON object")
@@ -566,11 +573,10 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
     if len(set(basis)) != len(basis):
         raise FormatError("duplicate basis names")
     names = tuple(basis)
-    n = len(names)
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise FormatError("'brackets' must be a list")
-    seen: dict[tuple[int, int], Vector] = {}
+    seen: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pos, entry in enumerate(brackets):
         context = f"brackets[{pos}]"
         if not isinstance(entry, Mapping):
@@ -580,30 +586,21 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
         result = entry.get("result", {})
         if not isinstance(result, Mapping):
             raise FormatError(f"{context}.result: must be an object")
-        value = [Fraction(0)] * n
+        row = {}
         for key, text in result.items():
             k = _resolve_basis_ref(key, names, f"{context}.result key")
+            if k in row:
+                raise FormatError(f"{context}.result[{key!r}]: component {names[k]} given twice")
             try:
-                value[k] = rat(text)
+                row[k] = rat(text)
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{context}.result[{key!r}]: {exc}") from exc
-        value = tuple(value)
-        if i == j:
-            if any(x != 0 for x in value):
-                raise FormatError(f"{context}: bracket of a basis vector with itself must be zero")
-            continue
+        if i == j and not any(row.values()):
+            continue  # a zero [x, x] may be given any number of times
         if (i, j) in seen:
             raise FormatError(f"{context}: bracket ({names[i]},{names[j]}) supplied twice")
-        seen[(i, j)] = value
-    for (i, j), value in seen.items():
-        opposite = seen.get((j, i))
-        if opposite is not None and any(a != -b for a, b in zip(value, opposite)):
-            raise FormatError(
-                f"brackets ({names[i]},{names[j]}) and ({names[j]},{names[i]}) are inconsistent"
-            )
-    return algebra_from_brackets(
-        name, names, {pair: dict(enumerate(value)) for pair, value in seen.items()}
-    )
+        seen[(i, j)] = row
+    return algebra_from_brackets(name, names, seen)
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:

@@ -158,9 +158,6 @@ class Matrix:
         sums = (tuple(x + y for x, y in zip(a, b)) for a, b in zip(self.entries, other.entries))
         return Matrix._from_rows(sums, self.cols)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(Fraction(-1))
-
     def scaled(self, q) -> "Matrix":
         q = rat(q)
         return Matrix._from_rows((tuple(q * x for x in row) for row in self.entries), self.cols)
@@ -292,6 +289,9 @@ class Subspace:
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("Subspace has no public constructor; use Subspace.spanned_by")
 
     @staticmethod
     def _from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Subspace:

@@ -201,10 +201,9 @@ def _corrupt_single_entry(g, rng):
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         if i != j:
             break
-    c = [[[x for x in row] for row in plane] for plane in g.c]
-    c[i][j][k] += 1
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return LieAlgebra(g.name, g.basis_names, tensor)
+    c = {(a, b): dict(enumerate(g.c[a][b])) for a in range(n) for b in range(n)}
+    c[(i, j)][k] += 1
+    return LieAlgebra(g.name, g.basis_names, c)
 
 
 def test_criterion_6_property_suites(m5, sl2d, heisenberg, sl2, abelian3, fixtures_dir):

@@ -62,9 +62,9 @@ class TestValidate:
     def test_antisymmetry_violation_located(self):
         g = algebra_from_brackets("bad", ["a", "b", "c"], {(0, 1): {2: 1}})
         # overwrite one side only
-        c = [[list(row) for row in plane] for plane in g.c]
-        c[1][0][2] = Fraction(1)
-        g = type(g)(g.name, g.basis_names, tuple(tuple(tuple(r) for r in p) for p in c))
+        c = {(i, j): dict(enumerate(g.c[i][j])) for i in range(3) for j in range(3)}
+        c[(1, 0)][2] = Fraction(1)
+        g = type(g)(g.name, g.basis_names, c)
         report = validate(g)
         assert not report.ok
         assert (0, 1, 2) in {(i, j, k) for i, j, k, _, _ in report.antisymmetry_violations}
@@ -353,6 +353,21 @@ class TestFileFormat:
         with pytest.raises(FormatError):
             algebra_from_dict(data)
 
+    @pytest.mark.parametrize("order", [((0, 1), (1, 0)), ((1, 0), (0, 1))])
+    def test_builder_rejects_inconsistent_orientations(self, order):
+        brackets = {pair: {2: 1} for pair in order}
+        with pytest.raises(FormatError, match=r"^brackets \(a,b\) and \(b,a\) are inconsistent$"):
+            algebra_from_brackets("bad", ["a", "b", "c"], brackets)
+
+    def test_result_key_given_twice_rejected(self):
+        data = {
+            "name": "bad",
+            "basis": ["a", "b", "c"],
+            "brackets": [{"left": "a", "right": "b", "result": {"c": "1", "2": "5"}}],
+        }
+        with pytest.raises(FormatError, match=r"brackets\[0\]\.result.*given twice"):
+            algebra_from_dict(data)
+
     def test_consistent_double_supply(self):
         data = {
             "name": "ok",
@@ -386,6 +401,11 @@ class TestFileFormat:
         with pytest.raises(FormatError):
             algebra_from_dict(data)
 
+    def test_nonzero_self_bracket_diagnosed_by_builder(self):
+        data = {"basis": ["a"], "brackets": [{"left": "a", "right": "a", "result": {"a": "1"}}]}
+        with pytest.raises(FormatError, match=r"bracket \[a,a\] must be zero"):
+            algebra_from_dict(data)
+
     def test_bad_rational_rejected(self):
         data = {
             "name": "bad",
@@ -394,6 +414,28 @@ class TestFileFormat:
         }
         with pytest.raises(FormatError):
             algebra_from_dict(data)
+
+
+class TestStoredForm:
+    """The constants are stored once, sparse; the dense `c` is a cached view."""
+
+    def test_dense_view_built_on_first_read(self, m5):
+        g = algebra_from_dict(algebra_to_dict(m5))
+        # the readers of the constants go through the sparse index
+        assert validate(g).ok and derivations(g) and algebra_to_dict(g) == algebra_to_dict(m5)
+        assert ad(g, (0, 0, 0, 1, 0)) == ad(m5, (0, 0, 0, 1, 0))
+        assert "c" not in vars(g)
+        assert g.c == m5.c and "c" in vars(g) and g.c is g.c
+
+    def test_equal_by_value_in_any_order_or_orientation(self):
+        names = ["a", "b", "c"]
+        half = Fraction(1, 2)
+        g = algebra_from_brackets("g", names, {(0, 1): {2: 1}, (0, 2): {1: -half}})
+        h = algebra_from_brackets("g", names, {(2, 0): {1: "1/2"}, (1, 0): {2: -1, 0: 0}})
+        mirrored = {(2, 0): {1: half}, (1, 0): {2: -1}, (0, 2): {1: -half}, (0, 1): {2: 1}}
+        raw = LieAlgebra("g", ("a", "b", "c"), mirrored)
+        assert g == h == raw and hash(g) == hash(h) == hash(raw)
+        assert g != algebra_from_brackets("g", names, {(0, 1): {2: 2}, (0, 2): {1: -half}})
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +586,7 @@ def antisymmetric(draw):
 def raw_tensor(draw):
     """A directly constructed tensor, neither antisymmetric nor zero on the diagonal."""
     n = draw(st.integers(1, 4))
-    c = tuple(
-        tuple(tuple(Fraction(draw(COEFFS)) for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
+    c = {(i, j): {k: Fraction(draw(COEFFS)) for k in range(n)} for i in range(n) for j in range(n)}
     return LieAlgebra("raw", tuple(f"e{i}" for i in range(n)), c)
 
 
@@ -610,10 +650,6 @@ class TestDenseReference:
         assert report == dense_validate(g) and report.jacobi_residuals
 
     def test_diagonal_is_read(self):
-        c = tuple(
-            tuple(tuple(Fraction(int(i == j == k == 0)) for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        g = LieAlgebra("diag", ("a", "b"), c)
+        g = LieAlgebra("diag", ("a", "b"), {(0, 0): {0: Fraction(1)}})
         assert g.bracket((1, 0), (1, 0)) == (1, 0)
         assert ad(g, (1, 0)) == dense_ad(g, (1, 0)) == Matrix([[1, 0], [0, 0]])

@@ -75,6 +75,15 @@ class TestValidate:
         assert "unknown basis name" in result.stderr
 
 
+    def test_result_key_given_twice_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        entry = {"left": "a", "right": "b", "result": {"c": "1", "2": "5"}}
+        bad.write_text(json.dumps({"name": "x", "basis": ["a", "b", "c"], "brackets": [entry]}))
+        result = run("validate", str(bad))
+        assert result.returncode == 2
+        assert "brackets[0].result" in result.stderr and "given twice" in result.stderr
+
+
 class TestAnalyze:
     def test_m5_report_content(self, fixtures_dir):
         result = run("analyze", str(fixtures_dir / "m5.json"))

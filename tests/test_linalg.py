@@ -121,6 +121,10 @@ class TestCanonicalForm:
         same_pivots = Subspace.spanned_by(3, [[1, 3, 0], [0, 0, 1]])
         assert same_pivots != s and len({s, t, same_pivots}) == 2
 
+    def test_bare_constructor_points_to_spanned_by(self):
+        with pytest.raises(TypeError, match=r"Subspace\.spanned_by"):
+            Subspace()
+
     def test_plain_value_with_one_checked_constructor(self):
         # the canonical form and the cached basis, no label, no public __init__
         assert Subspace.__slots__ == ("ambient_dim", "rows", "pivots", "_basis")
