@@ -595,8 +595,6 @@ def algebra_from_dict(data: Mapping) -> LieAlgebra:
                 row[k] = rat(text)
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{context}.result[{key!r}]: {exc}") from exc
-        if i == j and not any(row.values()):
-            continue  # a zero [x, x] may be given any number of times
         if (i, j) in seen:
             raise FormatError(f"{context}: bracket ({names[i]},{names[j]}) supplied twice")
         seen[(i, j)] = row

@@ -27,7 +27,7 @@ from typing import Sequence
 from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra
 from .linalg import Matrix, Subspace, format_rat, rat
 from .megaideals import MegaidealLattice
-from .poly import Poly
+from .poly import MAX_PAIRS, ExpansionError, Poly
 
 
 class ResidualSystem(ValueError):
@@ -191,7 +191,8 @@ def _symbolic_det(block: Sequence[Sequence[str | None]], variables: tuple[str, .
 
     Each permutation that avoids the zeros contributes +-1 times a product
     of unknowns; contributions are added, so a repeated unknown stays
-    exact.  No polynomial is multiplied.
+    exact.  No polynomial is multiplied.  Past MAX_PAIRS such permutations
+    (8! = 40,320 fit, a full 9x9 grid does not), ExpansionError is raised.
     """
     index = {name: k for k, name in enumerate(variables)}
     # positions[i][j]: index in `variables` of the unknown at (i, j), None for zero
@@ -202,27 +203,33 @@ def _symbolic_det(block: Sequence[Sequence[str | None]], variables: tuple[str, .
     return Poly._from_terms(variables, terms)
 
 
-def _add_permutation_terms(positions, row, cols, sign, exps, terms) -> None:
+def _add_permutation_terms(positions, row, cols, sign, exps, terms, expanded=0) -> int:
     """Add sign times the products of rows row.. over the free columns cols into terms.
 
     Taking the column at position pos of cols for this row flips the sign
     when pos is odd, as in Laplace's expansion along the row.  exps holds
     the exponents of the product chosen so far and is restored before
-    returning.
+    returning.  expanded counts the permutations added before this call;
+    the count after it is returned, and ExpansionError is raised instead
+    of adding one past MAX_PAIRS.
     """
     if row == len(positions):
+        if expanded == MAX_PAIRS:
+            raise ExpansionError(f"block determinant expands past {MAX_PAIRS} permutations")
         key = tuple(exps)
         c = terms.get(key)
         terms[key] = sign if c is None else c + sign
-        return
+        return expanded + 1
     for pos, col in enumerate(cols):
         index = positions[row][col]
         if index is None:
             continue
         exps[index] += 1
         rest = cols[:pos] + cols[pos + 1 :]
-        _add_permutation_terms(positions, row + 1, rest, -sign if pos % 2 else sign, exps, terms)
+        flipped = -sign if pos % 2 else sign
+        expanded = _add_permutation_terms(positions, row + 1, rest, flipped, exps, terms, expanded)
         exps[index] -= 1
+    return expanded
 
 
 def shape_from_flag(basis: AdaptedBasis) -> AutShape:

@@ -10,10 +10,10 @@ Commands:
 
 Exit codes: 0 success, 1 validation failure (not a Lie algebra),
 2 parse/format error (malformed or too deeply nested input, bad options,
-unwritable --out, polynomials too large to expand), 3 analysis
-incompleteness (bracket escapes the span, fields are linearly dependent,
-or residual equations remain), 4 internal error (any other exception; a
-one-line JSON diagnostic goes to stderr).
+unwritable --out, polynomials or block determinants too large to expand),
+3 analysis incompleteness (bracket escapes the span, fields are linearly
+dependent, or residual equations remain), 4 internal error (any other
+exception; a one-line JSON diagnostic goes to stderr).
 All machine output is JSON; --text is a human projection and is never
 parsed back.
 """
@@ -190,7 +190,10 @@ def _cmd_analyze(args) -> int:
         full_transporter=args.full_prop34,
         max_enum_dim=args.max_enum_dim,
     )
-    report = analyze(g, options, input_digest=_digest(args.file))
+    try:
+        report = analyze(g, options, input_digest=_digest(args.file))
+    except ExpansionError as exc:
+        raise CliError(EXIT_FORMAT, f"{args.file}: {exc}") from exc
     text = _render_analysis_text(report) if args.text else canonical_json(report)
     _write(text, args.out)
     if not report["validation"]["ok"]:

@@ -8,6 +8,11 @@ pairwise Lie products, sums, intersections, and the transporter
 {x in i0 : [x, i1] <= i2}, whose special cases i2 = 0 and i2 = i1 are the
 centralizer and the normalizer.
 
+Each member is reported with the first derivation that produced it (its
+provenance) and up to _ALIAS_CAP later ones (its aliases).  A derivation
+is stored as its own printed form: a format template and the member
+indices that fill it, such as ("[{},{}]", a, b) for the product [a, b].
+
 The constructor family is sound but not complete: a subspace can be
 invariant under every automorphism without arising from any constructor
 (the automorphism-enumeration route in the automorphisms module finds
@@ -97,67 +102,6 @@ def verify_megaideal(
     return MegaidealVerdict(ideal_ok, deriv_ok, notes)
 
 
-class _Builder:
-    """Append-only member store with canonical dedup and provenance."""
-
-    def __init__(self, g: LieAlgebra):
-        self.g = g
-        self.spaces: list[Subspace] = []
-        self.prov: list[tuple] = []
-        self.aliases: list[list[tuple]] = []
-        self.index: dict[Subspace, int] = {}
-
-    def add(self, space: Subspace, prov: tuple) -> bool:
-        known = self.index.get(space)
-        if known is not None:
-            if prov != self.prov[known] and prov not in self.aliases[known]:
-                if len(self.aliases[known]) < _ALIAS_CAP:
-                    self.aliases[known].append(prov)
-            return False
-        self.index[space] = len(self.spaces)
-        self.spaces.append(space)
-        self.prov.append(prov)
-        self.aliases.append([])
-        return True
-
-
-def _render(prov: tuple, labels: dict[int, str]) -> str:
-    kind = prov[0]
-    if kind == "zero":
-        return "0"
-    if kind == "full":
-        return "g"
-    if kind == "seed":
-        return f"seed{prov[1]}"
-    if kind == "derived":
-        k = prov[1]
-        return "g" + "'" * k if k <= 3 else f"der{k}(g)"
-    if kind == "lcs":
-        return f"lcs{prov[1]}(g)"
-    if kind == "ucs":
-        return f"ucs{prov[1]}(g)"
-    if kind == "center":
-        return "Z(g)"
-    if kind == "radical":
-        return "rad(g)"
-    if kind == "nilradical":
-        return "nil(g)"
-    ops = tuple(labels[i] for i in prov[1:])
-    if kind == "bracket":
-        return f"[{ops[0]},{ops[1]}]"
-    if kind == "sum":
-        return f"{ops[0]}+{ops[1]}"
-    if kind == "intersect":
-        return f"int({ops[0]},{ops[1]})"
-    if kind == "centralizer":
-        return f"C({ops[0]};{ops[1]})"
-    if kind == "normalizer":
-        return f"N({ops[0]};{ops[1]})"
-    if kind == "transporter":
-        return f"tp({ops[0]},{ops[1]},{ops[2]})"
-    raise ValueError(f"unknown provenance kind {kind!r}")
-
-
 def closure(
     g: LieAlgebra,
     seeds: Sequence[Subspace] = (),
@@ -176,6 +120,13 @@ def closure(
     restricted to dim(c) <= dim(b) unless full_transporter is set; the
     restriction always keeps C and N.
 
+    A derivation is (template, *operands), such as ("tp({},{},{})", a, b, c)
+    or ("Z(g)",), where each operand is the index of a member in insertion
+    order.  Each member keeps its derivations in the order found: the first
+    is its provenance, up to _ALIAS_CAP more are its aliases.  Once the
+    members are sorted and labelled, each derivation is printed by filling
+    its template with the labels of its operands.
+
     Each member pair (a, b) is bracketed once, into a table [[w, v] for v in
     b] for w in a kept for all passes (members are append-only).  [a, b] is
     its span; tp(a, b, c) is one solve on its remainders against c, once.
@@ -184,99 +135,108 @@ def closure(
     reported through reached_fixpoint=False on the result.
     """
     n = g.dim
-    builder = _Builder(g)
-    builder.add(Subspace.zero(n), ("zero",))
-    builder.add(Subspace.full(n), ("full",))
+    store: dict[Subspace, list[tuple]] = {}  # member -> [provenance, *aliases]
+
+    def add(space: Subspace, derivation: tuple) -> bool:
+        known = store.get(space)
+        if known is None:
+            store[space] = [derivation]
+            return True
+        if derivation not in known and len(known) <= _ALIAS_CAP:
+            known.append(derivation)
+        return False
+
+    add(Subspace.zero(n), ("0",))
+    add(Subspace.full(n), ("g",))
     for pos, seed in enumerate(seeds):
         if seed.ambient_dim != n:
             raise NotAnIdeal("seed has wrong ambient dimension")
         if not is_ideal(g, seed):
             raise NotAnIdeal(f"seed {pos} is not an ideal")
-        builder.add(seed, ("seed", pos))
+        add(seed, (f"seed{pos}",))
 
     series = (derived_series(g), lower_central_series(g), upper_central_series(g))
     derived, lower, upper = series
     for k, term in enumerate(derived.terms):
         if k:
-            builder.add(term, ("derived", k))
+            add(term, ("g" + "'" * k if k <= 3 else f"der{k}(g)",))
     for k, term in enumerate(lower.terms):
         if k:
-            builder.add(term, ("lcs", k + 1))
-    builder.add(upper.terms[0], ("center",))
+            add(term, (f"lcs{k + 1}(g)",))
+    add(upper.terms[0], ("Z(g)",))
     for k, term in enumerate(upper.terms):
         if k:
-            builder.add(term, ("ucs", k + 1))
-    builder.add(radical(g), ("radical",))
+            add(term, (f"ucs{k + 1}(g)",))
+    add(radical(g), ("rad(g)",))
     nil, status = nilradical_approx(g)
     if status == "exact":
-        builder.add(nil, ("nilradical",))
+        add(nil, ("nil(g)",))
 
     table: dict[tuple[int, int], list] = {}
-
-    def images(a: int, b: int) -> list:
-        if (a, b) not in table:
-            table[(a, b)] = _bracket_images(g, builder.spaces[a], builder.spaces[b])
-        return table[(a, b)]
-
     done: set[tuple] = set()
     passes = 0
     reached_fixpoint = False
     while passes < budget:
         passes += 1
-        count = len(builder.spaces)
-        members = list(builder.spaces)
+        members = list(store)
+        count = len(members)
         candidates: list[tuple[Subspace, tuple]] = []
         solved: dict[tuple[int, int, int], Subspace] = {}  # this pass only
+
+        def images(a: int, b: int) -> list:
+            if (a, b) not in table:
+                table[(a, b)] = _bracket_images(g, members[a], members[b])
+            return table[(a, b)]
 
         def tp(a: int, b: int, c: int) -> Subspace:
             if (a, b, c) not in solved:
                 solved[(a, b, c)] = _transport(members[a], images(a, b), members[c])
             return solved[(a, b, c)]
 
-        def emit(op: tuple, build: Callable[[], Subspace]) -> None:
-            if op not in done:
-                done.add(op)
-                candidates.append((build(), op))
+        def emit(derivation: tuple, build: Callable[[], Subspace]) -> None:
+            if derivation not in done:
+                done.add(derivation)
+                candidates.append((build(), derivation))
 
         for a in range(count):
             for b in range(a, count):
-                emit(("bracket", a, b), lambda: _span_of_images(g, images(a, b)))
+                emit(("[{},{}]", a, b), lambda: _span_of_images(g, images(a, b)))
                 if a < b:
-                    emit(("sum", a, b), lambda: members[a].sum(members[b]))
-                    emit(("intersect", a, b), lambda: members[a].intersect(members[b]))
+                    emit(("{}+{}", a, b), lambda: members[a].sum(members[b]))
+                    emit(("int({},{})", a, b), lambda: members[a].intersect(members[b]))
         for a in range(count):
             for b in range(count):
-                emit(("centralizer", a, b), lambda: tp(a, b, 0))
-                emit(("normalizer", a, b), lambda: tp(a, b, b))
+                emit(("C({};{})", a, b), lambda: tp(a, b, 0))
+                emit(("N({};{})", a, b), lambda: tp(a, b, b))
         for a in range(count):
             for b in range(count):
                 for c in range(count):
                     if full_transporter or members[c].dim <= members[b].dim:
-                        emit(("transporter", a, b, c), lambda: tp(a, b, c))
+                        emit(("tp({},{},{})", a, b, c), lambda: tp(a, b, c))
 
         added = False
-        for space, op in candidates:
-            if builder.add(space, op):
+        for space, derivation in candidates:
+            if add(space, derivation):
                 added = True
         if not added:
             reached_fixpoint = True
             break
 
-    order = sorted(range(len(builder.spaces)), key=lambda i: builder.spaces[i].sort_key())
-    labels: dict[int, str] = {}
-    for new_pos, old in enumerate(order):
-        space = builder.spaces[old]
-        if space.is_zero():
-            labels[old] = "0"
-        elif space.is_full():
-            labels[old] = "g"
-        else:
-            labels[old] = f"m{new_pos}"
+    members = list(store)
+    order = sorted(range(len(members)), key=lambda i: members[i].sort_key())
+    labels = [""] * len(members)
+    for pos, i in enumerate(order):
+        space = members[i]
+        labels[i] = "0" if space.is_zero() else "g" if space.is_full() else f"m{pos}"
+
+    def render(derivation: tuple) -> str:
+        template, *operands = derivation
+        return template.format(*(labels[i] for i in operands))
+
     entries = []
-    for old in order:
-        prov = _render(builder.prov[old], labels)
-        aliases = tuple(_render(p, labels) for p in builder.aliases[old])
-        entries.append(LatticeEntry(builder.spaces[old], prov, aliases))
+    for i in order:
+        provenance, *aliases = map(render, store[members[i]])
+        entries.append(LatticeEntry(members[i], provenance, tuple(aliases)))
     return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes, series)
 
 

@@ -48,10 +48,11 @@ class PolyError(ValueError):
 
 
 class ExpansionError(ValueError):
-    """A substitution or bracket too large to expand or to read back.
+    """A substitution, bracket or block determinant too large to expand or to read back.
 
-    It would form more than MAX_PAIRS term pairs, or (in a push-forward or
-    a bracket) give a polynomial of degree above MAX_DEGREE.
+    It would form more than MAX_PAIRS term pairs (permutations, for a block
+    determinant), or (in a push-forward or a bracket) give a polynomial of
+    degree above MAX_DEGREE.
     """
 
 

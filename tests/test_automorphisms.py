@@ -22,7 +22,7 @@ from megalie.automorphisms import (
 )
 from megalie.linalg import Matrix, Subspace
 from megalie.megaideals import closure
-from megalie.poly import Poly, parse_poly
+from megalie.poly import ExpansionError, Poly, parse_poly
 
 
 def span(n, *rows):
@@ -149,6 +149,12 @@ class TestSymbolicDet:
         det = _symbolic_det(entries, names)
         assert calls == []
         assert len(det.terms) == 720
+
+    def test_full_9x9_grid_past_the_bound_raises(self):
+        entries = [[f"a{i}{j}" for j in range(9)] for i in range(9)]
+        names = tuple(name for row in entries for name in row)
+        with pytest.raises(ExpansionError, match="past 100000 permutations"):
+            _symbolic_det(entries, names)
 
 
 class TestStructureEquations:

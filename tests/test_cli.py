@@ -83,6 +83,17 @@ class TestValidate:
         assert result.returncode == 2
         assert "brackets[0].result" in result.stderr and "given twice" in result.stderr
 
+    def test_zero_diagonal_entry_given_twice_exit_2(self, tmp_path):
+        zero = {"left": "a", "right": "a", "result": {}}
+        once = tmp_path / "once.json"
+        once.write_text(json.dumps({"name": "x", "basis": ["a", "b"], "brackets": [zero]}))
+        assert run("validate", str(once)).returncode == 0
+        twice = tmp_path / "twice.json"
+        twice.write_text(json.dumps({"name": "x", "basis": ["a", "b"], "brackets": [zero, zero]}))
+        result = run("validate", str(twice))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {twice}: brackets[1]: bracket (a,a) supplied twice\n"
+
 
 class TestAnalyze:
     def test_m5_report_content(self, fixtures_dir):
@@ -446,6 +457,13 @@ class TestMalformedInputs:
         code, err = self.main(capsys, "vf", "pushforward", path, fixtures_dir / "maps" / "tshift.json")
         assert time.perf_counter() - started < 0.5
         assert (code, err) == (2, f"error: {path}: degree above 100 (at position 2)\n")
+
+    def test_block_determinant_past_the_bound_exit_2(self, tmp_path, capsys):
+        # abelian of dim 9: one full 9x9 block, 9! = 362,880 permutations
+        path = self.algebra(tmp_path, basis=[f"x{i}" for i in range(9)])
+        code, err = self.main(capsys, "analyze", path)
+        assert code == 2
+        assert err == f"error: {path}: block determinant expands past 100000 permutations\n"
 
     def test_large_pushforward_exit_2(self, fixtures_dir, tmp_path, capsys):
         # (t - x - u - u_x - f - g)^100 has about 10^8 terms

@@ -133,6 +133,40 @@ class TestClosure:
         assert [e.provenance for e in first.entries] == [e.provenance for e in second.entries]
         assert [e.aliases for e in first.entries] == [e.aliases for e in second.entries]
 
+    def test_seed_provenance_names_the_seed_position(self):
+        g = algebra_from_brackets("ab4", ["a", "b", "c", "d"], {})
+        a, b = g.basis_vector(0), g.basis_vector(1)
+        lattice = closure(g, seeds=[span(4, a), span(4, b), span(4, a, b)], budget=1)
+        # sorted by RREF, <b> comes before <a>
+        assert [e.provenance for e in lattice.entries] == ["0", "seed1", "seed0", "seed2", "g"]
+
+    def test_fourth_derived_term_and_alias_cap(self):
+        """b5, the upper-triangular 5x5 matrices: g'''' = 0 is printed der4(g)."""
+        cells = [(i, j) for i in range(5) for j in range(i, 5)]
+        index = {cell: k for k, cell in enumerate(cells)}
+        brackets = {}
+        for x, (i, j) in enumerate(cells):
+            for y, (k, l) in enumerate(cells[x + 1 :], x + 1):
+                # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+                row = Counter()
+                if j == k:
+                    row[index[(i, l)]] += 1
+                if l == i:
+                    row[index[(k, j)]] -= 1
+                if any(row.values()):
+                    brackets[(x, y)] = {key: v for key, v in row.items() if v}
+        names = [f"E{i + 1}{j + 1}" for i, j in cells]
+        lattice = closure(algebra_from_brackets("b5", names, brackets), budget=1)
+        zero = lattice.entries[0]
+        assert zero.provenance == "0"
+        assert zero.aliases == (
+            "der4(g)", "[0,0]", "[0,g]", "int(0,g)", "[0,m10]", "int(0,m10)", "[0,m8]", "int(0,m8)"
+        )
+        assert [e.provenance for e in lattice.entries] == [
+            "0", "g'''", "Z(g)", "m1+m2", "[m10,m8]", "C(m10;m8)", "tp(g,m10,m1)", "C(g;m8)",
+            "g''", "m8+m2", "g'", "nil(g)", "C(g;m1)", "g",
+        ]
+
 
 class TestEssentialFilter:
     def test_sum_flagged(self):
