@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algebra import LieAlgebra, algebra_to_dict, derivations, validate
-from .automorphisms import enumerate_coordinate_megaideals, inner_consistency, solve_in_adapted_basis
+from .automorphisms import MAX_ENUM_DIM, enumerate_coordinate_megaideals, inner_consistency, solve_in_adapted_basis
 from .linalg import Matrix, Subspace, format_rat
 from .megaideals import (
+    PASS_BUDGET,
     TRANSPORTER_COMPLETENESS_NOTE,
     closure,
     essential_filter,
@@ -28,9 +29,9 @@ from .megaideals import (
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
-    budget: int = 4
+    budget: int = PASS_BUDGET
     full_transporter: bool = False
-    max_enum_dim: int = 16
+    max_enum_dim: int = MAX_ENUM_DIM
 
 
 def matrix_rows(m: Matrix) -> list[list[str]]:

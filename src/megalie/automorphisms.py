@@ -11,23 +11,31 @@ coefficient is a declared-nonzero factor (or a nonzero rational) are
 solved, every division is audited, and whatever cannot be eliminated this
 way is reported as a residual system rather than forced.
 
-With a solved parametrization the invariant coordinate subspaces can be
-enumerated exhaustively (2^n scans), and inner automorphisms exp(t ad_x)
-can be matched against the parametrization as a consistency check; they
-are computed inside the adapted algebra, so no matrix is conjugated back.
+A solved parametrization keeps one form of its matrix, A = sum of x^e M_e
+over monomials in the free parameters x.  A subspace is invariant when
+each M_e keeps it; the invariant coordinate subspaces are enumerated
+(2^n scans) from the form's zero pattern; one evaluation at a point, with
+the side conditions tested at the unknowns read off the numeric matrix,
+serves substitute_parameters and the match of inner automorphisms
+exp(t ad_x), computed inside the adapted algebra, against the form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra
 from .linalg import Matrix, Subspace, format_rat, rat
 from .megaideals import MegaidealLattice
 from .poly import MAX_PAIRS, ExpansionError, Poly
+
+
+MAX_ENUM_DIM = 16  # default dimension cap of the 2^n invariant-span scan
 
 
 class ResidualSystem(ValueError):
@@ -92,7 +100,6 @@ class AutParametrization:
 
     shape: AutShape
     assignments: dict[str, Poly]
-    free_parameters: tuple[str, ...]
     residual_equations: tuple[Poly, ...]
     division_audit: tuple[dict, ...]
 
@@ -104,23 +111,49 @@ class AutParametrization:
     def side_conditions(self) -> tuple[Poly, ...]:
         return self.shape.side_conditions
 
-    def matrix_entries(self) -> tuple[tuple[Poly, ...], ...]:
-        """The automorphism matrix with polynomial entries."""
-        variables = self.shape.unknowns
-        zero = Poly.zero(variables)
-        rows = []
-        for i in range(self.shape.dim):
-            row = []
-            for j in range(self.shape.dim):
-                name = self.shape.pattern[i][j]
-                if name is None:
-                    row.append(zero)
-                elif name in self.assignments:
-                    row.append(self.assignments[name])
-                else:
-                    row.append(Poly.var(variables, name))
-            rows.append(tuple(row))
-        return tuple(rows)
+    @property
+    def free_parameters(self) -> tuple[str, ...]:
+        return tuple(name for name in self.shape.unknowns if name not in self.assignments)
+
+    @cached_property
+    def form(self) -> dict[tuple[int, ...], dict[tuple[int, int], Fraction]]:
+        """A = sum of x^e M_e over the free parameters x, as {e: {(i, j): nonzero M_e[i][j]}}.
+
+        Built on first read; raises ResidualSystem when residual equations remain.
+        """
+        if not self.solved:
+            raise ResidualSystem("parametrization has residual equations")
+        unknowns = self.shape.unknowns
+        # assignments mention no solved unknown, so e keeps the free exponents only
+        free = [k for k, name in enumerate(unknowns) if name not in self.assignments]
+        form: dict = {}
+        for i, row in enumerate(self.shape.pattern):
+            for j, name in enumerate(row):
+                if name is not None:
+                    entry = self.assignments[name] if name in self.assignments else Poly.var(unknowns, name)
+                    for exps, coeff in entry.terms.items():
+                        form.setdefault(tuple(exps[k] for k in free), {})[i, j] = coeff
+        return form
+
+    def matrix_at(self, point: Sequence[Fraction]) -> Matrix:
+        """The numeric matrix at point, the free parameters' values in order."""
+        n = self.shape.dim
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for exps, entries in self.form.items():
+            value = prod(x**e for x, e in zip(point, exps) if e)
+            for (i, j), coeff in entries.items():
+                rows[i][j] += coeff * value
+        return Matrix._from_rows(map(tuple, rows), n)
+
+    def vanishing_condition(self, matrix: Matrix) -> Poly | None:
+        """The first side condition that is zero at the unknowns read off matrix, or None.
+
+        At matrix_at(point), that is the first one whose substitution
+        by the assignments vanishes at point.
+        """
+        cells = zip(self.shape.pattern, matrix.entries)
+        values = {name: x for names, row in cells for name, x in zip(names, row) if name is not None}
+        return next((c for c in self.side_conditions if c.evaluate(values) == 0), None)
 
 
 def _unknown_name(i: int, j: int, n: int) -> str:
@@ -431,9 +464,8 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
                     continue
             new_equations.append(other)
         equations = new_equations
-    free = tuple(name for name in shape.unknowns if name not in assignments)
     residual = tuple(dict.fromkeys(equations))  # deduplicated, in order
-    return AutParametrization(shape, assignments, free, residual, tuple(audit))
+    return AutParametrization(shape, assignments, residual, tuple(audit))
 
 
 def solve_in_adapted_basis(
@@ -454,18 +486,21 @@ def solve_in_adapted_basis(
 def substitute_parameters(param: AutParametrization, values: dict) -> Matrix:
     """Numeric automorphism matrix at the given free-parameter values.
 
-    Raises ValueError when a side condition vanishes at the values (the
-    matrix would be singular, outside the parametrized group).
+    values must name every free parameter and nothing else.  Raises
+    ValueError when a side condition vanishes at the values (the matrix
+    would be singular, outside the parametrized group).
     """
-    if not param.solved:
-        raise ResidualSystem("parametrization has residual equations")
-    values = {name: rat(v) for name, v in values.items()}
-    for condition in param.side_conditions:
-        if condition.substitute(param.assignments).evaluate(values) == 0:
-            raise ValueError(f"side condition {condition.to_str()} vanishes")
-    entries = param.matrix_entries()
-    n = param.shape.dim
-    return Matrix([[entries[i][j].evaluate(values) for j in range(n)] for i in range(n)])
+    param.form  # a residual system raises ResidualSystem before any other check
+    free = param.free_parameters
+    missing = [name for name in free if name not in values]
+    unknown = [name for name in values if name not in free]
+    if missing or unknown:
+        raise ValueError(f"values must name the free parameters: missing {missing}, not free {unknown}")
+    matrix = param.matrix_at([rat(values[name]) for name in free])
+    condition = param.vanishing_condition(matrix)
+    if condition is not None:
+        raise ValueError(f"side condition {condition.to_str()} vanishes")
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +511,19 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
     """Whether A maps s into s identically in the free parameters.
 
     s is given in the coordinates the parametrization acts on (the adapted
-    basis).  A v lies in s identically exactly when, for every monomial
-    in the parameters, the vector of its coefficients in A v lies in s.
+    basis).  A v lies in s identically exactly when every M_e of the
+    solved form maps v into s.
     """
-    if not param.solved:
-        raise ResidualSystem("parametrization has residual equations")
     n = param.shape.dim
-    if s.ambient_dim != n:
-        raise ValueError("subspace has wrong ambient dimension")
-    entries = param.matrix_entries()
-    for v in s.basis.entries:
-        by_monomial: dict[tuple[int, ...], list] = {}
-        for i in range(n):
-            for j in range(n):
-                if v[j] != 0:
-                    for exps, coeff in entries[i][j].terms.items():
-                        by_monomial.setdefault(exps, [0] * n)[i] += coeff * v[j]
-        if not all(s.contains(column) for column in by_monomial.values()):
-            return False
-    return True
+    grids = ([[m.get((i, j), 0) for j in range(n)] for i in range(n)] for m in param.form.values())
+    return all(s.is_invariant_under(Matrix(grid)) for grid in grids)
 
 
 def enumerate_coordinate_megaideals(
     g: LieAlgebra,
     param: AutParametrization,
     basis: AdaptedBasis,
-    max_dim: int = 16,
+    max_dim: int = MAX_ENUM_DIM,
 ) -> list[tuple[tuple[int, ...], Subspace]]:
     """All coordinate spans (in the adapted basis) fixed by every A.
 
@@ -512,14 +534,13 @@ def enumerate_coordinate_megaideals(
     and every i outside J.  The zero and full spans are included; they
     are invariant trivially.
     """
-    if not param.solved:
-        raise ResidualSystem("parametrization has residual equations")
+    form = param.form
     n = param.shape.dim
     if n > max_dim:
         raise ValueError(f"enumeration capped at dimension {max_dim}")
-    entries = param.matrix_entries()
-    # bit i of leaks[j] is set when A[i][j] is not the zero polynomial
-    leaks = [sum(1 << i for i in range(n) if not entries[i][j].is_zero()) for j in range(n)]
+    leaks = [0] * n  # bit i of leaks[j] is set when A[i][j] is not the zero polynomial
+    for i, j in (cell for entries in form.values() for cell in entries):
+        leaks[j] |= 1 << i
     results = []
     for size in range(n + 1):
         for subset in combinations(range(n), size):
@@ -535,22 +556,15 @@ def enumerate_coordinate_megaideals(
 # consistency against inner automorphisms
 
 
-def _mismatch(entries, matrix: Matrix, values: dict, conditions) -> dict | None:
-    """The first matrix entry or side condition that `values` violate, or None."""
-    for i, row in enumerate(matrix.entries):
-        for j, actual in enumerate(row):
-            expected = entries[i][j].evaluate(values)
-            if expected != actual:
-                return {
-                    "row": i + 1,
-                    "col": j + 1,
-                    "expected": format_rat(expected),
-                    "actual": format_rat(actual),
-                }
-    for condition in conditions:
-        if condition.evaluate(values) == 0:
-            return {"side_condition": condition.to_str()}
-    return None
+def _mismatch(param: AutParametrization, matrix: Matrix, point: list) -> dict | None:
+    """The first matrix entry or side condition that point violates, or None."""
+    expected = param.matrix_at(point)
+    for i, (want, got) in enumerate(zip(expected.entries, matrix.entries)):
+        for j, (a, b) in enumerate(zip(want, got)):
+            if a != b:
+                return {"row": i + 1, "col": j + 1, "expected": format_rat(a), "actual": format_rat(b)}
+    condition = param.vanishing_condition(matrix)
+    return None if condition is None else {"side_condition": condition.substitute(param.assignments).to_str()}
 
 
 def inner_consistency(
@@ -572,16 +586,12 @@ def inner_consistency(
     there, where x_i is row i of basis.inverse.  The powers of ad' x_i are
     multiplied once per basis element and summed for each t.
     """
-    if not param.solved:
-        raise ResidualSystem("parametrization has residual equations")
-    free_positions = {
-        name: (i, j)
-        for i, row in enumerate(param.shape.pattern)
-        for j, name in enumerate(row)
-        if name in param.free_parameters
-    }
-    entries = param.matrix_entries()
-    conditions = [c.substitute(param.assignments) for c in param.side_conditions]
+    param.form  # a residual system raises ResidualSystem before any other check
+    free = param.free_parameters
+    # row-major, as the unknowns are ordered, so in the order of free
+    free_positions = [
+        (i, j) for i, row in enumerate(param.shape.pattern) for j, name in enumerate(row) if name in free
+    ]
     checks = []
     for idx in range(g.dim):
         try:
@@ -591,19 +601,11 @@ def inner_consistency(
         for t in t_values:
             t = rat(t)
             adapted = exp_at(t)
-            values = {
-                name: adapted.entries[i][j] for name, (i, j) in free_positions.items()
-            }
-            mismatch = _mismatch(entries, adapted, values, conditions)
-            entry = {
-                "element": g.basis_names[idx],
-                "t": format_rat(t),
-                "matched": mismatch is None,
-            }
+            point = [adapted.entries[i][j] for i, j in free_positions]
+            mismatch = _mismatch(param, adapted, point)
+            entry = {"element": g.basis_names[idx], "t": format_rat(t), "matched": mismatch is None}
             if mismatch is None:
-                entry["parameters"] = {
-                    name: format_rat(values[name]) for name in param.free_parameters
-                }
+                entry["parameters"] = {name: format_rat(x) for name, x in zip(free, point)}
             else:
                 entry["mismatch"] = mismatch
             checks.append(entry)

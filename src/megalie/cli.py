@@ -59,18 +59,24 @@ class CliError(Exception):
 _POLY_FORMAT_ERRORS = (ValueError, PolyError)
 
 
-def _load(path: str, parse, errors):
-    """Read the JSON file at path and return parse(data).
+def _read(path: str) -> bytes:
+    """The bytes of the file at path, read once; an unreadable file is exit 2."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
+
+
+def _load(path: str, parse, errors, raw: bytes | None = None):
+    """Read the JSON file at path, unless its bytes raw are given, and return parse(data).
 
     An unreadable file, bad or too deeply nested JSON, or any of the
     exception types `errors` raised by `parse` becomes exit 2 with a message
     naming the path.
     """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
+    if raw is None:
+        raw = _read(path)
     try:
         data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -87,11 +93,6 @@ def _load(path: str, parse, errors):
         return parse(data)
     except errors as exc:
         raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _write(text: str, out: str | None) -> None:
@@ -184,14 +185,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g = _load(args.file, algebra_from_dict, FormatError)
+    raw = _read(args.file)  # parsed and hashed from this one read
+    g = _load(args.file, algebra_from_dict, FormatError, raw)
     options = AnalyzeOptions(
         budget=args.budget,
         full_transporter=args.full_prop34,
         max_enum_dim=args.max_enum_dim,
     )
     try:
-        report = analyze(g, options, input_digest=_digest(args.file))
+        report = analyze(g, options, input_digest=hashlib.sha256(raw).hexdigest())
     except ExpansionError as exc:
         raise CliError(EXIT_FORMAT, f"{args.file}: {exc}") from exc
     text = _render_analysis_text(report) if args.text else canonical_json(report)
@@ -293,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--text", action="store_true", help="human-readable projection")
     p_analyze.add_argument("--out", default=None)
     p_analyze.add_argument(
-        "--budget", type=_non_negative_int, default=4, help="closure pass budget"
+        "--budget", type=_non_negative_int, default=AnalyzeOptions.budget, help="closure pass budget"
     )
     p_analyze.add_argument(
         "--full-prop34",
@@ -303,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--max-enum-dim",
         type=_non_negative_int,
-        default=16,
+        default=AnalyzeOptions.max_enum_dim,
         help="cap for the 2^n invariance scan",
     )
     p_analyze.set_defaults(func=_cmd_analyze)

@@ -75,10 +75,6 @@ def vec(values: Iterable) -> Vector:
     return tuple(rat(v) for v in values)
 
 
-def vec_dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -173,12 +169,6 @@ class Matrix:
                     acc = tuple(x + a * y if y else x for x, y in zip(acc, b))
             rows.append(acc)
         return Matrix._from_rows(rows, other.cols)
-
-    def matvec(self, v: Sequence) -> Vector:
-        v = vec(v)
-        if len(v) != self.cols:
-            raise AmbientMismatch("vector length does not match matrix columns")
-        return tuple(vec_dot(row, v) for row in self.entries)
 
     # -- elimination ---------------------------------------------------------
 

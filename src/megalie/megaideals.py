@@ -51,6 +51,7 @@ TRANSPORTER_COMPLETENESS_NOTE = (
 )
 
 _ALIAS_CAP = 8
+PASS_BUDGET = 4  # default number of closure passes
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def verify_megaideal(
 def closure(
     g: LieAlgebra,
     seeds: Sequence[Subspace] = (),
-    budget: int = 4,
+    budget: int = PASS_BUDGET,
     full_transporter: bool = False,
 ) -> MegaidealLattice:
     """Close {0, g} plus the seeds under the invariant constructors.

@@ -29,6 +29,11 @@ def span(n, *rows):
     return Subspace.spanned_by(n, rows)
 
 
+def matvec(m, v):
+    """m times the column vector v, one dot product per row."""
+    return tuple(sum((x * y for x, y in zip(row, v, strict=True)), Fraction(0)) for row in m.entries)
+
+
 @pytest.fixture(scope="module")
 def m5_solution(m5):
     lattice = closure(m5)
@@ -250,9 +255,10 @@ class TestTriangularSolveOther:
         param = triangular_solve(system)
         assert param.shape is shape
         assert param.side_conditions == shape.side_conditions
-        entries = param.matrix_entries()
-        assert entries[0][0] == parse_poly("a22*a33 - a23*a32", shape.unknowns)
-        assert entries[1][0].is_zero()
+        free = param.free_parameters
+        entry = Poly(free, {exps: m[0, 0] for exps, m in param.form.items() if (0, 0) in m})
+        assert entry == parse_poly("a22*a33 - a23*a32", free)
+        assert not any((1, 0) in m for m in param.form.values())
 
     def test_abelian_everything_free(self, abelian3):
         basis, shape, system, param = solve_in_adapted_basis(abelian3, closure(abelian3))
@@ -297,8 +303,8 @@ class TestSampledAutomorphisms:
                 a = self._sample(param, rng)
                 for i in range(n):
                     for j in range(n):
-                        lhs = a.matvec(adapted.bracket(adapted.basis_vector(i), adapted.basis_vector(j)))
-                        rhs = adapted.bracket(a.matvec(adapted.basis_vector(i)), a.matvec(adapted.basis_vector(j)))
+                        lhs = matvec(a, adapted.bracket(adapted.basis_vector(i), adapted.basis_vector(j)))
+                        rhs = adapted.bracket(matvec(a, adapted.basis_vector(i)), matvec(a, adapted.basis_vector(j)))
                         assert lhs == rhs
 
 
@@ -370,6 +376,10 @@ class TestInvariantEnumeration:
             enumerate_coordinate_megaideals(sl2d, param, basis)
         with pytest.raises(ResidualSystem):
             check_invariant(param, Subspace.full(3))
+        with pytest.raises(ResidualSystem):  # before the names are checked
+            substitute_parameters(param, {})
+        with pytest.raises(ResidualSystem):
+            inner_consistency(sl2d, param, basis)
 
     def test_enumeration_cap(self, m5, m5_solution):
         basis, _, _, param = m5_solution
@@ -496,6 +506,20 @@ class TestInnerConsistency:
         assert (first["element"], first["t"]) == ("G1", "1")
         assert first["mismatch"] == {"row": 1, "col": 2, "expected": "1", "actual": "0"}
 
+    def test_matching_substitutes_nothing(self, m5, m5_solution, monkeypatch):
+        # side conditions are tested at the unknowns read off each matrix
+        basis, _, _, param = m5_solution
+        calls = []
+        original = Poly.substitute
+
+        def counted(self, mapping):
+            calls.append(self)
+            return original(self, mapping)
+
+        monkeypatch.setattr(Poly, "substitute", counted)
+        assert inner_consistency(m5, param, basis)["ok"]
+        assert calls == []
+
     def test_vanishing_side_condition_is_reported(self, m5, m5_solution):
         # inner automorphisms are unitriangular here, so a22 = a33*a44 reads off as 1
         basis, shape, _, param = m5_solution
@@ -568,13 +592,14 @@ class TestAdaptedAlgebra:
         from megalie.analysis import analyze
 
         calls = []
-        original = Matrix.matvec
+        original = Matrix.__matmul__
 
-        def counted(self, v):
-            calls.append(v)
-            return original(self, v)
+        def counted(self, other):
+            if other.cols == 1:  # a matrix-vector product
+                calls.append(other)
+            return original(self, other)
 
-        monkeypatch.setattr(Matrix, "matvec", counted)
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
         g = algebra_from_brackets(
             "L10", [f"e{i}" for i in range(1, 11)], {(0, i): {i + 1: 1} for i in range(1, 9)}
         )
@@ -605,6 +630,112 @@ class TestExtraMembersAgainstReference:
             assert basis.extra_coordinate_members == reference_extra_members(lattice, basis), name
             found += len(basis.extra_coordinate_members)
         assert found > 0
+
+
+def reference_entries(param):
+    """The solved matrix as a grid of polynomials over all unknowns: the
+    assignment, the free unknown itself, or zero where the shape forces it."""
+    variables = param.shape.unknowns
+    zero = Poly.zero(variables)
+    rows = []
+    for pattern_row in param.shape.pattern:
+        row = []
+        for name in pattern_row:
+            if name is None:
+                row.append(zero)
+            elif name in param.assignments:
+                row.append(param.assignments[name])
+            else:
+                row.append(Poly.var(variables, name))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_check_invariant(param, s):
+    """check_invariant as a loop over the polynomial grid: for each basis row
+    v of s and each monomial, the coefficient vector of A v must lie in s."""
+    n = param.shape.dim
+    entries = reference_entries(param)
+    for v in s.basis.entries:
+        by_monomial = {}
+        for i in range(n):
+            for j in range(n):
+                if v[j] != 0:
+                    for exps, coeff in entries[i][j].terms.items():
+                        by_monomial.setdefault(exps, [0] * n)[i] += coeff * v[j]
+        if not all(s.contains(column) for column in by_monomial.values()):
+            return False
+    return True
+
+
+class TestSolvedFormAgainstReference:
+    def test_evaluation_side_conditions_and_invariance(self, reference_lattices):
+        rng = random.Random(16)
+        solved = vanished = 0
+        verdicts = set()
+        for name, (g, lattice) in reference_lattices.items():
+            basis, _, _, param = solve_in_adapted_basis(g, lattice)
+            if not param.solved:
+                continue
+            solved += 1
+            n, free = g.dim, param.free_parameters
+            entries = reference_entries(param)
+            conditions = param.side_conditions
+            for trial in range(6):
+                point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in free]
+                if trial % 2:  # a zero parameter reaches the vanishing branch too
+                    point[rng.randrange(len(point))] = Fraction(0)
+                values = dict(zip(free, point))
+                matrix = param.matrix_at(point)
+                assert matrix.entries == tuple(tuple(e.evaluate(values) for e in row) for row in entries), name
+                expected = next(
+                    (c for c in conditions if c.substitute(param.assignments).evaluate(values) == 0), None
+                )
+                assert param.vanishing_condition(matrix) == expected, name
+                vanished += expected is not None
+            for member in lattice.members:
+                adapted = Subspace.spanned_by(n, (member.basis @ basis.inverse).entries)
+                assert check_invariant(param, adapted), name
+                assert reference_check_invariant(param, adapted), name
+            for _ in range(6):
+                k = rng.randint(1, n - 1)
+                coordinates = span(n, *[g.basis_vector(j) for j in rng.sample(range(n), k)])
+                spanned = span(n, *[[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)])
+                for s in (coordinates, spanned):
+                    verdicts.add(verdict := check_invariant(param, s))
+                    assert verdict == reference_check_invariant(param, s), name
+            # an invariant coordinate span plus one more coordinate: each leak decides
+            invariant = [coords for coords, _ in enumerate_coordinate_megaideals(g, param, basis)]
+            for coords in rng.sample(invariant[1:-1], min(2, len(invariant) - 2)):
+                for j in (j for j in range(n) if j not in coords):
+                    s = span(n, *[g.basis_vector(k) for k in (*coords, j)])
+                    verdicts.add(verdict := check_invariant(param, s))
+                    assert verdict == reference_check_invariant(param, s), name
+        assert solved >= 18 and vanished > 0 and verdicts == {True, False}
+
+
+class TestSubstituteParameters:
+    def test_missing_parameter_is_named(self, m5_solution):
+        _, _, _, param = m5_solution
+        values = {name: 1 for name in param.free_parameters if name != "a33"}
+        with pytest.raises(ValueError, match="a33"):
+            substitute_parameters(param, values)
+
+    def test_names_that_are_not_free_parameters_are_named(self, m5_solution):
+        _, _, _, param = m5_solution
+        values = {name: 1 for name in param.free_parameters}
+        values.update(a11=1, a99=1)  # a solved unknown and a typo
+        with pytest.raises(ValueError, match="a11") as info:
+            substitute_parameters(param, values)
+        assert "a99" in str(info.value)
+
+    def test_vanishing_side_condition_is_named_unsubstituted(self, m5_solution):
+        # a44 = 0 makes a11 = a33*a44^2 the first side condition to vanish
+        _, _, _, param = m5_solution
+        values = {name: 1 for name in param.free_parameters}
+        values["a44"] = 0
+        with pytest.raises(ValueError, match=r"^side condition a11 vanishes$"):
+            substitute_parameters(param, values)
 
 
 class TestFloatsRefused:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -119,6 +121,14 @@ class TestAnalyze:
         assert [m["dim"] for m in report["lattice"]["members"]] == [0, 3]
         assert report["automorphisms"]["residual_equations"]
         assert report["automorphisms"]["invariant_coordinate_subspaces"] is None
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_input_hashes_the_parsed_bytes(self, fixtures_dir):
+        # a pipe can be read once: the digest must be of the bytes analyzed
+        raw = (fixtures_dir / "m5.json").read_bytes()
+        result = subprocess.run(ARGS + ["analyze", "/dev/stdin"], input=raw, capture_output=True)
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["input"]["sha256"] == hashlib.sha256(raw).hexdigest()
 
     def test_determinism_byte_identical(self, fixtures_dir):
         for fixture in ("m5.json", "sl2d.json"):

@@ -19,7 +19,7 @@ from megalie.algebra import (
     is_ideal,
     transporter,
 )
-from megalie.linalg import Matrix, Subspace, vec_dot
+from megalie.linalg import Matrix, Subspace
 from megalie.megaideals import (
     TRANSPORTER_COMPLETENESS_NOTE,
     closure,
@@ -30,6 +30,11 @@ from megalie.megaideals import (
 
 def span(n, *rows):
     return Subspace.spanned_by(n, rows)
+
+
+def matvec(m, v):
+    """m times the column vector v, one dot product per row."""
+    return tuple(sum((x * y for x, y in zip(row, v, strict=True)), Fraction(0)) for row in m.entries)
 
 
 def filiform(n):
@@ -272,16 +277,15 @@ class TestLatticeLifting:
 
 def dense_matmul(a, b):
     """Matrix.__matmul__ as a dense product: one dot product per entry."""
-    cols = list(zip(*b.entries))
-    return Matrix([[vec_dot(row, c) for c in cols] for row in a.entries], cols=b.cols)
+    return Matrix([matvec(b.transpose(), row) for row in a.entries], cols=b.cols)
 
 
 def dense_verify(g, s, derivs):
-    """verify_megaideal as a dense loop: d.matvec(row) and s.contains per basis row."""
+    """verify_megaideal as a dense loop: matvec(d, row) and s.contains per basis row."""
     deriv_ok = True
     for d in derivs:
         for row in s.basis.entries:
-            if not s.contains(d.matvec(row)):
+            if not s.contains(matvec(d, row)):
                 deriv_ok = False
                 break
         if not deriv_ok:
