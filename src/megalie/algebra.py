@@ -494,28 +494,43 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
 
 
 def _exp_ad(g: LieAlgebra, x: Sequence):
-    """t -> exp(t ad_x), with the nonzero powers of ad_x multiplied once.
+    """t -> exp(t ad_x), from the bracket chains [x, [x, ... e_j]] computed once.
 
-    NotNilpotent is raised here when none of the first dim powers vanishes.
+    Column j of exp(t ad_x) is the sum over k of t^k/k! (ad_x)^k e_j.  The
+    chains run on int rows: x times the lcm d of its denominators is an int
+    row, so the k-th bracket of e_j is (d * g._denominator)^k (ad_x)^k e_j,
+    and each t weighs it by t^k / (k! (d * g._denominator)^k).
+    NotNilpotent is raised here when a chain is still nonzero after dim
+    brackets, that is, when (ad_x)^dim != 0.
     """
-    a = ad(g, x)
-    powers = []
-    term = Matrix.identity(g.dim)
-    for _ in range(g.dim):
-        term = term @ a
-        if term.is_zero():
-            break
-        powers.append(term)
-    else:
-        raise NotNilpotent("ad_x is not nilpotent")
+    x = vec(x)
+    n = g.dim
+    if len(x) != n:
+        raise AmbientMismatch("bracket arguments must have length dim")
+    d = lcm(*(v.denominator for v in x))
+    scaled = tuple(v.numerator * (d // v.denominator) for v in x)
+    chains = []  # (k, j, the k-th bracket of e_j) for each nonzero one
+    for j in range(n):
+        row = tuple(int(i == j) for i in range(n))
+        for k in range(1, n + 1):
+            row = g._bracket(scaled, row)
+            if not any(row):
+                break
+            chains.append((k, j, row))
+        else:
+            raise NotNilpotent("ad_x is not nilpotent")
+    scale = d * g._denominator
 
     def at(t: Fraction) -> Matrix:
-        result = Matrix.identity(g.dim)
-        factorial = 1
-        for k, power in enumerate(powers, 1):
-            factorial *= k
-            result = result + power.scaled(t**k / factorial)
-        return result
+        weights = [Fraction(1)]
+        for k in range(1, n + 1):
+            weights.append(weights[-1] * t / (k * scale))
+        rows = [list(unit_vector(n, i)) for i in range(n)]
+        for k, j, chain in chains:
+            for i, q in enumerate(chain):
+                if q:
+                    rows[i][j] += weights[k] * q
+        return Matrix._from_rows(map(tuple, rows), n)
 
     return at
 

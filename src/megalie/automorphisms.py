@@ -36,6 +36,7 @@ from .poly import MAX_PAIRS, ExpansionError, Poly
 
 
 MAX_ENUM_DIM = 16  # default dimension cap of the 2^n invariant-span scan
+T_VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2))  # the t of each exp(t ad_x) check
 
 
 class ResidualSystem(ValueError):
@@ -62,12 +63,17 @@ class AdaptedBasis:
     inverse: Matrix
     algebra: LieAlgebra
     flag: tuple[Subspace, ...]
-    block_sizes: tuple[int, ...]
     extra_coordinate_members: tuple[tuple[int, ...], ...] = ()
 
     @property
     def dim(self) -> int:
         return self.change_of_basis.rows
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """The dims the flag gains member by member: the diagonal block sizes."""
+        dims = [0] + [member.dim for member in self.flag]
+        return tuple(b - a for a, b in zip(dims, dims[1:]))
 
 
 @dataclass(frozen=True)
@@ -198,11 +204,6 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
                 rows.append(row)
                 span = span.sum(Subspace.spanned_by(n, [row]))
     basis = Matrix(rows, cols=n)
-    block_sizes = []
-    previous = 0
-    for member in chain:
-        block_sizes.append(member.dim - previous)
-        previous = member.dim
     inverse = basis.inverse()
     chain_set = set(chain)
     extras = []
@@ -214,9 +215,7 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
         if len(inside) == member.dim:
             extras.append(inside)
     algebra = _induced_algebra(g, g.name, g.basis_names, basis.entries, inverse)
-    return AdaptedBasis(
-        basis, inverse, algebra, tuple(chain), tuple(block_sizes), tuple(sorted(set(extras)))
-    )
+    return AdaptedBasis(basis, inverse, algebra, tuple(chain), tuple(sorted(set(extras))))
 
 
 def _symbolic_det(block: Sequence[Sequence[str | None]], variables: tuple[str, ...]) -> Poly:
@@ -274,15 +273,9 @@ def shape_from_flag(basis: AdaptedBasis) -> AutShape:
     block contributes its determinant as a nonvanishing side condition.
     """
     n = basis.dim
-    invariant_sets: list[set[int]] = []
-    boundary = 0
-    boundaries = []
-    for size in basis.block_sizes:
-        boundary += size
-        boundaries.append(boundary)
-        invariant_sets.append(set(range(boundary)))
-    for coords in basis.extra_coordinate_members:
-        invariant_sets.append(set(coords))
+    boundaries = [member.dim for member in basis.flag]
+    invariant_sets = [set(range(boundary)) for boundary in boundaries]
+    invariant_sets += [set(coords) for coords in basis.extra_coordinate_members]
     allowed = [[True] * n for _ in range(n)]
     for js in invariant_sets:
         for j in js:
@@ -571,9 +564,8 @@ def inner_consistency(
     g: LieAlgebra,
     param: AutParametrization,
     basis: AdaptedBasis,
-    t_values: Sequence = (1, -1, Fraction(1, 2)),
 ) -> dict:
-    """Match exp(t ad_x) against the parametrization for basis x, small t.
+    """Match exp(t ad_x) against the parametrization for basis x, t in T_VALUES.
 
     Every inner automorphism must satisfy the parametrization for some
     rational parameter values; the free parameters sit at their own matrix
@@ -583,8 +575,8 @@ def inner_consistency(
 
     The check runs inside basis.algebra: the change of basis is an algebra
     isomorphism, so exp(t ad e_i) in the adapted basis is exp(t ad' x_i)
-    there, where x_i is row i of basis.inverse.  The powers of ad' x_i are
-    multiplied once per basis element and summed for each t.
+    there, where x_i is row i of basis.inverse.  The bracket chains of
+    ad' x_i are computed once per basis element and weighed for each t.
     """
     param.form  # a residual system raises ResidualSystem before any other check
     free = param.free_parameters
@@ -598,8 +590,7 @@ def inner_consistency(
             exp_at = _exp_ad(basis.algebra, basis.inverse.entries[idx])
         except NotNilpotent:
             continue
-        for t in t_values:
-            t = rat(t)
+        for t in T_VALUES:
             adapted = exp_at(t)
             point = [adapted.entries[i][j] for i, j in free_positions]
             mismatch = _mismatch(param, adapted, point)

@@ -148,16 +148,6 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        sums = (tuple(x + y for x, y in zip(a, b)) for a, b in zip(self.entries, other.entries))
-        return Matrix._from_rows(sums, self.cols)
-
-    def scaled(self, q) -> "Matrix":
-        q = rat(q)
-        return Matrix._from_rows((tuple(q * x for x in row) for row in self.entries), self.cols)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

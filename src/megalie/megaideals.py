@@ -13,6 +13,11 @@ provenance) and up to _ALIAS_CAP later ones (its aliases).  A derivation
 is stored as its own printed form: a format template and the member
 indices that fill it, such as ("[{},{}]", a, b) for the product [a, b].
 
+The passes are semi-naive, as in the evaluation of recursive rules by
+Bancilhon and Ramakrishnan (1986): a pass builds a derivation only when one
+of its operands is a member that the previous pass found, since every
+derivation over older members was built by an earlier pass.
+
 The constructor family is sound but not complete: a subspace can be
 invariant under every automorphism without arising from any constructor
 (the automorphism-enumeration route in the automorphisms module finds
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import (
     LieAlgebra,
@@ -128,9 +133,16 @@ def closure(
     members are sorted and labelled, each derivation is printed by filling
     its template with the labels of its operands.
 
-    Each member pair (a, b) is bracketed once, into a table [[w, v] for v in
-    b] for w in a kept for all passes (members are append-only).  [a, b] is
-    its span; tp(a, b, c) is one solve on its remainders against c, once.
+    Members are append-only.  A pass that starts with `count` members, of
+    which the first `old` were members when the previous pass began (old = 0
+    on the first pass), builds exactly the derivations with an operand index
+    >= old, in the order a rebuild over all members would list them.  Each
+    member pair (a, b) is bracketed once, into a table [[w, v] for v in b]
+    for w in a kept for all passes; [a, b] is its span.
+    Each pass solves its new transporter triples once, into one dict:
+    tp(a, b, c) is one solve on the table's remainders against c, and
+    C(a;b) and N(a;b) read the triples (a, b, 0) and (a, b, b).  A pass
+    that adds no member is the fixpoint.
 
     Stops at a fixpoint or after `budget` passes; a truncated run is
     reported through reached_fixpoint=False on the result.
@@ -138,14 +150,12 @@ def closure(
     n = g.dim
     store: dict[Subspace, list[tuple]] = {}  # member -> [provenance, *aliases]
 
-    def add(space: Subspace, derivation: tuple) -> bool:
+    def add(space: Subspace, derivation: tuple) -> None:
         known = store.get(space)
         if known is None:
             store[space] = [derivation]
-            return True
-        if derivation not in known and len(known) <= _ALIAS_CAP:
+        elif derivation not in known and len(known) <= _ALIAS_CAP:
             known.append(derivation)
-        return False
 
     add(Subspace.zero(n), ("0",))
     add(Subspace.full(n), ("g",))
@@ -174,54 +184,42 @@ def closure(
         add(nil, ("nil(g)",))
 
     table: dict[tuple[int, int], list] = {}
-    done: set[tuple] = set()
-    passes = 0
+    old = passes = 0
     reached_fixpoint = False
     while passes < budget:
         passes += 1
         members = list(store)
         count = len(members)
-        candidates: list[tuple[Subspace, tuple]] = []
-        solved: dict[tuple[int, int, int], Subspace] = {}  # this pass only
 
         def images(a: int, b: int) -> list:
             if (a, b) not in table:
                 table[(a, b)] = _bracket_images(g, members[a], members[b])
             return table[(a, b)]
 
-        def tp(a: int, b: int, c: int) -> Subspace:
-            if (a, b, c) not in solved:
-                solved[(a, b, c)] = _transport(members[a], images(a, b), members[c])
-            return solved[(a, b, c)]
-
-        def emit(derivation: tuple, build: Callable[[], Subspace]) -> None:
-            if derivation not in done:
-                done.add(derivation)
-                candidates.append((build(), derivation))
-
+        # every triple that names a new member, in (a, b, c) order, solved once
+        solved = {
+            (a, b, c): _transport(members[a], images(a, b), members[c])
+            for a in range(count)
+            for b in range(count)
+            for c in range(0 if max(a, b) >= old else old, count)
+            if full_transporter or members[c].dim <= members[b].dim
+        }
         for a in range(count):
-            for b in range(a, count):
-                emit(("[{},{}]", a, b), lambda: _span_of_images(g, images(a, b)))
+            for b in range(max(a, old), count):
+                add(_span_of_images(g, images(a, b)), ("[{},{}]", a, b))
                 if a < b:
-                    emit(("{}+{}", a, b), lambda: members[a].sum(members[b]))
-                    emit(("int({},{})", a, b), lambda: members[a].intersect(members[b]))
+                    add(members[a].sum(members[b]), ("{}+{}", a, b))
+                    add(members[a].intersect(members[b]), ("int({},{})", a, b))
         for a in range(count):
-            for b in range(count):
-                emit(("C({};{})", a, b), lambda: tp(a, b, 0))
-                emit(("N({};{})", a, b), lambda: tp(a, b, b))
-        for a in range(count):
-            for b in range(count):
-                for c in range(count):
-                    if full_transporter or members[c].dim <= members[b].dim:
-                        emit(("tp({},{},{})", a, b, c), lambda: tp(a, b, c))
-
-        added = False
-        for space, derivation in candidates:
-            if add(space, derivation):
-                added = True
-        if not added:
+            for b in range(0 if a >= old else old, count):
+                add(solved[a, b, 0], ("C({};{})", a, b))
+                add(solved[a, b, b], ("N({};{})", a, b))
+        for triple, space in solved.items():
+            add(space, ("tp({},{},{})", *triple))
+        if len(store) == count:
             reached_fixpoint = True
             break
+        old = count
 
     members = list(store)
     order = sorted(range(len(members)), key=lambda i: members[i].sort_key())

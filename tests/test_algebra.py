@@ -34,7 +34,7 @@ from megalie.algebra import (
     validate,
 )
 from megalie.automorphisms import AutShape, structure_equations
-from megalie.linalg import Matrix, Subspace, format_rat, kernel
+from megalie.linalg import AmbientMismatch, Matrix, Subspace, format_rat, kernel
 from megalie.poly import Poly
 
 
@@ -294,9 +294,17 @@ class TestDerivationsExp:
     def test_exp_ad_not_nilpotent(self, sl2):
         with pytest.raises(NotNilpotent):
             exp_ad_nilpotent(sl2, [0, 1, 0], 1)
-        # decided from the powers of ad_x, not from the scaled series
+        # decided from the bracket chains, not from the weighed series
         with pytest.raises(NotNilpotent):
             exp_ad_nilpotent(sl2, [0, 1, 0], 0)
+
+    def test_exp_ad_checks_its_arguments(self, m5):
+        with pytest.raises(AmbientMismatch):
+            exp_ad_nilpotent(m5, [0, 0, 0, 1], 1)
+        with pytest.raises(TypeError):
+            exp_ad_nilpotent(m5, [0, 0, 0, 0.5, 0], 1)
+        with pytest.raises(TypeError):
+            exp_ad_nilpotent(m5, [0, 0, 0, 1, 0], 0.5)
 
     def test_exp_ad_is_automorphism(self, m5, heisenberg):
         for g in (m5, heisenberg):

@@ -746,8 +746,3 @@ class TestFloatsRefused:
         values[param.free_parameters[0]] = 0.1
         with pytest.raises(TypeError):
             substitute_parameters(param, values)
-
-    def test_inner_consistency_t_values(self, m5, m5_solution):
-        basis, _, _, param = m5_solution
-        with pytest.raises(TypeError):
-            inner_consistency(m5, param, basis, t_values=(0.1,))

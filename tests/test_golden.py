@@ -9,7 +9,7 @@ import pytest
 
 from megalie import cli, vectorfield
 from megalie.algebra import algebra_from_brackets, algebra_from_dict, change_basis
-from megalie.analysis import analyze, canonical_json
+from megalie.analysis import AnalyzeOptions, analyze, canonical_json
 from megalie.linalg import Matrix
 from megalie.poly import Poly
 
@@ -82,6 +82,7 @@ REPORT_SHA256 = {
     "L8": (lambda: filiform(8), "c5a878146a322ac6e2879a2528ac7f06dae924ca0c7d15e9ca4bafd8102a4c84"),
     "L10": (lambda: filiform(10), "c6f31549028ca7ccd2e5e056886a0611ee857b70cbf647069c3e271102c02a12"),
     "L12": (lambda: filiform(12), "430e51e3240d4fa461ddd50ea78027b426e3a375377d7012cbecbf2ac15dfdfc"),
+    "L16": (lambda: filiform(16), "d3015c0574043cb7bb72942099c049a5d261b90688b758afb404de7ad9d344a1"),
     "wave6": (wave6, "2e7f30097ba9f99008bc3d28636b677253d7ebf7b557b8232d52557ce6142a1f"),
     "h3": (lambda: heisenberg(3), "9c6da13e175856704edf997d87e701011ea81db396b1adbc4453972127c8fa46"),
     "diag8": (lambda: diagonal(8), "a9f2cc6e578d2bdf1ff20eb65590e19222cd1141fd4aebd33f1dc13611be8dd6"),
@@ -97,4 +98,35 @@ REPORT_SHA256 = {
 def test_report_digest_is_pinned(name):
     build, digest = REPORT_SHA256[name]
     report = canonical_json(analyze(build()))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the report on the closure paths the default options do not take:
+# a pass budget that cuts the closure short (wave6 has 6 members after one
+# pass and 11 after two, and reaches its fixpoint in the fourth), and the
+# full transporter family, which finds nothing more on wave6.
+OPTIONS_SHA256 = {
+    "L10/budget=1": (
+        lambda: filiform(10),
+        AnalyzeOptions(budget=1),
+        "22213df9e0ec44ef708f858202748161a00f44630741d73eae05c7710956e0bf",
+    ),
+    "wave6/budget=1": (
+        wave6,
+        AnalyzeOptions(budget=1),
+        "01981779aa261ae405e5142745493144e0e4e0cd2c24f415c9f7b2b9d7cdba4b",
+    ),
+    "wave6/budget=2": (
+        wave6,
+        AnalyzeOptions(budget=2),
+        "87d068b640b3dcdbbf6e8691b1b37ee56b9e11f7b9163f35ca258850c86d0344",
+    ),
+    "wave6/full_transporter": (wave6, AnalyzeOptions(full_transporter=True), REPORT_SHA256["wave6"][1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS_SHA256))
+def test_option_report_digest_is_pinned(name):
+    build, options, digest = OPTIONS_SHA256[name]
+    report = canonical_json(analyze(build(), options))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest

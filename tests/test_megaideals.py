@@ -1,5 +1,6 @@
 import fractions
 import itertools
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -18,6 +19,7 @@ from megalie.algebra import (
     derivations,
     is_ideal,
     transporter,
+    validate,
 )
 from megalie.linalg import Matrix, Subspace
 from megalie.megaideals import (
@@ -48,6 +50,30 @@ def rebind(monkeypatch, original, replacement):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "megalie"]:
         for attr in [a for a, value in vars(module).items() if value is original]:
             monkeypatch.setattr(module, attr, replacement)
+
+
+def matrix_units(name, cells):
+    """The span of the matrix units E_ij, (i, j) in cells, under the commutator;
+    a Lie algebra when the cells are closed under composition."""
+    index = {cell: k for k, cell in enumerate(cells)}
+    brackets = {}
+    for x, (i, j) in enumerate(cells):
+        for y, (k, l) in enumerate(cells[x + 1 :], x + 1):
+            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+            row = Counter()
+            if j == k:
+                row[index[(i, l)]] += 1
+            if l == i:
+                row[index[(k, j)]] -= 1
+            if any(row.values()):
+                brackets[(x, y)] = {key: v for key, v in row.items() if v}
+    names = [f"E{i + 1}{j + 1}" for i, j in cells]
+    return algebra_from_brackets(name, names, brackets)
+
+
+def upper_triangular(n):
+    """b_n, the upper-triangular n x n matrices, in the basis E_ij for i <= j."""
+    return matrix_units(f"b{n}", [(i, j) for i in range(n) for j in range(i, n)])
 
 
 def m5_chain(m5):
@@ -147,21 +173,7 @@ class TestClosure:
 
     def test_fourth_derived_term_and_alias_cap(self):
         """b5, the upper-triangular 5x5 matrices: g'''' = 0 is printed der4(g)."""
-        cells = [(i, j) for i in range(5) for j in range(i, 5)]
-        index = {cell: k for k, cell in enumerate(cells)}
-        brackets = {}
-        for x, (i, j) in enumerate(cells):
-            for y, (k, l) in enumerate(cells[x + 1 :], x + 1):
-                # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-                row = Counter()
-                if j == k:
-                    row[index[(i, l)]] += 1
-                if l == i:
-                    row[index[(k, j)]] -= 1
-                if any(row.values()):
-                    brackets[(x, y)] = {key: v for key, v in row.items() if v}
-        names = [f"E{i + 1}{j + 1}" for i, j in cells]
-        lattice = closure(algebra_from_brackets("b5", names, brackets), budget=1)
+        lattice = closure(upper_triangular(5), budget=1)
         zero = lattice.entries[0]
         assert zero.provenance == "0"
         assert zero.aliases == (
@@ -535,3 +547,182 @@ class TestEssentialFilterAgainstReference:
             inessential += sum(not e.essential for e in filtered.entries)
         # the comparison covers members that are sums, not only essential ones
         assert inessential > 0
+
+
+def reference_closures(g, budgets, full_transporter):
+    """{budget: closure(g, budget, full_transporter)} for each of budgets, from
+    the pass loop that builds every derivation over all members and keeps
+    those whose tuple no earlier pass built (a done set)."""
+    from megalie.algebra import (
+        _bracket_images,
+        _span_of_images,
+        _transport,
+        derived_series,
+        lower_central_series,
+        nilradical_approx,
+        radical,
+        upper_central_series,
+    )
+    from megalie.megaideals import _ALIAS_CAP, LatticeEntry, MegaidealLattice
+
+    store = {}
+
+    def add(space, derivation):
+        known = store.get(space)
+        if known is None:
+            store[space] = [derivation]
+            return True
+        if derivation not in known and len(known) <= _ALIAS_CAP:
+            known.append(derivation)
+        return False
+
+    add(Subspace.zero(g.dim), ("0",))
+    add(Subspace.full(g.dim), ("g",))
+    series = (derived_series(g), lower_central_series(g), upper_central_series(g))
+    derived, lower, upper = series
+    for k, term in enumerate(derived.terms[1:], 1):
+        add(term, ("g" + "'" * k if k <= 3 else f"der{k}(g)",))
+    for k, term in enumerate(lower.terms[1:], 1):
+        add(term, (f"lcs{k + 1}(g)",))
+    add(upper.terms[0], ("Z(g)",))
+    for k, term in enumerate(upper.terms[1:], 1):
+        add(term, (f"ucs{k + 1}(g)",))
+    add(radical(g), ("rad(g)",))
+    nil, status = nilradical_approx(g)
+    if status == "exact":
+        add(nil, ("nil(g)",))
+
+    def lattice(reached_fixpoint, passes):
+        members = list(store)
+        order = sorted(range(len(members)), key=lambda i: members[i].sort_key())
+        labels = [""] * len(members)
+        for pos, i in enumerate(order):
+            space = members[i]
+            labels[i] = "0" if space.is_zero() else "g" if space.is_full() else f"m{pos}"
+        entries = []
+        for i in order:
+            provenance, *aliases = (t.format(*(labels[k] for k in ops)) for t, *ops in store[members[i]])
+            entries.append(LatticeEntry(members[i], provenance, tuple(aliases)))
+        return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes, series)
+
+    results = {0: lattice(False, 0)}
+    table, done = {}, set()
+    passes = 0
+    while passes < max(budgets):
+        passes += 1
+        members = list(store)
+        count = len(members)
+        derivations = []
+        for a in range(count):
+            for b in range(a, count):
+                derivations.append(("[{},{}]", a, b))
+                if a < b:
+                    derivations += [("{}+{}", a, b), ("int({},{})", a, b)]
+        for a, b in itertools.product(range(count), repeat=2):
+            derivations += [("C({};{})", a, b), ("N({};{})", a, b)]
+        for a, b, c in itertools.product(range(count), repeat=3):
+            if full_transporter or members[c].dim <= members[b].dim:
+                derivations.append(("tp({},{},{})", a, b, c))
+
+        def images(a, b):
+            if (a, b) not in table:
+                table[(a, b)] = _bracket_images(g, members[a], members[b])
+            return table[(a, b)]
+
+        build = {
+            "[{},{}]": lambda a, b: _span_of_images(g, images(a, b)),
+            "{}+{}": lambda a, b: members[a].sum(members[b]),
+            "int({},{})": lambda a, b: members[a].intersect(members[b]),
+            "C({};{})": lambda a, b: _transport(members[a], images(a, b), members[0]),
+            "N({};{})": lambda a, b: _transport(members[a], images(a, b), members[b]),
+            "tp({},{},{})": lambda a, b, c: _transport(members[a], images(a, b), members[c]),
+        }
+        candidates = []
+        for template, *operands in derivations:
+            if (template, *operands) not in done:
+                done.add((template, *operands))
+                candidates.append((build[template](*operands), (template, *operands)))
+        added = False
+        for space, derivation in candidates:
+            if add(space, derivation):
+                added = True
+        results[passes] = lattice(not added, passes)
+        if not added:
+            break
+    # past a fixpoint, a larger budget runs the same passes
+    return {budget: results[min(budget, passes)] for budget in budgets}
+
+
+def graded_nilpotent(seed):
+    """A random positively graded algebra, or None when the draw breaks Jacobi.
+
+    Each basis vector gets a weight in 1..4 and [e_i, e_j] a small int
+    combination of the basis vectors of weight w_i + w_j, so every draw
+    that satisfies Jacobi is nilpotent.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    weights = sorted(rng.randint(1, 4) for _ in range(n))
+    brackets = {}
+    for i, j in itertools.combinations(range(n), 2):
+        row = {k: rng.choice((-1, 0, 1, 1, 2)) for k in range(n) if weights[k] == weights[i] + weights[j]}
+        brackets[(i, j)] = {k: q for k, q in row.items() if q}
+    g = algebra_from_brackets(f"graded{seed}", [f"e{i}" for i in range(n)], brackets)
+    return g if validate(g).ok else None
+
+
+class TestClosureAgainstReference:
+    """closure builds in each pass only the derivations that name a member the
+    previous pass found; the done-set loop must find the same lattice.
+
+    Both loops bracket the same member pairs and solve the same
+    transporters, so the tests share one memo of each and every distinct
+    table and solve is computed once.
+    """
+
+    @pytest.fixture(autouse=True)
+    def shared_work(self, monkeypatch):
+        def memoized(original, key):
+            memo = {}
+
+            def call(*args):
+                k = key(*args)
+                if k not in memo:
+                    memo[k] = original(*args)
+                return memo[k]
+
+            rebind(monkeypatch, original, call)
+
+        memoized(megalie.algebra._bracket_images, lambda g, a, b: (g, a, b))
+        memoized(megalie.algebra._transport, lambda a, images, c: (a, tuple(map(tuple, images)), c))
+
+    @staticmethod
+    def assert_same(g, budgets=(0, 1, 2, 4)):
+        for full in (False, True):
+            reference = reference_closures(g, budgets, full)
+            for budget in budgets:
+                got, want = closure(g, budget=budget, full_transporter=full), reference[budget]
+                where = f"{g.name} budget={budget} full_transporter={full}"
+                # entries compare members, provenance and aliases
+                assert got.entries == want.entries, where
+                assert got.passes_used == want.passes_used, where
+                assert got.reached_fixpoint == want.reached_fixpoint, where
+
+    def test_reference_lattices_and_b4(self, reference_lattices):
+        for g, _ in reference_lattices.values():
+            self.assert_same(g)
+        self.assert_same(upper_triangular(4))
+
+    def test_full_transporter_changes_a_provenance(self):
+        # strictly upper-triangular 5x5 matrices without E45, plus E55
+        cells = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (4, 4)]
+        g = matrix_units("p5", cells)
+        restricted, full = (closure(g, budget=1, full_transporter=flag) for flag in (False, True))
+        assert [e.provenance for e in restricted.entries] != [e.provenance for e in full.entries]
+        self.assert_same(g, budgets=(0, 1))
+
+    def test_graded_nilpotent(self):
+        drawn = [g for g in map(graded_nilpotent, range(60)) if g is not None][:40]
+        assert len(drawn) == 40
+        for g in drawn:
+            self.assert_same(g)
