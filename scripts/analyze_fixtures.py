@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from megalie.algebra import algebra_from_dict
-from megalie.analysis import AnalyzeOptions, analyze, canonical_json
+from megalie.analysis import analyze, canonical_json
 from megalie.vectorfield import (
     fields_from_dict,
     pointmap_from_dict,
@@ -31,7 +31,7 @@ def main():
         if path.name == "wave_eq_family.json":
             continue
         g = algebra_from_dict(json.loads(path.read_text(encoding="utf-8")))
-        report = analyze(g, AnalyzeOptions())
+        report = analyze(g)
         target = OUT / f"{path.stem}_analysis.json"
         target.write_text(canonical_json(report), encoding="utf-8")
         aut = report.get("automorphisms", {})

@@ -79,4 +79,4 @@ from .vectorfield import (
     realize_family,
     verify_homomorphism,
 )
-from .analysis import AnalyzeOptions, analyze, canonical_json
+from .analysis import analyze, canonical_json

@@ -12,8 +12,6 @@ reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-
 from . import __version__
 from .algebra import LieAlgebra, algebra_to_dict, derivations, validate
 from .automorphisms import MAX_ENUM_DIM, enumerate_coordinate_megaideals, inner_consistency, solve_in_adapted_basis
@@ -25,13 +23,6 @@ from .megaideals import (
     essential_filter,
     verify_megaideal,
 )
-
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    budget: int = PASS_BUDGET
-    full_transporter: bool = False
-    max_enum_dim: int = MAX_ENUM_DIM
 
 
 def matrix_rows(m: Matrix) -> list[list[str]]:
@@ -74,7 +65,11 @@ def validation_dict(report) -> dict:
     }
 
 
-def analyze(g: LieAlgebra, options: AnalyzeOptions = AnalyzeOptions(), input_digest: str | None = None) -> dict:
+def analyze(
+    g: LieAlgebra, *, budget: int = PASS_BUDGET, max_enum_dim: int = MAX_ENUM_DIM, input_digest: str | None = None
+) -> dict:
+    """The report of g: at most `budget` closure passes, and the invariant
+    coordinate subspaces enumerated up to dimension `max_enum_dim`."""
     report: dict = {
         "tool": {"name": "megalie", "version": __version__},
     }
@@ -87,9 +82,7 @@ def analyze(g: LieAlgebra, options: AnalyzeOptions = AnalyzeOptions(), input_dig
         report["note"] = "analysis skipped: the structure constants are not a Lie algebra"
         return report
 
-    lattice = essential_filter(
-        closure(g, budget=options.budget, full_transporter=options.full_transporter)
-    )
+    lattice = essential_filter(closure(g, budget=budget))
     report["series"] = {series.kind: _series_dict(series) for series in lattice.series}
 
     derivs = derivations(g)
@@ -142,11 +135,11 @@ def analyze(g: LieAlgebra, options: AnalyzeOptions = AnalyzeOptions(), input_dig
         report["automorphisms"] = aut
         report["inner_consistency"] = None
         return report
-    if g.dim > options.max_enum_dim:
+    if g.dim > max_enum_dim:
         aut["invariant_coordinate_subspaces"] = None
-        aut["note"] = f"enumeration skipped: dimension exceeds cap {options.max_enum_dim}"
+        aut["note"] = f"enumeration skipped: dimension exceeds cap {max_enum_dim}"
     else:
-        invariant = enumerate_coordinate_megaideals(g, param, basis, options.max_enum_dim)
+        invariant = enumerate_coordinate_megaideals(g, param, basis, max_enum_dim)
         aut["invariant_coordinate_subspaces"] = [
             subspace_dict(s, f"aut-invariant{list(coordinates)}") for coordinates, s in invariant
         ]

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra
-from .linalg import Matrix, Subspace, format_rat, rat
+from .linalg import AmbientMismatch, Matrix, Subspace, format_rat, rat
 from .megaideals import MegaidealLattice
 from .poly import MAX_PAIRS, ExpansionError, Poly
 
@@ -181,19 +181,12 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
     chain members' RREF rows, so each chain member is spanned by a prefix.
     """
     n = g.dim
-    members = sorted(lattice.members, key=lambda s: s.sort_key())
+    # canonical order, so the first fit is the smallest; g closes a lattice that lacks it
+    members = (*lattice.members, Subspace.full(n))
     chain: list[Subspace] = []
     current = Subspace.zero(n)
     while not current.is_full():
-        step = None
-        for candidate in members:
-            if candidate.dim <= current.dim:
-                continue
-            if candidate.contains_subspace(current) and candidate != current:
-                step = candidate
-                break
-        if step is None:
-            step = Subspace.full(n)
+        step = next(m for m in members if m.dim > current.dim and m.contains_subspace(current))
         chain.append(step)
         current = step
     rows: list = []
@@ -505,11 +498,23 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
 
     s is given in the coordinates the parametrization acts on (the adapted
     basis).  A v lies in s identically exactly when every M_e of the
-    solved form maps v into s.
+    solved form maps v into s.  Each M_e acts on the canonical int rows of
+    s through its nonzero cells, times the lcm of their denominators.
     """
+    form = param.form
     n = param.shape.dim
-    grids = ([[m.get((i, j), 0) for j in range(n)] for i in range(n)] for m in param.form.values())
-    return all(s.is_invariant_under(Matrix(grid)) for grid in grids)
+    if s.ambient_dim != n:
+        raise AmbientMismatch("subspace does not live where the parametrization acts")
+    for entries in form.values():
+        scale = lcm(*(q.denominator for q in entries.values()))
+        scaled = [(i, j, q.numerator * (scale // q.denominator)) for (i, j), q in entries.items()]
+        for row in s.rows:
+            image = [0] * n
+            for i, j, q in scaled:
+                image[i] += q * row[j]
+            if any(s._reduce(image)):
+                return False
+    return True
 
 
 def enumerate_coordinate_megaideals(

@@ -3,7 +3,7 @@
 Commands:
     megalie validate <algebra.json>
     megalie analyze <algebra.json> [--text] [--out P] [--budget N]
-                    [--full-prop34] [--max-enum-dim N]
+                    [--max-enum-dim N]
     megalie vf bracket-table <fields.json> [--text] [--out P]
     megalie vf extract <fields.json> --fields A,B,... [--name NAME] [--out P]
     megalie vf pushforward <fields.json> <map.json> [--fields A,B,...] [--out P]
@@ -24,11 +24,14 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import traceback
 
 from .algebra import FormatError, algebra_from_dict, algebra_to_dict, validate
-from .analysis import AnalyzeOptions, analyze, canonical_json, validation_dict
+from .analysis import analyze, canonical_json, validation_dict
+from .automorphisms import MAX_ENUM_DIM
+from .megaideals import PASS_BUDGET
 from .poly import ExpansionError, PolyError
 from .vectorfield import (
     LinearlyDependent,
@@ -187,13 +190,9 @@ def _cmd_validate(args) -> int:
 def _cmd_analyze(args) -> int:
     raw = _read(args.file)  # parsed and hashed from this one read
     g = _load(args.file, algebra_from_dict, FormatError, raw)
-    options = AnalyzeOptions(
-        budget=args.budget,
-        full_transporter=args.full_prop34,
-        max_enum_dim=args.max_enum_dim,
-    )
+    digest = hashlib.sha256(raw).hexdigest()
     try:
-        report = analyze(g, options, input_digest=hashlib.sha256(raw).hexdigest())
+        report = analyze(g, budget=args.budget, max_enum_dim=args.max_enum_dim, input_digest=digest)
     except ExpansionError as exc:
         raise CliError(EXIT_FORMAT, f"{args.file}: {exc}") from exc
     text = _render_analysis_text(report) if args.text else canonical_json(report)
@@ -272,10 +271,10 @@ def _cmd_vf_pushforward(args) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+    """ASCII digits only, as in every input file: no sign, space, underscore or other script."""
+    if not re.fullmatch("[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,17 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--text", action="store_true", help="human-readable projection")
     p_analyze.add_argument("--out", default=None)
     p_analyze.add_argument(
-        "--budget", type=_non_negative_int, default=AnalyzeOptions.budget, help="closure pass budget"
-    )
-    p_analyze.add_argument(
-        "--full-prop34",
-        action="store_true",
-        help="enumerate all transporter triples (no dimension pruning)",
+        "--budget", type=_non_negative_int, default=PASS_BUDGET, help="closure pass budget"
     )
     p_analyze.add_argument(
         "--max-enum-dim",
         type=_non_negative_int,
-        default=AnalyzeOptions.max_enum_dim,
+        default=MAX_ENUM_DIM,
         help="cap for the 2^n invariance scan",
     )
     p_analyze.set_defaults(func=_cmd_analyze)

@@ -112,7 +112,6 @@ def closure(
     g: LieAlgebra,
     seeds: Sequence[Subspace] = (),
     budget: int = PASS_BUDGET,
-    full_transporter: bool = False,
 ) -> MegaidealLattice:
     """Close {0, g} plus the seeds under the invariant constructors.
 
@@ -123,8 +122,10 @@ def closure(
     sums, intersections, and transporters tp(a, b, c) over member triples,
     of which the centralizer C(a;b) = tp(a, b, 0) and the normalizer
     N(a;b) = tp(a, b, b) are named cases.  Transporter triples are
-    restricted to dim(c) <= dim(b) unless full_transporter is set; the
-    restriction always keeps C and N.
+    restricted to dim(c) <= dim(b), which keeps C and N and loses nothing at
+    a fixpoint: members are ideals, so [a, b] <= b, and
+    tp(a, b, c) = tp(a, b, int(c, [a, b])), a restricted triple once [a, b]
+    and int(c, [a, b]) are members.
 
     A derivation is (template, *operands), such as ("tp({},{},{})", a, b, c)
     or ("Z(g)",), where each operand is the index of a member in insertion
@@ -202,7 +203,7 @@ def closure(
             for a in range(count)
             for b in range(count)
             for c in range(0 if max(a, b) >= old else old, count)
-            if full_transporter or members[c].dim <= members[b].dim
+            if members[c].dim <= members[b].dim
         }
         for a in range(count):
             for b in range(max(a, old), count):

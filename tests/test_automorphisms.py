@@ -20,7 +20,7 @@ from megalie.automorphisms import (
     substitute_parameters,
     triangular_solve,
 )
-from megalie.linalg import Matrix, Subspace
+from megalie.linalg import AmbientMismatch, Matrix, Subspace
 from megalie.megaideals import closure
 from megalie.poly import ExpansionError, Poly, parse_poly
 
@@ -353,6 +353,8 @@ class TestInvariantEnumeration:
         assert check_invariant(param, Subspace.full(5))
         # A F1 has G1 component a12 = a33 a44 a45, not identically zero
         assert not check_invariant(param, span(5, [0, 1, 0, 0, 0]))
+        with pytest.raises(AmbientMismatch):
+            check_invariant(param, Subspace.full(4))
 
     def test_flag_members_invariant(self, m5_solution):
         basis, _, _, param = m5_solution

@@ -180,31 +180,25 @@ class TestAnalyze:
         assert "cap" in report["automorphisms"]["note"]
 
     def test_negative_budget_rejected(self, fixtures_dir):
-        result = run("analyze", str(fixtures_dir / "m5.json"), "--budget", "-1")
-        assert result.returncode == 2
-        assert "usage:" in result.stderr
-        assert result.stdout == ""
+        # a count is ASCII digits only: no sign, no Arabic-Indic three, no underscore
+        for value in ("-1", "\u0663", "1_000"):
+            result = run("analyze", str(fixtures_dir / "m5.json"), "--budget", value)
+            assert result.returncode == 2, value
+            assert "usage:" in result.stderr
+            assert result.stdout == ""
 
     def test_negative_max_enum_dim_rejected(self, fixtures_dir):
-        result = run("analyze", str(fixtures_dir / "m5.json"), "--max-enum-dim", "-3")
-        assert result.returncode == 2
-        assert "usage:" in result.stderr
-        assert result.stdout == ""
+        for value in ("-3", " 3"):
+            result = run("analyze", str(fixtures_dir / "m5.json"), "--max-enum-dim", value)
+            assert result.returncode == 2, repr(value)
+            assert "usage:" in result.stderr
+            assert result.stdout == ""
 
     def test_zero_budget_reports_truncation(self, fixtures_dir):
         result = run("analyze", str(fixtures_dir / "m5.json"), "--budget", "0")
         report = json.loads(result.stdout)
         assert report["lattice"]["reached_fixpoint"] is False
         assert report["lattice"]["passes"] == 0
-
-    def test_full_prop34_flag_same_m5_lattice(self, fixtures_dir):
-        plain = json.loads(run("analyze", str(fixtures_dir / "m5.json")).stdout)
-        full = json.loads(
-            run("analyze", str(fixtures_dir / "m5.json"), "--full-prop34").stdout
-        )
-        assert [m["basis"] for m in plain["lattice"]["members"]] == [
-            m["basis"] for m in full["lattice"]["members"]
-        ]
 
 
 class TestVf:

@@ -9,7 +9,7 @@ import pytest
 
 from megalie import cli, vectorfield
 from megalie.algebra import algebra_from_brackets, algebra_from_dict, change_basis
-from megalie.analysis import AnalyzeOptions, analyze, canonical_json
+from megalie.analysis import analyze, canonical_json
 from megalie.linalg import Matrix
 from megalie.poly import Poly
 
@@ -101,32 +101,30 @@ def test_report_digest_is_pinned(name):
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
 
 
-# sha256 of the report on the closure paths the default options do not take:
+# sha256 of the report on the closure path the default budget does not take:
 # a pass budget that cuts the closure short (wave6 has 6 members after one
-# pass and 11 after two, and reaches its fixpoint in the fourth), and the
-# full transporter family, which finds nothing more on wave6.
+# pass and 11 after two, and reaches its fixpoint in the fourth).
 OPTIONS_SHA256 = {
     "L10/budget=1": (
         lambda: filiform(10),
-        AnalyzeOptions(budget=1),
+        1,
         "22213df9e0ec44ef708f858202748161a00f44630741d73eae05c7710956e0bf",
     ),
     "wave6/budget=1": (
         wave6,
-        AnalyzeOptions(budget=1),
+        1,
         "01981779aa261ae405e5142745493144e0e4e0cd2c24f415c9f7b2b9d7cdba4b",
     ),
     "wave6/budget=2": (
         wave6,
-        AnalyzeOptions(budget=2),
+        2,
         "87d068b640b3dcdbbf6e8691b1b37ee56b9e11f7b9163f35ca258850c86d0344",
     ),
-    "wave6/full_transporter": (wave6, AnalyzeOptions(full_transporter=True), REPORT_SHA256["wave6"][1]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPTIONS_SHA256))
 def test_option_report_digest_is_pinned(name):
-    build, options, digest = OPTIONS_SHA256[name]
-    report = canonical_json(analyze(build(), options))
+    build, budget, digest = OPTIONS_SHA256[name]
+    report = canonical_json(analyze(build(), budget=budget))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest

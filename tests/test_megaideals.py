@@ -549,6 +549,9 @@ class TestEssentialFilterAgainstReference:
         assert inessential > 0
 
 
+FIXPOINT_BUDGET = 16  # passes enough for every algebra TestClosureAgainstReference closes
+
+
 def reference_closures(g, budgets, full_transporter):
     """{budget: closure(g, budget, full_transporter)} for each of budgets, from
     the pass loop that builds every derivation over all members and keeps
@@ -698,31 +701,42 @@ class TestClosureAgainstReference:
 
     @staticmethod
     def assert_same(g, budgets=(0, 1, 2, 4)):
-        for full in (False, True):
-            reference = reference_closures(g, budgets, full)
-            for budget in budgets:
-                got, want = closure(g, budget=budget, full_transporter=full), reference[budget]
-                where = f"{g.name} budget={budget} full_transporter={full}"
-                # entries compare members, provenance and aliases
-                assert got.entries == want.entries, where
-                assert got.passes_used == want.passes_used, where
-                assert got.reached_fixpoint == want.reached_fixpoint, where
+        reference = reference_closures(g, budgets, False)
+        for budget in budgets:
+            got, want = closure(g, budget=budget), reference[budget]
+            where = f"{g.name} budget={budget}"
+            # entries compare members, provenance and aliases
+            assert got.entries == want.entries, where
+            assert got.passes_used == want.passes_used, where
+            assert got.reached_fixpoint == want.reached_fixpoint, where
+
+    @staticmethod
+    def assert_full_family_adds_nothing(g, budget=FIXPOINT_BUDGET):
+        """At a fixpoint the transporters over every member triple, not only
+        those with dim c <= dim b, find no member that closure misses."""
+        got, full = closure(g, budget=budget), reference_closures(g, (budget,), True)[budget]
+        assert got.reached_fixpoint and full.reached_fixpoint, g.name
+        assert got.members == full.members, g.name
 
     def test_reference_lattices_and_b4(self, reference_lattices):
-        for g, _ in reference_lattices.values():
+        for g in [g for g, _ in reference_lattices.values()] + [upper_triangular(4)]:
             self.assert_same(g)
-        self.assert_same(upper_triangular(4))
+            self.assert_full_family_adds_nothing(g)
 
     def test_full_transporter_changes_a_provenance(self):
-        # strictly upper-triangular 5x5 matrices without E45, plus E55
+        # strictly upper-triangular 5x5 matrices without E45, plus E55: after
+        # one pass the full family derives a member differently, but at the
+        # fixpoint it has found no other member
         cells = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (4, 4)]
         g = matrix_units("p5", cells)
-        restricted, full = (closure(g, budget=1, full_transporter=flag) for flag in (False, True))
+        restricted, full = (reference_closures(g, (1,), flag)[1] for flag in (False, True))
         assert [e.provenance for e in restricted.entries] != [e.provenance for e in full.entries]
         self.assert_same(g, budgets=(0, 1))
+        self.assert_full_family_adds_nothing(g)
 
     def test_graded_nilpotent(self):
         drawn = [g for g in map(graded_nilpotent, range(60)) if g is not None][:40]
         assert len(drawn) == 40
         for g in drawn:
             self.assert_same(g)
+            self.assert_full_family_adds_nothing(g)
