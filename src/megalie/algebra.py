@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .linalg import (
     AmbientMismatch,
@@ -53,6 +53,19 @@ class FormatError(ValueError):
 
 Tensor = tuple[tuple[Vector, ...], ...]
 Constants = Mapping[tuple[int, int], Mapping[int, object]]
+T = TypeVar("T")
+
+
+def _until_fixed(first: T, step: Callable[[T], T]) -> tuple[T, ...]:
+    """first, step(first), ... up to the first term that step maps to itself.
+
+    The one fixpoint iteration: the three structural series, both loops of
+    nilradical_approx and the greedy chain of adapted_basis.
+    """
+    terms = [first]
+    while (nxt := step(terms[-1])) != terms[-1]:
+        terms.append(nxt)
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -292,42 +305,27 @@ class SeriesReport:
     terms: tuple[Subspace, ...]
     stabilized: bool
 
-    @property
-    def last(self) -> Subspace:
-        return self.terms[-1]
-
 
 def derived_series(g: LieAlgebra) -> SeriesReport:
-    terms = [g.full_space()]
-    while True:
-        nxt = bracket_subspaces(g, terms[-1], terms[-1])
-        if nxt == terms[-1]:
-            return SeriesReport("derived", tuple(terms), True)
-        terms.append(nxt)
+    terms = _until_fixed(g.full_space(), lambda t: bracket_subspaces(g, t, t))
+    return SeriesReport("derived", terms, True)
 
 
 def lower_central_series(g: LieAlgebra) -> SeriesReport:
-    terms = [g.full_space()]
-    while True:
-        nxt = bracket_subspaces(g, g.full_space(), terms[-1])
-        if nxt == terms[-1]:
-            return SeriesReport("lower_central", tuple(terms), True)
-        terms.append(nxt)
+    full = g.full_space()
+    terms = _until_fixed(full, lambda t: bracket_subspaces(g, full, t))
+    return SeriesReport("lower_central", terms, True)
 
 
 def upper_central_series(g: LieAlgebra) -> SeriesReport:
     """Ascending central series Z_1 <= Z_2 <= ... with Z_{k+1} = {x : [x, g] <= Z_k}.
 
-    Each term is one transporter solve; Z_1 is the center.
+    Each term is one transporter solve; Z_1 is the center.  Once a term is
+    g, one more solve returns g and ends the series.
     """
     full = g.full_space()
-    terms = [center(g)]
-    while not terms[-1].is_full():
-        nxt = transporter(g, full, full, terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return SeriesReport("upper_central", tuple(terms), True)
+    terms = _until_fixed(center(g), lambda t: transporter(g, full, full, t))
+    return SeriesReport("upper_central", terms, True)
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +431,11 @@ def nilradical_approx(g: LieAlgebra) -> tuple[Subspace, str]:
     """
     k = _killing_numerators(g)
     full = g.full_space()
-    current = _killing_orthogonal(k, full, bracket_subspaces(g, full, full))
-    while not current.is_zero():
-        nxt = _killing_orthogonal(k, current, current)
-        if nxt == current:
-            break
-        current = nxt
+    rad = _killing_orthogonal(k, full, bracket_subspaces(g, full, full))
+    current = _until_fixed(rad, lambda t: _killing_orthogonal(k, t, t))[-1]
     # nilpotency of the fixed point, using ambient brackets
-    term = current
-    while True:
-        nxt = bracket_subspaces(g, current, term)
-        if nxt == term:
-            break
-        term = nxt
-    status = "exact" if term.is_zero() else "stalled"
-    return current, status
+    term = _until_fixed(current, lambda t: bracket_subspaces(g, current, t))[-1]
+    return current, "exact" if term.is_zero() else "stalled"
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
-from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra
+from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra, _until_fixed
 from .linalg import AmbientMismatch, Matrix, Subspace, format_rat, rat
 from .megaideals import MegaidealLattice
 from .poly import MAX_PAIRS, ExpansionError, Poly
@@ -177,18 +177,16 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
 
     From the zero subspace, repeatedly step to the smallest-dimension
     member strictly containing the current one (ties broken by the
-    canonical RREF order).  The new basis extends along the chain using the
-    chain members' RREF rows, so each chain member is spanned by a prefix.
+    canonical RREF order), up to the full space.  The new basis extends
+    along the chain using the chain members' RREF rows, so each chain
+    member is spanned by a prefix.
     """
     n = g.dim
     # canonical order, so the first fit is the smallest; g closes a lattice that lacks it
     members = (*lattice.members, Subspace.full(n))
-    chain: list[Subspace] = []
-    current = Subspace.zero(n)
-    while not current.is_full():
-        step = next(m for m in members if m.dim > current.dim and m.contains_subspace(current))
-        chain.append(step)
-        current = step
+    chain = _until_fixed(
+        Subspace.zero(n), lambda c: next((m for m in members if m.dim > c.dim and m.contains_subspace(c)), c)
+    )[1:]
     rows: list = []
     span = Subspace.zero(n)
     for member in chain:
@@ -208,7 +206,7 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
         if len(inside) == member.dim:
             extras.append(inside)
     algebra = _induced_algebra(g, g.name, g.basis_names, basis.entries, inverse)
-    return AdaptedBasis(basis, inverse, algebra, tuple(chain), tuple(sorted(set(extras))))
+    return AdaptedBasis(basis, inverse, algebra, chain, tuple(sorted(set(extras))))
 
 
 def _symbolic_det(block: Sequence[Sequence[str | None]], variables: tuple[str, ...]) -> Poly:
@@ -498,23 +496,12 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
 
     s is given in the coordinates the parametrization acts on (the adapted
     basis).  A v lies in s identically exactly when every M_e of the
-    solved form maps v into s.  Each M_e acts on the canonical int rows of
-    s through its nonzero cells, times the lcm of their denominators.
+    solved form, given by its nonzero cells, keeps s.
     """
-    form = param.form
-    n = param.shape.dim
-    if s.ambient_dim != n:
+    form = param.form  # a residual system raises ResidualSystem before any other check
+    if s.ambient_dim != param.shape.dim:
         raise AmbientMismatch("subspace does not live where the parametrization acts")
-    for entries in form.values():
-        scale = lcm(*(q.denominator for q in entries.values()))
-        scaled = [(i, j, q.numerator * (scale // q.denominator)) for (i, j), q in entries.items()]
-        for row in s.rows:
-            image = [0] * n
-            for i, j, q in scaled:
-                image[i] += q * row[j]
-            if any(s._reduce(image)):
-                return False
-    return True
+    return all(s._keeps(entries) for entries in form.values())
 
 
 def enumerate_coordinate_megaideals(

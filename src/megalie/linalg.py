@@ -17,7 +17,8 @@ scales each row to integers and divides by the pivots at the end.
 where_zero -- the part of a space that a linear map sends to zero -- is
 the one kernel solve behind intersections, kernels and every constructor
 in the algebra module; they call its int form, _where_zero, on the
-canonical rows.
+canonical rows.  Subspace._keeps, a map's nonzero entries applied to the
+canonical rows, is the one invariance test.
 
 Values become Fractions at the boundary, where they are checked and
 coerced: Matrix(...), Subspace.spanned_by, Subspace.basis, reduce,
@@ -30,14 +31,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class AmbientMismatch(ValueError):
@@ -49,17 +49,17 @@ def rat(value: int | str | Fraction) -> Fraction:
 
     The accepted literal grammar is ['-'] digits ['/' digits] with a
     nonzero denominator.  A bool is an int to Python but never a rational
-    here: a JSON true must not load as 1.
+    here: a JSON true must not load as 1.  The whole text must match, so
+    padding such as " 1" or "1\n" is refused.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ValueError(f"bad rational literal {value!r}")
-        num, _, den = text.partition("/")
+        num, _, den = value.partition("/")
         if den and int(den) == 0:
             raise ValueError(f"zero denominator in rational literal {value!r}")
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
@@ -201,6 +201,10 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[IntRow], tu
     (the gcd of its entries is taken out), positive at its pivot and zero in
     every other pivot column.  That is each RREF row times the lcm of its
     denominators, so the result is exactly as canonical as the RREF.
+
+    A reduced row is zero exactly when its gcd is 0, and it is dropped at
+    that step; a row of `done` never becomes zero, being independent of
+    the pivot row.
     """
     rest = [tuple(row) for row in rows if any(row)]
     done: list[IntRow] = []
@@ -225,8 +229,10 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[IntRow], tu
                     else:
                         row = tuple(a * x - b * y for x, y in zip(row, p))
                     g = gcd(*row)
-                    group[k] = row if g < 2 else tuple(x // g for x in row)
-        rest = [row for row in rest if any(row)]
+                    if g > 1:
+                        row = tuple(x // g for x in row)
+                    group[k] = row if g else None
+        rest = [row for row in rest if row is not None]
         done.append(p)
         pivots.append(c)
     return done, tuple(pivots)
@@ -414,11 +420,24 @@ class Subspace:
         n = self.ambient_dim
         if (m.rows, m.cols) != (n, n):
             raise AmbientMismatch("matrix does not act on the ambient space")
-        # the columns of m times one positive int, so every image is scaled alike
-        scaled = _integral(chain.from_iterable(m.entries))
-        columns = [scaled[j::n] for j in range(n)]
-        images = (_combination(r, columns, n) for r in self.rows)
-        return not any(any(self._reduce(image)) for image in images)
+        return self._keeps({(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x})
+
+    def _keeps(self, cells: Mapping[tuple[int, int], int | Fraction]) -> bool:
+        """Whether the map with nonzero entries cells = {(i, j): m[i][j]} keeps this space.
+
+        The one invariance test: the entries times the lcm of their
+        denominators, one positive factor for every image, act on each
+        canonical int row, and each image must reduce to zero.
+        """
+        scale = lcm(*(q.denominator for q in cells.values()))
+        scaled = [(i, j, q.numerator * (scale // q.denominator)) for (i, j), q in cells.items()]
+        for row in self.rows:
+            image = [0] * self.ambient_dim
+            for i, j, q in scaled:
+                image[i] += q * row[j]
+            if any(self._reduce(image)):
+                return False
+        return True
 
     # -- lattice operations ---------------------------------------------------
 

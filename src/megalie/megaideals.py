@@ -69,7 +69,6 @@ class LatticeEntry:
 
 @dataclass(frozen=True)
 class MegaidealLattice:
-    algebra: LieAlgebra
     entries: tuple[LatticeEntry, ...]  # sorted by (dim, lexicographic RREF)
     reached_fixpoint: bool
     passes_used: int
@@ -84,7 +83,6 @@ class MegaidealLattice:
 class MegaidealVerdict:
     is_ideal: bool
     is_derivation_invariant: bool
-    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -104,8 +102,7 @@ def verify_megaideal(
     ideal_ok = is_ideal(g, s)
     derivs = derivations(g) if derivs is None else derivs
     deriv_ok = all(s.is_invariant_under(d) for d in derivs)
-    notes = ("derivation invariance is necessary, not sufficient",)
-    return MegaidealVerdict(ideal_ok, deriv_ok, notes)
+    return MegaidealVerdict(ideal_ok, deriv_ok)
 
 
 def closure(
@@ -237,7 +234,7 @@ def closure(
     for i in order:
         provenance, *aliases = map(render, store[members[i]])
         entries.append(LatticeEntry(members[i], provenance, tuple(aliases)))
-    return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes, series)
+    return MegaidealLattice(tuple(entries), reached_fixpoint, passes, series)
 
 
 def essential_filter(lattice: MegaidealLattice) -> MegaidealLattice:

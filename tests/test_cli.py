@@ -405,6 +405,10 @@ class TestMalformedInputs:
             ({"left": "a", "right": "٣"}, "brackets[0].right: unknown basis name '٣'"),
             ({"left": "a", "right": "b", "result": {"٣": "1"}}, "unknown basis name '٣'"),
             ({"left": "a", "right": "b", "result": {"c": "٣"}}, "bad rational literal '٣'"),
+            # the literal is the whole string: no padding, no trailing newline
+            ({"left": "a", "right": "b", "result": {"c": " 1"}}, "bad rational literal ' 1'"),
+            ({"left": "a", "right": "b", "result": {"c": "1\n"}}, "bad rational literal '1\\n'"),
+            ({"left": "a", "right": "b", "result": {"c": "\u00a01"}}, "bad rational literal '\\xa01'"),
         ],
     )
     def test_only_ascii_digits_in_algebra_files(self, bracket, message, tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from megalie import linalg
@@ -26,7 +26,9 @@ class TestRat:
         assert rat("7") == 7
 
     @pytest.mark.parametrize(
-        "bad", ["1/0", "1.5", "a", "1e3", "--2", "3/", "٣", "1/٣", "²", True, False]
+        "bad",
+        ["1/0", "1.5", "a", "1e3", "--2", "3/", "٣", "1/٣", "²", True, False]
+        + [" 1", "1 ", "1\n", "\u00a01", "1/ 2", "- 1"],
     )
     def test_rejects(self, bad):
         # a bool is an int to Python, but a JSON true is not the rational 1
@@ -395,6 +397,9 @@ class TestIntegerCoreAgainstReference:
 
     @given(rational_spaces())
     @settings(max_examples=100, deadline=None)
+    # rows that cancel to zero at a later pivot, and repeated rows
+    @example((3, [list(map(Fraction, row)) for row in ((1, 1, 0), (0, 1, 1), (1, 2, 1))]))
+    @example((3, [list(map(Fraction, row)) for row in [(1, 2, 3), (0, 1, 1)] * 2 + [(2, 4, 6)]]))
     def test_rref_and_canonical_rows(self, space):
         cols, rows = space
         basis, pivots = reference_rref(rows, cols)
@@ -413,6 +418,13 @@ class TestIntegerCoreAgainstReference:
         assert from_ints.rows == s.rows and from_ints.pivots == pivots
         shifted = Subspace.spanned_by(cols, [[x + 1 for x in row] for row in basis])
         assert (shifted == s) == (shifted.basis == s.basis)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_full_is_the_span_of_the_units(self, n):
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        full = Subspace.full(n)
+        assert full == Subspace.spanned_by(n, units)
+        assert full.rows == tuple(map(tuple, units)) and full.pivots == tuple(range(n))
 
     @given(rational_spaces(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -447,12 +459,18 @@ class TestIntegerCoreAgainstReference:
     @settings(max_examples=100, deadline=None)
     def test_is_invariant_under(self, space, data):
         cols, rows = space
-        entries = st.lists(st.lists(rational, min_size=cols, max_size=cols), min_size=cols, max_size=cols)
+        # dense, or mostly zero with zero rows and columns, or the zero matrix
+        zero = st.just(Fraction(0))
+        cell = data.draw(st.sampled_from([rational, st.one_of(zero, zero, zero, rational), zero]))
+        entries = st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=cols, max_size=cols)
         m = Matrix(data.draw(entries))
         basis, pivots = reference_rref(rows, cols)
         images = (matvec(m, row) for row in basis)
         expected = not any(any(reference_reduce(basis, pivots, image)) for image in images)
-        assert Subspace.spanned_by(cols, rows).is_invariant_under(m) == expected
+        keeps = Subspace.spanned_by(cols, rows).is_invariant_under(m)
+        assert keeps == expected
+        # the zero matrix keeps every space
+        assert keeps or not m.is_zero()
         # P B P^-1 keeps the span of P's first k columns when B keeps that of e_0 .. e_k-1
         k = data.draw(st.integers(0, cols))
         block = [[data.draw(rational) if i < k or j >= k else 0 for j in range(cols)] for i in range(cols)]

@@ -15,10 +15,15 @@ from megalie.algebra import (
     NotAnIdeal,
     algebra_from_brackets,
     bracket_subspaces,
+    center,
     change_basis,
     derivations,
+    derived_series,
     is_ideal,
+    lower_central_series,
+    nilradical_approx,
     transporter,
+    upper_central_series,
     validate,
 )
 from megalie.linalg import Matrix, Subspace
@@ -606,7 +611,7 @@ def reference_closures(g, budgets, full_transporter):
         for i in order:
             provenance, *aliases = (t.format(*(labels[k] for k in ops)) for t, *ops in store[members[i]])
             entries.append(LatticeEntry(members[i], provenance, tuple(aliases)))
-        return MegaidealLattice(g, tuple(entries), reached_fixpoint, passes, series)
+        return MegaidealLattice(tuple(entries), reached_fixpoint, passes, series)
 
     results = {0: lattice(False, 0)}
     table, done = {}, set()
@@ -740,3 +745,88 @@ class TestClosureAgainstReference:
         for g in drawn:
             self.assert_same(g)
             self.assert_full_family_adds_nothing(g)
+
+
+# ---------------------------------------------------------------------------
+# the hand-written loops that _until_fixed replaced, kept as references
+
+
+def reference_series(g):
+    """The derived, lower central and upper central terms, each from its own loop."""
+    full = g.full_space()
+    derived = [full]
+    while True:
+        nxt = bracket_subspaces(g, derived[-1], derived[-1])
+        if nxt == derived[-1]:
+            break
+        derived.append(nxt)
+    lower = [full]
+    while True:
+        nxt = bracket_subspaces(g, g.full_space(), lower[-1])
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+    upper = [center(g)]
+    while not upper[-1].is_full():
+        nxt = transporter(g, full, full, upper[-1])
+        if nxt == upper[-1]:
+            break
+        upper.append(nxt)
+    return tuple(derived), tuple(lower), tuple(upper)
+
+
+def reference_nilradical(g):
+    """The Killing refinement from the radical, then the nilpotency test of its fixed point."""
+    from megalie.algebra import _killing_numerators, _killing_orthogonal
+
+    k = _killing_numerators(g)
+    full = g.full_space()
+    current = _killing_orthogonal(k, full, bracket_subspaces(g, full, full))
+    while not current.is_zero():
+        nxt = _killing_orthogonal(k, current, current)
+        if nxt == current:
+            break
+        current = nxt
+    term = current
+    while True:
+        nxt = bracket_subspaces(g, current, term)
+        if nxt == term:
+            break
+        term = nxt
+    return current, "exact" if term.is_zero() else "stalled"
+
+
+def reference_chain(g, lattice):
+    """The greedy chain: from 0, step to the first member strictly containing the current one."""
+    members = (*lattice.members, Subspace.full(g.dim))
+    chain = []
+    current = Subspace.zero(g.dim)
+    while not current.is_full():
+        current = next(m for m in members if m.dim > current.dim and m.contains_subspace(current))
+        chain.append(current)
+    return tuple(chain)
+
+
+class TestFixpointsAgainstReference:
+    def test_series_nilradical_and_chain(self, reference_lattices, sl2, abelian3):
+        from megalie.automorphisms import adapted_basis
+
+        # rotation plus scaling: the refinement stalls (see test_documented_stall)
+        brackets = {(0, 1): {1: 1, 2: 1}, (0, 2): {1: -1, 2: 1}}
+        stall = algebra_from_brackets("stall", ["h", "e1", "e2"], brackets)
+        drawn = [g for g in map(graded_nilpotent, range(60)) if g is not None][:40]
+        cases = list(reference_lattices.values())
+        cases += [(g, closure(g)) for g in [*drawn, sl2, abelian3, upper_triangular(4), stall]]
+        statuses, reaches_g = Counter(), Counter()
+        for g, lattice in cases:
+            series = (derived_series(g), lower_central_series(g), upper_central_series(g))
+            assert tuple(s.terms for s in series) == reference_series(g), g.name
+            assert all(s.stabilized for s in series), g.name
+            reaches_g[series[2].terms[-1].is_full()] += 1
+            nil = nilradical_approx(g)
+            assert nil == reference_nilradical(g), g.name
+            statuses[nil[1]] += 1
+            assert adapted_basis(g, lattice).flag == reference_chain(g, lattice), g.name
+        # both ends of the upper series and both statuses are compared
+        assert reaches_g[True] and reaches_g[False]
+        assert statuses["exact"] and statuses["stalled"]
