@@ -3,26 +3,28 @@
 Pipeline: pick a maximal chain of lattice members and build a basis in
 which every chain member is a coordinate prefix (adapted basis), inverting
 the change of basis once and re-expressing the algebra in it once; deduce
-the zero pattern this forces on automorphism matrices plus nonvanishing
-block-determinant side conditions; generate the quadratic bracket
-compatibility equations A[Qi,Qj] = [AQi,AQj]; and run a sound triangular
-elimination: only equations that are linear in a single unknown whose
-coefficient is a declared-nonzero factor (or a nonzero rational) are
-solved, every division is audited, and whatever cannot be eliminated this
-way is reported as a residual system rather than forced.
+the shape this forces on automorphism matrices, stored as its zero pattern
+and the ends of its diagonal blocks (the flag dims), from which the
+nonvanishing block-determinant side conditions are derived; generate the
+quadratic bracket compatibility equations A[Qi,Qj] = [AQi,AQj]; and run a
+sound triangular elimination: only equations that are linear in a single
+unknown whose coefficient is a declared-nonzero factor (or a nonzero
+rational) are solved, every division is audited, and whatever cannot be
+eliminated this way is reported as a residual system rather than forced.
 
 A solved parametrization keeps one form of its matrix, A = sum of x^e M_e
 over monomials in the free parameters x.  A subspace is invariant when
 each M_e keeps it; the invariant coordinate subspaces are enumerated
 (2^n scans) from the form's zero pattern; one evaluation at a point, with
-the side conditions tested at the unknowns read off the numeric matrix,
-serves substitute_parameters and the match of inner automorphisms
-exp(t ad_x), computed inside the adapted algebra, against the form.
+the side conditions tested as the rank of each diagonal block of the
+numeric matrix, serves substitute_parameters and the match of inner
+automorphisms exp(t ad_x), computed inside the adapted algebra, against
+the form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -78,12 +80,31 @@ class AdaptedBasis:
 
 @dataclass(frozen=True)
 class AutShape:
-    """Zero pattern and nonvanishing conditions for automorphism matrices."""
+    """Zero pattern of the automorphism matrices and the ends of their diagonal blocks.
 
-    dim: int
+    pattern[i][j] is the unknown at (i, j), None for a forced zero; blocks
+    holds the flag dims.  Derived once and not compared: unknowns, the
+    pattern's names in row-major order, and side_conditions, each diagonal
+    block's determinant, required nonzero.
+    """
+
     pattern: tuple[tuple[str | None, ...], ...]  # None = forced zero
-    unknowns: tuple[str, ...]  # row-major order of appearance
-    side_conditions: tuple[Poly, ...]  # each required nonzero
+    blocks: tuple[int, ...]
+    unknowns: tuple[str, ...] = field(init=False, compare=False)
+    side_conditions: tuple[Poly, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unknowns", tuple(name for row in self.pattern for name in row if name))
+        blocks = self.diagonal_blocks(self.pattern)
+        object.__setattr__(self, "side_conditions", tuple(_symbolic_det(b, self.unknowns) for b in blocks))
+
+    @property
+    def dim(self) -> int:
+        return len(self.pattern)
+
+    def diagonal_blocks(self, rows: Sequence[Sequence]) -> list[list[Sequence]]:
+        """The diagonal blocks of a dim x dim grid of rows, one per block end."""
+        return [[row[a:b] for row in rows[a:b]] for a, b in zip((0, *self.blocks), self.blocks)]
 
 
 @dataclass(frozen=True)
@@ -152,14 +173,15 @@ class AutParametrization:
         return Matrix._from_rows(map(tuple, rows), n)
 
     def vanishing_condition(self, matrix: Matrix) -> Poly | None:
-        """The first side condition that is zero at the unknowns read off matrix, or None.
+        """The side condition of the first diagonal block of matrix that is singular, or None.
 
-        At matrix_at(point), that is the first one whose substitution
-        by the assignments vanishes at point.
+        Each block's rank comes from one elimination, not from expanding its
+        determinant.  matrix must carry the shape's zeros, as matrix_at(point)
+        does; then that is the first side condition whose substitution by
+        the assignments vanishes at point.
         """
-        cells = zip(self.shape.pattern, matrix.entries)
-        values = {name: x for names, row in cells for name, x in zip(names, row) if name is not None}
-        return next((c for c in self.side_conditions if c.evaluate(values) == 0), None)
+        blocks = zip(self.side_conditions, self.shape.diagonal_blocks(matrix.entries))
+        return next((c for c, b in blocks if not Subspace.spanned_by(len(b), b).is_full()), None)
 
 
 def _unknown_name(i: int, j: int, n: int) -> str:
@@ -256,43 +278,20 @@ def _add_permutation_terms(positions, row, cols, sign, exps, terms, expanded=0) 
 
 
 def shape_from_flag(basis: AdaptedBasis) -> AutShape:
-    """Zero pattern allowed by flag invariance plus block-det conditions.
+    """Zero pattern allowed by flag invariance, with the flag dims as block ends.
 
     An invariant coordinate subspace with index set J forces a[i][j] = 0
     for j in J, i not in J.  Flag prefixes make the matrix block upper
-    triangular; extra coordinate members cut further.  Every diagonal
-    block contributes its determinant as a nonvanishing side condition.
+    triangular; extra coordinate members cut further.  AutShape derives
+    each diagonal block's determinant as a nonvanishing side condition.
     """
     n = basis.dim
-    boundaries = [member.dim for member in basis.flag]
-    invariant_sets = [set(range(boundary)) for boundary in boundaries]
+    blocks = tuple(member.dim for member in basis.flag)
+    invariant_sets = [set(range(end)) for end in blocks]
     invariant_sets += [set(coords) for coords in basis.extra_coordinate_members]
-    allowed = [[True] * n for _ in range(n)]
-    for js in invariant_sets:
-        for j in js:
-            for i in range(n):
-                if i not in js:
-                    allowed[i][j] = False
-    pattern = []
-    unknowns = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if allowed[i][j]:
-                name = _unknown_name(i, j, n)
-                row.append(name)
-                unknowns.append(name)
-            else:
-                row.append(None)
-        pattern.append(tuple(row))
-    variables = tuple(unknowns)
-    conditions = []
-    start = 0
-    for boundary in boundaries:
-        block = [row[start:boundary] for row in pattern[start:boundary]]
-        conditions.append(_symbolic_det(block, variables))
-        start = boundary
-    return AutShape(n, tuple(pattern), variables, tuple(conditions))
+    zeros = {(i, j) for js in invariant_sets for j in js for i in range(n) if i not in js}
+    pattern = tuple(tuple(None if (i, j) in zeros else _unknown_name(i, j, n) for j in range(n)) for i in range(n))
+    return AutShape(pattern, blocks)
 
 
 # ---------------------------------------------------------------------------

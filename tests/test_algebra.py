@@ -609,8 +609,7 @@ def shape_for(draw, n):
     pattern = tuple(
         tuple(f"a{m}{k}" if draw(st.integers(0, 3)) else None for k in range(n)) for m in range(n)
     )
-    unknowns = tuple(name for row in pattern for name in row if name is not None)
-    return AutShape(n, pattern, unknowns, ())
+    return AutShape(pattern, ())
 
 
 def vectors(n):

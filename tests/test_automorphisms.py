@@ -9,6 +9,7 @@ import pytest
 from megalie.algebra import NotNilpotent, algebra_from_brackets, change_basis, exp_ad_nilpotent
 from megalie.automorphisms import (
     ResidualSystem,
+    _mismatch,
     _symbolic_det,
     adapted_basis,
     check_invariant,
@@ -522,17 +523,31 @@ class TestInnerConsistency:
         assert inner_consistency(m5, param, basis)["ok"]
         assert calls == []
 
-    def test_vanishing_side_condition_is_reported(self, m5, m5_solution):
-        # inner automorphisms are unitriangular here, so a22 = a33*a44 reads off as 1
-        basis, shape, _, param = m5_solution
-        extra = parse_poly("a22 - 1", shape.unknowns)
-        narrowed = replace(shape, side_conditions=shape.side_conditions + (extra,))
-        report = inner_consistency(m5, replace(param, shape=narrowed), basis)
-        assert not report["ok"]
-        assert len(report["checks"]) == 12
-        for check in report["checks"]:
-            assert check["matched"] is False
-            assert check["mismatch"] == {"side_condition": "a33*a44 - 1"}
+    def test_side_conditions_are_not_evaluated(self, m5, m5_solution, monkeypatch):
+        # each diagonal block's rank decides, not its determinant expanded term by term
+        basis, _, _, param = m5_solution
+        calls = []
+        original = Poly.evaluate
+
+        def counted(self, values):
+            calls.append(self)
+            return original(self, values)
+
+        monkeypatch.setattr(Poly, "evaluate", counted)
+        assert inner_consistency(m5, param, basis)["ok"]
+        values = {name: 1 for name in param.free_parameters}
+        substitute_parameters(param, values)
+        with pytest.raises(ValueError, match="side condition"):
+            substitute_parameters(param, {**values, "a44": 0})
+        assert calls == []
+
+    def test_vanishing_side_condition_is_reported(self, m5_solution):
+        # every entry matches, but a44 = 0 makes the first block a11 = a33*a44^2 singular
+        _, _, _, param = m5_solution
+        point = [Fraction(0) if name == "a44" else Fraction(1) for name in param.free_parameters]
+        assert _mismatch(param, param.matrix_at(point), point) == {"side_condition": "a33*a44^2"}
+        point = [Fraction(1)] * len(param.free_parameters)
+        assert _mismatch(param, param.matrix_at(point), point) is None
 
 
 def _wave6():
@@ -670,12 +685,45 @@ def reference_check_invariant(param, s):
     return True
 
 
+def repeated_row_points(param, point):
+    """point with the first row of a k x k diagonal block (k >= 2) copied onto
+    its second, once for each such block whose cells are all free parameters;
+    that block is singular there, though no parameter is zero."""
+    free = {name: k for k, name in enumerate(param.free_parameters)}
+    pattern, ends = param.shape.pattern, param.shape.blocks
+    for a, b in zip((0, *ends), ends):
+        if b - a > 1 and all(pattern[i][j] in free for i in range(a, b) for j in range(a, b)):
+            copied = list(point)
+            for j in range(a, b):
+                copied[free[pattern[a + 1][j]]] = point[free[pattern[a][j]]]
+            yield copied
+
+
+@pytest.fixture(scope="module")
+def block_lattices():
+    """{name: (algebra, closure)} whose shapes have k x k diagonal blocks, k >= 2:
+    Heisenberg dim 3 (block sizes 1, 2), ab2, ab4, h1 + ab1 (1, 1, 2) and ab3
+    closed with a 2-dimensional seed (2, 1)."""
+
+    def abelian(n):
+        return algebra_from_brackets(f"ab{n}", [f"x{i}" for i in range(n)], {})
+
+    algebras = {
+        "heisenberg3": (algebra_from_brackets("heisenberg3", ["x", "y", "z"], {(0, 1): {2: 1}}), ()),
+        "ab2": (abelian(2), ()),
+        "ab4": (abelian(4), ()),
+        "h1+ab1": (algebra_from_brackets("h1+ab1", ["x", "y", "z", "w"], {(0, 1): {2: 1}}), ()),
+        "ab3/seed": (abelian(3), (span(3, (1, 0, 0), (0, 1, 0)),)),
+    }
+    return {name: (g, closure(g, seeds)) for name, (g, seeds) in algebras.items()}
+
+
 class TestSolvedFormAgainstReference:
-    def test_evaluation_side_conditions_and_invariance(self, reference_lattices):
+    def test_evaluation_side_conditions_and_invariance(self, reference_lattices, block_lattices):
         rng = random.Random(16)
-        solved = vanished = 0
+        solved = vanished = singular_blocks = 0
         verdicts = set()
-        for name, (g, lattice) in reference_lattices.items():
+        for name, (g, lattice) in {**reference_lattices, **block_lattices}.items():
             basis, _, _, param = solve_in_adapted_basis(g, lattice)
             if not param.solved:
                 continue
@@ -683,10 +731,8 @@ class TestSolvedFormAgainstReference:
             n, free = g.dim, param.free_parameters
             entries = reference_entries(param)
             conditions = param.side_conditions
-            for trial in range(6):
-                point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in free]
-                if trial % 2:  # a zero parameter reaches the vanishing branch too
-                    point[rng.randrange(len(point))] = Fraction(0)
+
+            def expected_condition(point):
                 values = dict(zip(free, point))
                 matrix = param.matrix_at(point)
                 assert matrix.entries == tuple(tuple(e.evaluate(values) for e in row) for row in entries), name
@@ -694,7 +740,16 @@ class TestSolvedFormAgainstReference:
                     (c for c in conditions if c.substitute(param.assignments).evaluate(values) == 0), None
                 )
                 assert param.vanishing_condition(matrix) == expected, name
-                vanished += expected is not None
+                return expected
+
+            for trial in range(6):
+                point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in free]
+                if trial % 2:  # a zero parameter reaches the vanishing branch too
+                    point[rng.randrange(len(point))] = Fraction(0)
+                vanished += expected_condition(point) is not None
+                for repeated in repeated_row_points(param, point):
+                    assert expected_condition(repeated) is not None, name
+                    singular_blocks += 1
             for member in lattice.members:
                 adapted = Subspace.spanned_by(n, (member.basis @ basis.inverse).entries)
                 assert check_invariant(param, adapted), name
@@ -713,7 +768,7 @@ class TestSolvedFormAgainstReference:
                     s = span(n, *[g.basis_vector(k) for k in (*coords, j)])
                     verdicts.add(verdict := check_invariant(param, s))
                     assert verdict == reference_check_invariant(param, s), name
-        assert solved >= 18 and vanished > 0 and verdicts == {True, False}
+        assert solved >= 23 and vanished > 0 and singular_blocks >= 30 and verdicts == {True, False}
 
 
 class TestSubstituteParameters:

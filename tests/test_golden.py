@@ -53,6 +53,10 @@ def diagonal(n):
     return algebra_from_brackets(f"diag{n}", names, {(0, i): {i: i} for i in range(1, n)})
 
 
+def abelian(n):
+    return algebra_from_brackets(f"ab{n}", [f"x{i}" for i in range(n)], {})
+
+
 def fixture(name):
     return algebra_from_dict(json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8")))
 
@@ -75,9 +79,11 @@ def wave6():
 
 # sha256 of canonical_json(analyze(g)) for the benchmark's algebras, built as
 # in bench/workloads.py, and for h4 and diag9, whose 8x8 block determinants
-# (40,320 terms each) are the largest expansion, and for rational conjugates
-# of m5 and L6 (solved) and of sl2d (residual), whose structure constants
-# have denominators.  A change that alters any report byte changes these.
+# (40,320 terms each) are the largest expansion, for the abelian ab7 and ab8,
+# whose one diagonal block is the whole 7x7 and 8x8 matrix, and for rational
+# conjugates of m5 and L6 (solved) and of sl2d (residual), whose structure
+# constants have denominators.  A change that alters any report byte changes
+# these.
 REPORT_SHA256 = {
     "L8": (lambda: filiform(8), "c5a878146a322ac6e2879a2528ac7f06dae924ca0c7d15e9ca4bafd8102a4c84"),
     "L10": (lambda: filiform(10), "c6f31549028ca7ccd2e5e056886a0611ee857b70cbf647069c3e271102c02a12"),
@@ -88,6 +94,8 @@ REPORT_SHA256 = {
     "diag8": (lambda: diagonal(8), "a9f2cc6e578d2bdf1ff20eb65590e19222cd1141fd4aebd33f1dc13611be8dd6"),
     "h4": (lambda: heisenberg(4), "5eae7d99f40bfdbf535911231f27e1afe0c900205dac5bebb929b809584126b1"),
     "diag9": (lambda: diagonal(9), "c2862556e2d9fdaf487f0b6539471ade0078e1f2c4752b196521a9fb95a29896"),
+    "ab7": (lambda: abelian(7), "658cb881af8cc9f00cf515c8971a9f870d6f95caa8996f89ffe2bdda24b31522"),
+    "ab8": (lambda: abelian(8), "222f11e0f35d3bff01624222b4ee1509393fc9f0f0d7fde97dae6871f7dc6189"),
     "m5/rational": (lambda: rational_conjugate(fixture("m5")), "53d8e9f2d9cc79f9d3872172a0d2c6d3b80555cbb1de7286a9d9edc28f6f95e2"),
     "L6/rational": (lambda: rational_conjugate(filiform(6)), "a6eb9ebf9eddcc14d1713712aa36af81ec934161aaea59c8727ead951b2ce7aa"),
     "sl2d/rational": (lambda: rational_conjugate(fixture("sl2d")), "49f28f8090c7a9e0cdac1a93d919e505bf51d80c065dcef38f2fbcb98b5e2f60"),
