@@ -13,7 +13,7 @@ polynomial point maps.  Everything is exact rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .linalg import AmbientMismatch, Matrix, Subspace, kernel, rat
+from .linalg import AmbientMismatch, Matrix, Subspace, rat
 from .algebra import (
     FormatError,
     LieAlgebra,
@@ -21,7 +21,6 @@ from .algebra import (
     NotNilpotent,
     SeriesReport,
     ValidationReport,
-    ad,
     algebra_from_brackets,
     algebra_from_dict,
     algebra_to_dict,
@@ -31,12 +30,9 @@ from .algebra import (
     change_basis,
     derivations,
     derived_series,
-    exp_ad_nilpotent,
-    killing_form,
     lower_central_series,
     nilradical_approx,
     normalizer,
-    quotient,
     radical,
     transporter,
     upper_central_series,

@@ -2,13 +2,14 @@
 
 A LieAlgebra holds constants c_ijk with [Q_i, Q_j] = sum_k c_ijk Q_k.
 The module validates antisymmetry and the Jacobi identity exactly, and
-provides the bracket calculus used everywhere else: adjoint matrices,
-brackets of subspaces, centralizers/normalizers, the three structural
-series, quotients and changes of basis, the Killing form, the radical, a
-nilradical approximation, derivations, and exponentials of nilpotent
-adjoints.  Every structure tensor is built by algebra_from_brackets, the
-one builder that checks its input and fills in the antisymmetric
-counterparts.
+provides the bracket calculus used everywhere else: brackets of
+subspaces, the transporter and its center, centralizer and normalizer
+cases, the three structural series, changes of basis, the radical and a
+nilradical approximation (both from the Killing form's int numerators),
+derivations, and exp(t ad_x) for nilpotent ad_x, which the inner
+automorphism check evaluates.  Every structure tensor is built by
+algebra_from_brackets, the one builder that checks its input and fills in
+the antisymmetric counterparts.
 
 The constants are stored once, as a sparse index of the nonzero ones (see
 LieAlgebra), and every reader, the antisymmetry check included, reads
@@ -138,9 +139,6 @@ class LieAlgebra:
                             out[k] += f * q
         return tuple(out)
 
-    def basis_vector(self, i: int) -> Vector:
-        return unit_vector(self.dim, i)
-
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
@@ -220,21 +218,6 @@ def validate(g: LieAlgebra) -> ValidationReport:
 # bracket calculus
 
 
-def ad(g: LieAlgebra, x: Sequence) -> Matrix:
-    """Matrix of y -> [x, y] in the algebra basis (column action)."""
-    x = vec(x)
-    n = g.dim
-    if len(x) != n:
-        raise AmbientMismatch("bracket arguments must have length dim")
-    x = tuple(v / g._denominator for v in x)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), row in g._nonzero.items():
-        if x[i]:
-            for k, q in row:
-                m[k][j] += x[i] * q
-    return Matrix(m)
-
-
 def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[tuple[int, ...]]]:
     """The bracket table of (a, b): [[w, v] for v in b.rows] for each w in a.rows.
 
@@ -303,18 +286,17 @@ def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
 class SeriesReport:
     kind: str  # 'derived' | 'lower_central' | 'upper_central'
     terms: tuple[Subspace, ...]
-    stabilized: bool
 
 
 def derived_series(g: LieAlgebra) -> SeriesReport:
     terms = _until_fixed(g.full_space(), lambda t: bracket_subspaces(g, t, t))
-    return SeriesReport("derived", terms, True)
+    return SeriesReport("derived", terms)
 
 
 def lower_central_series(g: LieAlgebra) -> SeriesReport:
     full = g.full_space()
     terms = _until_fixed(full, lambda t: bracket_subspaces(g, full, t))
-    return SeriesReport("lower_central", terms, True)
+    return SeriesReport("lower_central", terms)
 
 
 def upper_central_series(g: LieAlgebra) -> SeriesReport:
@@ -325,11 +307,11 @@ def upper_central_series(g: LieAlgebra) -> SeriesReport:
     """
     full = g.full_space()
     terms = _until_fixed(center(g), lambda t: transporter(g, full, full, t))
-    return SeriesReport("upper_central", terms, True)
+    return SeriesReport("upper_central", terms)
 
 
 # ---------------------------------------------------------------------------
-# quotients and changes of basis
+# changes of basis
 
 
 def _induced_algebra(g: LieAlgebra, name: str, names, vectors, to_new: Matrix) -> LieAlgebra:
@@ -344,25 +326,6 @@ def _induced_algebra(g: LieAlgebra, name: str, names, vectors, to_new: Matrix) -
     coordinates = (stacked @ to_new).entries
     brackets = {pair: dict(enumerate(row)) for pair, row in zip(pairs, coordinates)}
     return algebra_from_brackets(name, names, brackets)
-
-
-def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
-    """Quotient algebra on the non-pivot coordinates plus the projection map.
-
-    The complement basis is the set of coordinates that are not pivot
-    columns of the ideal's RREF basis, taken in increasing order, which
-    makes the construction deterministic.
-    """
-    if not is_ideal(g, ideal):
-        raise NotAnIdeal("quotient requires an ideal")
-    complement = [j for j in range(g.dim) if j not in ideal.pivots]
-    # row j: basis vector j modulo the ideal, in the complement coordinates
-    reduced = (ideal.reduce(g.basis_vector(j)) for j in range(g.dim))
-    to_new = Matrix._from_rows((tuple(r[q] for q in complement) for r in reduced), len(complement))
-    names = tuple(g.basis_names[q] for q in complement)
-    vectors = [g.basis_vector(q) for q in complement]
-    algebra = _induced_algebra(g, f"{g.name}/{ideal.dim}d", names, vectors, to_new)
-    return algebra, to_new.transpose()
 
 
 def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
@@ -393,12 +356,6 @@ def _killing_numerators(g: LieAlgebra) -> list[list[int]]:
             t = sum(q * terms[j][(k, l)] for (l, k), q in terms[i].items() if (k, l) in terms[j])
             form[i][j] = form[j][i] = t
     return form
-
-
-def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad_i ad_j); symmetric and invariant."""
-    square = g._denominator**2
-    return Matrix([[Fraction(t, square) for t in row] for row in _killing_numerators(g)])
 
 
 def _killing_orthogonal(k: list[list[int]], within: Subspace, against: Subspace) -> Subspace:
@@ -521,11 +478,6 @@ def _exp_ad(g: LieAlgebra, x: Sequence):
         return Matrix._from_rows(map(tuple, rows), n)
 
     return at
-
-
-def exp_ad_nilpotent(g: LieAlgebra, x: Sequence, t) -> Matrix:
-    """exp(t ad_x) as an exact rational matrix; requires (ad_x)^dim = 0."""
-    return _exp_ad(g, x)(rat(t))
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,7 @@ EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str, detail: dict | None = None):
-        super().__init__(message)
-        self.code = code
-        self.detail = detail or {}
+    """An input or option problem: its message goes to stderr, and main returns exit 2."""
 
 
 # what fields_from_dict and pointmap_from_dict raise on malformed input
@@ -68,7 +65,7 @@ def _read(path: str) -> bytes:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _load(path: str, parse, errors, raw: bytes | None = None):
@@ -83,19 +80,17 @@ def _load(path: str, parse, errors, raw: bytes | None = None):
     try:
         data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: not UTF-8 ({exc})") from exc
+        raise CliError(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(
-            EXIT_FORMAT, f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise CliError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the int-string digit limit
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
+        raise CliError(f"{path}: {exc}") from exc
     except RecursionError as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: JSON nested too deeply") from exc
+        raise CliError(f"{path}: JSON nested too deeply") from exc
     try:
         return parse(data)
     except errors as exc:
-        raise CliError(EXIT_FORMAT, f"{path}: {exc}") from exc
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _write(text: str, out: str | None) -> None:
@@ -104,7 +99,7 @@ def _write(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise CliError(EXIT_FORMAT, f"{out}: {exc}") from exc
+            raise CliError(f"{out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -117,9 +112,9 @@ def _select_fields(named_fields, csv: str | None, path: str):
     for name in csv.split(","):
         name = name.strip()
         if name not in table:
-            raise CliError(EXIT_FORMAT, f"{path}: no field named {name!r}")
+            raise CliError(f"{path}: no field named {name!r}")
         if any(name == seen for seen, _ in chosen):
-            raise CliError(EXIT_FORMAT, f"{path}: field {name!r} selected twice")
+            raise CliError(f"{path}: field {name!r} selected twice")
         chosen.append((name, table[name]))
     return chosen
 
@@ -194,7 +189,7 @@ def _cmd_analyze(args) -> int:
     try:
         report = analyze(g, budget=args.budget, max_enum_dim=args.max_enum_dim, input_digest=digest)
     except ExpansionError as exc:
-        raise CliError(EXIT_FORMAT, f"{args.file}: {exc}") from exc
+        raise CliError(f"{args.file}: {exc}") from exc
     text = _render_analysis_text(report) if args.text else canonical_json(report)
     _write(text, args.out)
     if not report["validation"]["ok"]:
@@ -214,9 +209,7 @@ def _cmd_vf_bracket_table(args) -> int:
             try:
                 br = lie_bracket(left, right)
             except ExpansionError as exc:
-                raise CliError(
-                    EXIT_FORMAT, f"{args.file}: [{left_name},{right_name}]: {exc}"
-                ) from exc
+                raise CliError(f"{args.file}: [{left_name},{right_name}]: {exc}") from exc
             entries.append(
                 {"left": left_name, "right": right_name, "bracket": br.components_dict()}
             )
@@ -230,12 +223,12 @@ def _cmd_vf_extract(args) -> int:
     _, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
     chosen = _select_fields(named_fields, args.fields, args.file)
     if not chosen:
-        raise CliError(EXIT_FORMAT, f"{args.file}: no fields given")
+        raise CliError(f"{args.file}: no fields given")
     name = args.name if args.name else ",".join(n for n, _ in chosen)
     try:
         algebra = extract_structure(chosen, name=name)
     except ExpansionError as exc:
-        raise CliError(EXIT_FORMAT, f"{args.file}: {exc}") from exc
+        raise CliError(f"{args.file}: {exc}") from exc
     except NotClosed as exc:
         detail = {
             "error": "NotClosed",
@@ -260,12 +253,12 @@ def _cmd_vf_pushforward(args) -> int:
     variables, named_fields = _load(args.file, fields_from_dict, _POLY_FORMAT_ERRORS)
     pm = _load(args.map, pointmap_from_dict, _POLY_FORMAT_ERRORS)
     if pm.variables != variables:
-        raise CliError(EXIT_FORMAT, "map and field files declare different variables")
+        raise CliError("map and field files declare different variables")
     chosen = _select_fields(named_fields, args.fields, args.file)
     try:
         pushed = [(name, pushforward(pm, fld)) for name, fld in chosen]
     except ExpansionError as exc:
-        raise CliError(EXIT_FORMAT, f"{args.file} under {args.map}: {exc}") from exc
+        raise CliError(f"{args.file} under {args.map}: {exc}") from exc
     _write(canonical_json(fields_to_dict(variables, pushed)), args.out)
     return EXIT_OK
 
@@ -337,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return EXIT_FORMAT
     except Exception as exc:
         # Last resort: a defect, not an input problem.  SystemExit and
         # KeyboardInterrupt are not Exceptions and pass through.

@@ -12,17 +12,17 @@ pivot columns with the Fraction basis cached, and carries no label: the
 report names what it prints.  It is row-reduced once, when spanned_by or
 the trusted _from_rows builds it.  One fraction-free Gauss-Jordan
 routine, _echelon, does every elimination: subspace construction, the
-kernel solve of Subspace.where_zero, and Matrix.rref_with_pivots, which
+kernel solve of Subspace._where_zero, and Matrix.rref_with_pivots, which
 scales each row to integers and divides by the pivots at the end.
-where_zero -- the part of a space that a linear map sends to zero -- is
-the one kernel solve behind intersections, kernels and every constructor
-in the algebra module; they call its int form, _where_zero, on the
-canonical rows.  Subspace._keeps, a map's nonzero entries applied to the
-canonical rows, is the one invariance test.
+_where_zero -- the part of a space that a linear map sends to zero, read
+from the int images of the canonical rows -- is the one kernel solve
+behind intersections and every constructor in the algebra module.
+Subspace._keeps, a map's nonzero entries applied to the canonical rows,
+is the one invariance test.
 
 Values become Fractions at the boundary, where they are checked and
-coerced: Matrix(...), Subspace.spanned_by, Subspace.basis, reduce,
-contains and coordinates.  The trusted internal paths check nothing:
+coerced: Matrix(...), Subspace.spanned_by, Subspace.basis and contains.
+The trusted internal paths check nothing:
 Subspace._from_rows, _reduce and _where_zero take int rows,
 Matrix._from_rows Fraction rows.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -112,16 +112,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix._from_rows((unit_vector(n, i) for i in range(n)), n)
-
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -137,14 +127,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rat(x) for x in row) for row in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def transpose(self) -> "Matrix":
-        # with no rows, zip(*entries) would drop the cols empty rows
-        columns = zip(*self.entries) if self.rows else [()] * self.cols
-        return Matrix._from_rows(columns, self.rows)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -359,23 +341,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def _vector(self, v: Sequence) -> Vector:
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length does not match ambient dimension")
-        return v
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Remainder of v after elimination against the RREF basis.
-
-        _reduce of the smallest int multiple of v, divided back by that
-        multiple and by the product of the pivot entries.
-        """
-        v = self._vector(v)
-        scale = lcm(*(x.denominator for x in v))
-        scale *= prod(row[p] for p, row in zip(self.pivots, self.rows))
-        return tuple(Fraction(x, scale) for x in self._reduce(_integral(v)))
-
     def _reduce(self, v: Sequence[int]) -> IntRow:
         """The remainder of an int row of the ambient length, fraction-free and unchecked.
 
@@ -398,22 +363,14 @@ class Subspace:
         return tuple(v)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self._reduce(_integral(self._vector(v))))
+        v = vec(v)
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length does not match ambient dimension")
+        return not any(self._reduce(_integral(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return not any(any(self._reduce(row)) for row in other.rows)
-
-    def coordinates(self, v: Sequence) -> Vector | None:
-        """Coefficients of v over the RREF basis rows, or None if outside.
-
-        The coefficient of row r is v at pivot r, since every other row is
-        zero there.
-        """
-        v = self._vector(v)
-        if not self.contains(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
 
     def is_invariant_under(self, m: Matrix) -> bool:
         """Whether m @ v lies in this space for every v in it."""
@@ -440,21 +397,6 @@ class Subspace:
         return True
 
     # -- lattice operations ---------------------------------------------------
-
-    def where_zero(self, images: Sequence[Sequence]) -> "Subspace":
-        """{sum t_i b_i : sum t_i images[i] = 0} over the basis rows b_i.
-
-        images[i] is the image of basis row i under some linear map, and
-        the result is the part of this space that the map sends to zero:
-        one kernel solve in the coordinates of this space, mapped back.
-        Every subspace constructor that cuts out a space by linear
-        conditions goes through here or through _where_zero.  The images
-        may be ints or Fractions.
-        """
-        # rows[i] is b_i times its pivot entry a_i, so its image is a_i images[i]
-        pivot_entries = (row[p] for p, row in zip(self.pivots, self.rows))
-        images = [[a * x for x in image] for a, image in zip(pivot_entries, images)]
-        return self._where_zero(map(_integral, zip(*images)))
 
     def _where_zero(self, conditions: Iterable[Sequence[int]]) -> "Subspace":
         """{sum t_i rows[i] : sum t_i e[i] = 0 for every condition e}, on int conditions.
@@ -485,7 +427,3 @@ class Subspace:
         self._check_ambient(other)
         return self._where_zero(zip(*map(other._reduce, self.rows)))
 
-
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m @ v = 0} as a canonical subspace of Q^cols."""
-    return Subspace.full(m.cols)._where_zero(map(_integral, m.entries))

@@ -84,10 +84,6 @@ class MegaidealVerdict:
     is_ideal: bool
     is_derivation_invariant: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.is_ideal and self.is_derivation_invariant
-
 
 def verify_megaideal(
     g: LieAlgebra, s: Subspace, derivs: Sequence[Matrix] | None = None

@@ -1,6 +1,7 @@
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from megalie.algebra import (
     FormatError,
     LieAlgebra,
-    NotAnIdeal,
     NotNilpotent,
-    ad,
+    _exp_ad,
+    _killing_numerators,
     algebra_from_brackets,
     algebra_from_dict,
     algebra_to_dict,
@@ -21,12 +22,9 @@ from megalie.algebra import (
     change_basis,
     derivations,
     derived_series,
-    exp_ad_nilpotent,
-    killing_form,
     lower_central_series,
     nilradical_approx,
     normalizer,
-    quotient,
     radical,
     ValidationReport,
     transporter,
@@ -34,7 +32,7 @@ from megalie.algebra import (
     validate,
 )
 from megalie.automorphisms import AutShape, structure_equations
-from megalie.linalg import AmbientMismatch, Matrix, Subspace, format_rat, kernel
+from megalie.linalg import AmbientMismatch, Matrix, Subspace, format_rat, unit_vector
 from megalie.poly import Poly
 
 
@@ -45,6 +43,23 @@ def span(n, *rows):
 def matvec(m, v):
     """m times the column vector v, one dot product per row."""
     return tuple(sum((x * y for x, y in zip(row, v, strict=True)), Fraction(0)) for row in m.entries)
+
+
+def killing(g):
+    """The Killing form as the engine computes it: its int numerators over the squared denominator."""
+    square = g._denominator**2
+    return Matrix([[Fraction(t, square) for t in row] for row in _killing_numerators(g)])
+
+
+def integral(row):
+    """A rational row times the lcm of its denominators, as ints."""
+    d = lcm(*(x.denominator for x in row))
+    return [int(x * d) for x in row]
+
+
+def exp_ad(g, x, t):
+    """exp(t ad_x) from the engine's bracket chains."""
+    return _exp_ad(g, x)(Fraction(t))
 
 
 def M5_SUBSPACES(m5):
@@ -83,18 +98,21 @@ class TestValidate:
 
 
 class TestAd:
+    """The adjoint action y -> [x, y], read through the bracket."""
+
     def test_abelian_zero(self, abelian3):
-        assert ad(abelian3, [1, 2, 3]).is_zero()
+        assert all(abelian3.bracket([1, 2, 3], unit_vector(3, j)) == (0, 0, 0) for j in range(3))
 
     def test_m5_pt_action(self, m5):
         # ad_Pt: Dt -> Pt, F1 -> G1, F2 -> 2 F1
-        a = ad(m5, [0, 0, 0, 1, 0])
-        assert matvec(a, [0, 0, 0, 0, 1]) == (0, 0, 0, 1, 0)
-        assert matvec(a, [0, 1, 0, 0, 0]) == (1, 0, 0, 0, 0)
-        assert matvec(a, [0, 0, 1, 0, 0]) == (0, 2, 0, 0, 0)
+        pt = [0, 0, 0, 1, 0]
+        assert m5.bracket(pt, [0, 0, 0, 0, 1]) == (0, 0, 0, 1, 0)
+        assert m5.bracket(pt, [0, 1, 0, 0, 0]) == (1, 0, 0, 0, 0)
+        assert m5.bracket(pt, [0, 0, 1, 0, 0]) == (0, 2, 0, 0, 0)
 
     def test_sl2_h_diagonal(self, sl2):
-        assert ad(sl2, [0, 1, 0]) == Matrix([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
+        images = [sl2.bracket([0, 1, 0], unit_vector(3, j)) for j in range(3)]
+        assert images == [(2, 0, 0), (0, 0, 0), (0, 0, -2)]
 
 
 class TestBracketSubspaces:
@@ -130,7 +148,6 @@ class TestSeries:
     def test_heisenberg_derived(self, heisenberg):
         report = derived_series(heisenberg)
         assert [t.dim for t in report.terms] == [3, 1, 0]
-        assert report.stabilized
 
     def test_m5_derived_against_bracket_oracle(self, m5):
         report = derived_series(m5)
@@ -144,7 +161,6 @@ class TestSeries:
     def test_m5_upper_central_stops_at_center(self, m5):
         report = upper_central_series(m5)
         assert list(report.terms) == [span(5, [1, 0, 0, 0, 0])]
-        assert report.stabilized
 
     def test_upper_central_matches_transporter_route(self, m5, heisenberg, sl2):
         # independent route: Z_{k+1} = {x : [x, g] <= Z_k}
@@ -160,39 +176,10 @@ class TestSeries:
         assert [t.dim for t in report.terms] == [3]
 
 
-class TestQuotient:
-    def test_heisenberg_mod_center(self, heisenberg):
-        q, proj = quotient(heisenberg, span(3, [0, 0, 1]))
-        assert q.dim == 2
-        assert all(all(all(x == 0 for x in row) for row in plane) for plane in q.c)
-        assert proj.rows == 2
-
-    def test_m5_mod_center(self, m5):
-        q, proj = quotient(m5, span(5, [1, 0, 0, 0, 0]))
-        assert q.basis_names == ("F1", "F2", "Pt", "Dt")
-        assert validate(q).ok
-        # [Pt, F1] dies, [Pt, F2] survives as 2 F1
-        assert q.bracket([0, 0, 1, 0], [1, 0, 0, 0]) == (0, 0, 0, 0)
-        assert q.bracket([0, 0, 1, 0], [0, 1, 0, 0]) == (2, 0, 0, 0)
-
-    def test_full_quotient_is_zero_algebra(self, m5):
-        q, _ = quotient(m5, m5.full_space())
-        assert q.dim == 0
-
-    def test_not_an_ideal(self, m5):
-        with pytest.raises(NotAnIdeal):
-            quotient(m5, span(5, [0, 0, 0, 1, 0]))  # <Pt> is not an ideal
-
-    def test_quotient_is_valid_algebra(self, m5, heisenberg):
-        for g, ideal in ((m5, span(5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])), (heisenberg, span(3, [0, 0, 1]))):
-            q, _ = quotient(g, ideal)
-            assert validate(q).ok
-
-
 class TestKillingRadical:
     def test_killing_m5(self, m5):
         # only Dt has a non-nilpotent adjoint; trace(ad_Dt^2) = 1 + 4 + 1
-        k = killing_form(m5)
+        k = killing(m5)
         assert all(
             k.entries[i][j] == (6 if (i, j) == (4, 4) else 0)
             for i in range(5)
@@ -201,17 +188,15 @@ class TestKillingRadical:
 
     def test_killing_symmetry_invariance(self, m5, sl2):
         for g in (m5, sl2):
-            k = killing_form(g)
+            k = killing(g)
             n = g.dim
-            assert k == k.transpose()
+            e = [unit_vector(n, i) for i in range(n)]
+            assert all(k.entries[i][j] == k.entries[j][i] for i in range(n) for j in range(n))
             for i in range(n):
                 for j in range(n):
                     for l in range(n):
-                        left = matvec(k, g.bracket(g.basis_vector(i), g.basis_vector(j)))[l]
-                        right = sum(
-                            k.entries[i][m] * g.bracket(g.basis_vector(j), g.basis_vector(l))[m]
-                            for m in range(n)
-                        )
+                        left = matvec(k, g.bracket(e[i], e[j]))[l]
+                        right = sum(k.entries[i][m] * g.bracket(e[j], e[l])[m] for m in range(n))
                         assert left == right
 
     def test_radical_semisimple(self, sl2):
@@ -274,51 +259,49 @@ class TestDerivationsExp:
     def test_leibniz_property(self, m5, heisenberg, sl2):
         for g in (m5, heisenberg, sl2):
             n = g.dim
+            e = [unit_vector(n, i) for i in range(n)]
             for d in derivations(g):
                 for i in range(n):
                     for j in range(n):
-                        lhs = matvec(d, g.bracket(g.basis_vector(i), g.basis_vector(j)))
+                        lhs = matvec(d, g.bracket(e[i], e[j]))
                         rhs_parts = [
-                            g.bracket(matvec(d, g.basis_vector(i)), g.basis_vector(j)),
-                            g.bracket(g.basis_vector(i), matvec(d, g.basis_vector(j))),
+                            g.bracket(matvec(d, e[i]), e[j]),
+                            g.bracket(e[i], matvec(d, e[j])),
                         ]
                         rhs = tuple(a + b for a, b in zip(*rhs_parts))
                         assert lhs == rhs
 
     def test_exp_ad_m5_example(self, m5):
-        e = exp_ad_nilpotent(m5, [0, 0, 0, 1, 0], 1)
+        e = exp_ad(m5, [0, 0, 0, 1, 0], 1)
         assert matvec(e, [0, 0, 0, 0, 1]) == (0, 0, 0, 1, 1)  # Dt -> Dt + Pt
         assert matvec(e, [0, 1, 0, 0, 0]) == (1, 1, 0, 0, 0)  # F1 -> F1 + G1
         assert matvec(e, [0, 0, 1, 0, 0]) == (1, 2, 1, 0, 0)  # F2 -> F2 + 2F1 + G1
 
     def test_exp_ad_not_nilpotent(self, sl2):
+        # decided from the bracket chains, before any t is weighed
         with pytest.raises(NotNilpotent):
-            exp_ad_nilpotent(sl2, [0, 1, 0], 1)
-        # decided from the bracket chains, not from the weighed series
-        with pytest.raises(NotNilpotent):
-            exp_ad_nilpotent(sl2, [0, 1, 0], 0)
+            _exp_ad(sl2, [0, 1, 0])
 
     def test_exp_ad_checks_its_arguments(self, m5):
         with pytest.raises(AmbientMismatch):
-            exp_ad_nilpotent(m5, [0, 0, 0, 1], 1)
+            _exp_ad(m5, [0, 0, 0, 1])
         with pytest.raises(TypeError):
-            exp_ad_nilpotent(m5, [0, 0, 0, 0.5, 0], 1)
-        with pytest.raises(TypeError):
-            exp_ad_nilpotent(m5, [0, 0, 0, 1, 0], 0.5)
+            _exp_ad(m5, [0, 0, 0, 0.5, 0])
 
     def test_exp_ad_is_automorphism(self, m5, heisenberg):
         for g in (m5, heisenberg):
             n = g.dim
+            u = [unit_vector(n, i) for i in range(n)]
             for idx in range(n):
-                a = ad(g, g.basis_vector(idx))
-                if not reduce(operator.matmul, [a] * n).is_zero():
+                power = reduce(operator.matmul, [dense_ad(g, u[idx])] * n)
+                if any(x for row in power.entries for x in row):
                     continue
                 for t in (1, -1, Fraction(1, 2)):
-                    e = exp_ad_nilpotent(g, g.basis_vector(idx), t)
+                    e = exp_ad(g, u[idx], t)
                     for i in range(n):
                         for j in range(n):
-                            lhs = matvec(e, g.bracket(g.basis_vector(i), g.basis_vector(j)))
-                            rhs = g.bracket(matvec(e, g.basis_vector(i)), matvec(e, g.basis_vector(j)))
+                            lhs = matvec(e, g.bracket(u[i], u[j]))
+                            rhs = g.bracket(matvec(e, u[i]), matvec(e, u[j]))
                             assert lhs == rhs
 
 
@@ -336,7 +319,8 @@ class TestChangeBasis:
         g2 = change_basis(m5, b)
         assert validate(g2).ok
         # identity change of basis is a no-op
-        assert change_basis(m5, Matrix.identity(5)).c == m5.c
+        identity = Matrix([[int(i == j) for j in range(5)] for i in range(5)])
+        assert change_basis(m5, identity).c == m5.c
 
 
 class TestFileFormat:
@@ -436,7 +420,7 @@ class TestStoredForm:
         g = algebra_from_dict(algebra_to_dict(m5))
         # the readers of the constants go through the sparse index
         assert validate(g).ok and derivations(g) and algebra_to_dict(g) == algebra_to_dict(m5)
-        assert ad(g, (0, 0, 0, 1, 0)) == ad(m5, (0, 0, 0, 1, 0))
+        assert _killing_numerators(g) == _killing_numerators(m5)
         assert "c" not in vars(g)
         assert g.c == m5.c and "c" in vars(g) and g.c is g.c
 
@@ -468,7 +452,7 @@ def dense_bracket(g, x, y):
 
 def dense_ad(g, x):
     n = g.dim
-    cols = [dense_bracket(g, x, g.basis_vector(j)) for j in range(n)]
+    cols = [dense_bracket(g, x, unit_vector(n, j)) for j in range(n)]
     return Matrix([[cols[j][k] for j in range(n)] for k in range(n)])
 
 
@@ -520,7 +504,7 @@ def dense_derivations(g):
                     row[l * n + i] -= c[l][j][m]
                     row[l * n + j] -= c[i][l][m]
                 rows.append(row)
-    solutions = kernel(Matrix(rows, cols=n * n))
+    solutions = Subspace.full(n * n)._where_zero(map(integral, rows))
     return [
         Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
         for row in solutions.basis.entries
@@ -623,10 +607,9 @@ class TestDenseReference:
         n = g.dim
         x, y = data.draw(vectors(n)), data.draw(vectors(n))
         assert g.bracket(x, y) == dense_bracket(g, x, y)
-        assert ad(g, x) == dense_ad(g, x)
         report = validate(g)
         assert report == dense_validate(g)  # both lists, in (i, j, l, m) order
-        assert killing_form(g) == dense_killing_form(g)
+        assert killing(g) == dense_killing_form(g)
         assert derivations(g) == dense_derivations(g)
         assert algebra_to_dict(g) == dense_algebra_to_dict(g)
         shape = data.draw(shape_for(n))
@@ -664,4 +647,4 @@ class TestDenseReference:
     def test_diagonal_is_read(self):
         g = LieAlgebra("diag", ("a", "b"), {(0, 0): {0: Fraction(1)}})
         assert g.bracket((1, 0), (1, 0)) == (1, 0)
-        assert ad(g, (1, 0)) == dense_ad(g, (1, 0)) == Matrix([[1, 0], [0, 0]])
+        assert killing(g) == dense_killing_form(g) == Matrix([[1, 0], [0, 0]])

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from megalie.algebra import NotNilpotent, algebra_from_brackets, change_basis, exp_ad_nilpotent
+from megalie.algebra import NotNilpotent, _exp_ad, algebra_from_brackets, change_basis
 from megalie.automorphisms import (
     ResidualSystem,
     _mismatch,
@@ -21,8 +21,8 @@ from megalie.automorphisms import (
     substitute_parameters,
     triangular_solve,
 )
-from megalie.linalg import AmbientMismatch, Matrix, Subspace
-from megalie.megaideals import closure
+from megalie.linalg import AmbientMismatch, Matrix, Subspace, unit_vector
+from megalie.megaideals import MegaidealVerdict, closure
 from megalie.poly import ExpansionError, Poly, parse_poly
 
 
@@ -45,7 +45,7 @@ class TestAdaptedBasis:
     def test_m5_identity_chain(self, m5):
         basis = adapted_basis(m5, closure(m5))
         assert [s.dim for s in basis.flag] == [1, 2, 3, 4, 5]
-        assert basis.change_of_basis == Matrix.identity(5)
+        assert basis.change_of_basis == Matrix([[int(i == j) for j in range(5)] for i in range(5)])
         assert basis.block_sizes == (1, 1, 1, 1, 1)
         assert basis.extra_coordinate_members == ()
 
@@ -304,8 +304,8 @@ class TestSampledAutomorphisms:
                 a = self._sample(param, rng)
                 for i in range(n):
                     for j in range(n):
-                        lhs = matvec(a, adapted.bracket(adapted.basis_vector(i), adapted.basis_vector(j)))
-                        rhs = adapted.bracket(matvec(a, adapted.basis_vector(i)), matvec(a, adapted.basis_vector(j)))
+                        lhs = matvec(a, adapted.bracket(unit_vector(n, i), unit_vector(n, j)))
+                        rhs = adapted.bracket(matvec(a, unit_vector(n, i)), matvec(a, unit_vector(n, j)))
                         assert lhs == rhs
 
 
@@ -314,12 +314,13 @@ class TestInvariantEnumeration:
         basis, shape, system, param = m5_solution
         found = enumerate_coordinate_megaideals(m5, param, basis)
         proper = [s for _, s in found if 0 < s.dim < 5]
+        e = [unit_vector(5, i) for i in range(5)]
         expected = {
-            span(5, m5.basis_vector(0)),
-            span(5, m5.basis_vector(0), m5.basis_vector(1)),
-            span(5, m5.basis_vector(0), m5.basis_vector(1), m5.basis_vector(2)),
-            span(5, m5.basis_vector(0), m5.basis_vector(1), m5.basis_vector(3)),
-            span(5, m5.basis_vector(0), m5.basis_vector(1), m5.basis_vector(2), m5.basis_vector(3)),
+            span(5, e[0]),
+            span(5, e[0], e[1]),
+            span(5, e[0], e[1], e[2]),
+            span(5, e[0], e[1], e[3]),
+            span(5, e[0], e[1], e[2], e[3]),
         }
         assert set(proper) == expected
         assert len(proper) == 5
@@ -335,7 +336,7 @@ class TestInvariantEnumeration:
         scanned = []
         for size in range(g.dim + 1):
             for subset in combinations(range(g.dim), size):
-                if check_invariant(param, span(g.dim, *[g.basis_vector(j) for j in subset])):
+                if check_invariant(param, span(g.dim, *[unit_vector(g.dim, j) for j in subset])):
                     rows = [basis.change_of_basis.entries[j] for j in subset]
                     scanned.append((subset, Subspace.spanned_by(g.dim, rows)))
         found = enumerate_coordinate_megaideals(g, param, basis)
@@ -347,7 +348,7 @@ class TestInvariantEnumeration:
 
         basis, _, _, param = m5_solution
         for _, s in enumerate_coordinate_megaideals(m5, param, basis):
-            assert verify_megaideal(m5, s).ok
+            assert verify_megaideal(m5, s) == MegaidealVerdict(True, True)
 
     def test_check_invariant_examples(self, m5_solution):
         _, shape, _, param = m5_solution
@@ -370,7 +371,7 @@ class TestInvariantEnumeration:
             boundary = 0
             for size in basis.block_sizes:
                 boundary += size
-                prefix = span(g.dim, *[g.basis_vector(k) for k in range(boundary)])
+                prefix = span(g.dim, *[unit_vector(g.dim, k) for k in range(boundary)])
                 assert check_invariant(param, prefix)
 
     def test_residual_system_refused(self, sl2d):
@@ -421,7 +422,7 @@ class TestConjugatedPresentations:
             from megalie.megaideals import verify_megaideal
 
             for _, s in found:
-                assert verify_megaideal(g, s).ok
+                assert verify_megaideal(g, s) == MegaidealVerdict(True, True)
             assert inner_consistency(g, param, basis)["ok"]
 
 
@@ -446,7 +447,7 @@ class TestSixDimensionalExtension:
         dims = [e.subspace.dim for e in lattice.entries]
         assert dims == [0, 1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 6]
         members = set(lattice.members)
-        e = [g.basis_vector(i) for i in range(6)]
+        e = [unit_vector(g.dim, i) for i in range(6)]
         assert span(6, e[0], e[1], e[2]) in members  # <G1,F1,F2>
         assert span(6, e[0], e[1], e[3]) in members  # <G1,F1,Pt>, constructively
         basis, shape, system, param = solve_in_adapted_basis(g, lattice)
@@ -575,17 +576,18 @@ class TestAdaptedAlgebra:
         b = basis.change_of_basis
         assert basis.inverse == b.inverse()
         assert basis.algebra.c == change_basis(g, b).c
-        b_t, b_t_inv = b.transpose(), b.inverse().transpose()
+        b_t, b_t_inv = (Matrix(list(zip(*m.entries))) for m in (b, b.inverse()))
         matched = 0
         for i in range(g.dim):
-            for t in (1, -1, Fraction(1, 2)):
-                try:
-                    reference = b_t_inv @ exp_ad_nilpotent(g, g.basis_vector(i), t) @ b_t
-                except NotNilpotent:
-                    with pytest.raises(NotNilpotent):
-                        exp_ad_nilpotent(basis.algebra, basis.inverse.entries[i], t)
-                    continue
-                assert exp_ad_nilpotent(basis.algebra, basis.inverse.entries[i], t) == reference
+            try:
+                original = _exp_ad(g, unit_vector(g.dim, i))
+            except NotNilpotent:
+                with pytest.raises(NotNilpotent):
+                    _exp_ad(basis.algebra, basis.inverse.entries[i])
+                continue
+            adapted = _exp_ad(basis.algebra, basis.inverse.entries[i])
+            for t in (Fraction(1), Fraction(-1), Fraction(1, 2)):
+                assert adapted(t) == b_t_inv @ original(t) @ b_t
                 matched += 1
         assert matched > 0
 
@@ -756,7 +758,7 @@ class TestSolvedFormAgainstReference:
                 assert reference_check_invariant(param, adapted), name
             for _ in range(6):
                 k = rng.randint(1, n - 1)
-                coordinates = span(n, *[g.basis_vector(j) for j in rng.sample(range(n), k)])
+                coordinates = span(n, *[unit_vector(g.dim, j) for j in rng.sample(range(n), k)])
                 spanned = span(n, *[[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)])
                 for s in (coordinates, spanned):
                     verdicts.add(verdict := check_invariant(param, s))
@@ -765,7 +767,7 @@ class TestSolvedFormAgainstReference:
             invariant = [coords for coords, _ in enumerate_coordinate_megaideals(g, param, basis)]
             for coords in rng.sample(invariant[1:-1], min(2, len(invariant) - 2)):
                 for j in (j for j in range(n) if j not in coords):
-                    s = span(n, *[g.basis_vector(k) for k in (*coords, j)])
+                    s = span(n, *[unit_vector(g.dim, k) for k in (*coords, j)])
                     verdicts.add(verdict := check_invariant(param, s))
                     assert verdict == reference_check_invariant(param, s), name
         assert solved >= 23 and vanished > 0 and singular_blocks >= 30 and verdicts == {True, False}

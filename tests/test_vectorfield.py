@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from megalie.algebra import algebra_from_brackets
-from megalie.linalg import Matrix
+from megalie.linalg import Matrix, unit_vector
 from megalie.poly import Poly, parse_poly
 from megalie.vectorfield import (
     FAMILY_VARIABLES,
@@ -159,7 +159,7 @@ class TestExtract:
         for i in range(5):
             for j in range(5):
                 concrete = lie_bracket(fields[i], fields[j])
-                coords = g.bracket(g.basis_vector(i), g.basis_vector(j))
+                coords = g.bracket(unit_vector(g.dim, i), unit_vector(g.dim, j))
                 rebuilt = PolyVectorField(V, {})
                 for k, c in enumerate(coords):
                     if c:
@@ -452,7 +452,7 @@ def reference_extract(named_fields, name=""):
     keys = _flatten_basis(fields + list(brackets.values()))
     if not keys:
         raise LinearlyDependent({n: Fraction(1) for n in names})
-    transposed = Matrix([_flatten(fld, keys) for fld in fields], cols=len(keys)).transpose()
+    transposed = Matrix(list(zip(*(_flatten(fld, keys) for fld in fields))), cols=m)
     dependence = reference_kernel_rows(transposed)
     if dependence:
         witness = dependence[0]
