@@ -7,7 +7,9 @@ subspaces, the transporter and its center, centralizer and normalizer
 cases, the three structural series, changes of basis, the radical and a
 nilradical approximation (both from the Killing form's int numerators),
 derivations, and exp(t ad_x) for nilpotent ad_x, which the inner
-automorphism check evaluates.  Every structure tensor is built by
+automorphism check evaluates.  Der(g) is the subspace of row-major n x n
+matrices it is solved in, whose int rows verify_megaideal hands to
+Subspace._keeps.  Every structure tensor is built by
 algebra_from_brackets, the one builder that checks its input and fills in
 the antisymmetric counterparts.
 
@@ -15,15 +17,15 @@ The constants are stored once, as a sparse index of the nonzero ones (see
 LieAlgebra), and every reader, the antisymmetry check included, reads
 that index; the dense tensor `c` is a view built on first read.  The
 index holds int numerators over one common denominator, so brackets of
-int rows, the closure's transporter solves and the derivation equations
-run on ints; the readers that report constants divide at the boundary.
+int rows, the closure's transporter solves and the solve for Der(g) run
+on ints; the readers that report constants divide at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations
 from math import lcm
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -61,7 +63,7 @@ def _until_fixed(first: T, step: Callable[[T], T]) -> tuple[T, ...]:
     """first, step(first), ... up to the first term that step maps to itself.
 
     The one fixpoint iteration: the three structural series, both loops of
-    nilradical_approx and the greedy chain of adapted_basis.
+    _nilradical_chain and the greedy chain of adapted_basis.
     """
     terms = [first]
     while (nxt := step(terms[-1])) != terms[-1]:
@@ -253,10 +255,10 @@ def transporter(g: LieAlgebra, within: Subspace, of: Subspace, into: Subspace) -
     The bracket table of (within, of), then one kernel solve: x = sum t_i w_i
     over the basis of `within` lies here exactly when sum t_i of the
     remainders of [w_i, b] against `into` is zero.  The megaideal closure
-    keeps each member pair's table and solves every `into` from it through
-    `_transport`.  This is the workhorse behind centralizers (into = 0),
-    normalizers (into = of), the upper central series and the general
-    invariant-subspace constructor.
+    keeps each member pair's table, and the upper central series the table
+    of (g, g), and they solve every `into` from it through `_transport`.
+    This is the workhorse behind centralizers (into = 0), normalizers
+    (into = of) and the general invariant-subspace constructor.
     """
     within._check_ambient(into)
     return _transport(within, _bracket_images(g, within, of), into)
@@ -302,11 +304,12 @@ def lower_central_series(g: LieAlgebra) -> SeriesReport:
 def upper_central_series(g: LieAlgebra) -> SeriesReport:
     """Ascending central series Z_1 <= Z_2 <= ... with Z_{k+1} = {x : [x, g] <= Z_k}.
 
-    Each term is one transporter solve; Z_1 is the center.  Once a term is
-    g, one more solve returns g and ends the series.
+    Each term is one solve on the one bracket table of (g, g); Z_1 is the
+    center.  Once a term is g, one more solve returns g and ends the series.
     """
     full = g.full_space()
-    terms = _until_fixed(center(g), lambda t: transporter(g, full, full, t))
+    step = partial(_transport, full, _bracket_images(g, full, full))
+    terms = _until_fixed(step(g.zero_space()), step)
     return SeriesReport("upper_central", terms)
 
 
@@ -377,6 +380,18 @@ def radical(g: LieAlgebra) -> Subspace:
     return _killing_orthogonal(_killing_numerators(g), full, bracket_subspaces(g, full, full))
 
 
+def _nilradical_chain(g: LieAlgebra) -> tuple[tuple[Subspace, ...], str]:
+    """nilradical_approx's terms from the radical on, and its status, on one Killing form."""
+    k = _killing_numerators(g)
+    full = g.full_space()
+    chain = _until_fixed(
+        _killing_orthogonal(k, full, bracket_subspaces(g, full, full)), lambda t: _killing_orthogonal(k, t, t)
+    )
+    # nilpotency of the fixed point, using ambient brackets
+    term = _until_fixed(chain[-1], lambda t: bracket_subspaces(g, chain[-1], t))[-1]
+    return chain, "exact" if term.is_zero() else "stalled"
+
+
 def nilradical_approx(g: LieAlgebra) -> tuple[Subspace, str]:
     """Iterative over-approximation of the nilradical.
 
@@ -386,24 +401,21 @@ def nilradical_approx(g: LieAlgebra) -> tuple[Subspace, str]:
     'exact' when the fixed point is nilpotent, otherwise 'stalled' (the
     over-approximation is still returned).
     """
-    k = _killing_numerators(g)
-    full = g.full_space()
-    rad = _killing_orthogonal(k, full, bracket_subspaces(g, full, full))
-    current = _until_fixed(rad, lambda t: _killing_orthogonal(k, t, t))[-1]
-    # nilpotency of the fixed point, using ambient brackets
-    term = _until_fixed(current, lambda t: bracket_subspaces(g, current, t))[-1]
-    return current, "exact" if term.is_zero() else "stalled"
+    chain, status = _nilradical_chain(g)
+    return chain[-1], status
 
 
 # ---------------------------------------------------------------------------
 # derivations and nilpotent exponentials
 
 
-def derivations(g: LieAlgebra) -> list[Matrix]:
-    """Basis of matrices D with D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
+def derivations(g: LieAlgebra) -> Subspace:
+    """Der(g): the matrices D with D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
 
-    The unknowns are the n^2 entries of D in row-major order; the Leibniz
-    constraints on pairs i < j give one exact kernel computation.
+    The unknowns are the n^2 entries of D in row-major order, and the Leibniz
+    constraints on pairs i < j give one exact kernel computation, returned as
+    that subspace of Q^{n^2}: each canonical int row is the cells of one
+    basis derivation, and `.dim` is dim Der(g).
     """
     n = g.dim
     # Equation (i, j, m), i < j, reads
@@ -431,11 +443,7 @@ def derivations(g: LieAlgebra) -> list[Matrix]:
         for unknown, q in equations[key].items():
             row[unknown] = q
         rows.append(row)
-    solutions = Subspace.full(n * n)._where_zero(rows)
-    return [
-        Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
-        for row in solutions.basis.entries
-    ]
+    return Subspace.full(n * n)._where_zero(rows)
 
 
 def _exp_ad(g: LieAlgebra, x: Sequence):

@@ -18,7 +18,8 @@ _where_zero -- the part of a space that a linear map sends to zero, read
 from the int images of the canonical rows -- is the one kernel solve
 behind intersections and every constructor in the algebra module.
 Subspace._keeps, a map's nonzero entries applied to the canonical rows,
-is the one invariance test.
+is the one invariance test, behind verify_megaideal (each derivation's
+cells) and check_invariant (the cells of the solved form).
 
 Values become Fractions at the boundary, where they are checked and
 coerced: Matrix(...), Subspace.spanned_by, Subspace.basis and contains.
@@ -295,8 +296,11 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        units = (tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
-        return Subspace._from_rows(ambient_dim, units)
+        """The whole space: its unit rows are already canonical, so nothing is eliminated."""
+        space = object.__new__(Subspace)
+        units = ((0,) * i + (1,) + (0,) * (ambient_dim - i - 1) for i in range(ambient_dim))
+        space.__post_init__(ambient_dim, units, tuple(range(ambient_dim)))
+        return space
 
     # -- identity ----------------------------------------------------------
 
@@ -371,13 +375,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return not any(any(self._reduce(row)) for row in other.rows)
-
-    def is_invariant_under(self, m: Matrix) -> bool:
-        """Whether m @ v lies in this space for every v in it."""
-        n = self.ambient_dim
-        if (m.rows, m.cols) != (n, n):
-            raise AmbientMismatch("matrix does not act on the ambient space")
-        return self._keeps({(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x})
 
     def _keeps(self, cells: Mapping[tuple[int, int], int | Fraction]) -> bool:
         """Whether the map with nonzero entries cells = {(i, j): m[i][j]} keeps this space.

@@ -36,17 +36,16 @@ from .algebra import (
     NotAnIdeal,
     SeriesReport,
     _bracket_images,
+    _nilradical_chain,
     _span_of_images,
     _transport,
     derivations,
     derived_series,
     is_ideal,
     lower_central_series,
-    nilradical_approx,
-    radical,
     upper_central_series,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 
 TRANSPORTER_COMPLETENESS_NOTE = (
     "transporter(i0, i1, i2) = {x in i0 : [x, i1] subset of i2} is evaluated "
@@ -85,20 +84,18 @@ class MegaidealVerdict:
     is_derivation_invariant: bool
 
 
-def verify_megaideal(
-    g: LieAlgebra, s: Subspace, derivs: Sequence[Matrix] | None = None
-) -> MegaidealVerdict:
+def verify_megaideal(g: LieAlgebra, s: Subspace, der: Subspace | None = None) -> MegaidealVerdict:
     """Necessary conditions: ideal, and invariant under every derivation.
 
     Derivation invariance covers the connected component of the
     automorphism group; it is necessary for megaideal status, not
-    sufficient.  derivs is the basis of derivations(g); it is computed
-    when not given.
+    sufficient.  der is derivations(g), computed when not given; each of
+    its int rows is the row-major cells of one basis derivation, which
+    Subspace._keeps applies to s.
     """
-    ideal_ok = is_ideal(g, s)
-    derivs = derivations(g) if derivs is None else derivs
-    deriv_ok = all(s.is_invariant_under(d) for d in derivs)
-    return MegaidealVerdict(ideal_ok, deriv_ok)
+    der = derivations(g) if der is None else der
+    cells = ({divmod(k, g.dim): q for k, q in enumerate(row) if q} for row in der.rows)
+    return MegaidealVerdict(is_ideal(g, s), all(map(s._keeps, cells)))
 
 
 def closure(
@@ -162,20 +159,17 @@ def closure(
 
     series = (derived_series(g), lower_central_series(g), upper_central_series(g))
     derived, lower, upper = series
-    for k, term in enumerate(derived.terms):
-        if k:
-            add(term, ("g" + "'" * k if k <= 3 else f"der{k}(g)",))
-    for k, term in enumerate(lower.terms):
-        if k:
-            add(term, (f"lcs{k + 1}(g)",))
+    for k, term in enumerate(derived.terms[1:], 1):
+        add(term, ("g" + "'" * k if k <= 3 else f"der{k}(g)",))
+    for k, term in enumerate(lower.terms[1:], 1):
+        add(term, (f"lcs{k + 1}(g)",))
     add(upper.terms[0], ("Z(g)",))
-    for k, term in enumerate(upper.terms):
-        if k:
-            add(term, (f"ucs{k + 1}(g)",))
-    add(radical(g), ("rad(g)",))
-    nil, status = nilradical_approx(g)
+    for k, term in enumerate(upper.terms[1:], 1):
+        add(term, (f"ucs{k + 1}(g)",))
+    chain, status = _nilradical_chain(g)
+    add(chain[0], ("rad(g)",))
     if status == "exact":
-        add(nil, ("nil(g)",))
+        add(chain[-1], ("nil(g)",))
 
     table: dict[tuple[int, int], list] = {}
     old = passes = 0

@@ -57,6 +57,25 @@ def integral(row):
     return [int(x * d) for x in row]
 
 
+def derivation_matrices(g):
+    """Each canonical row of derivations(g), the row-major cells of one basis derivation, as a Matrix."""
+    n = g.dim
+    return [Matrix([row[a * n : (a + 1) * n] for a in range(n)]) for row in derivations(g).rows]
+
+
+def filiform(n):
+    names = [f"e{i}" for i in range(1, n + 1)]
+    return algebra_from_brackets(f"L{n}", names, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+def wave6():
+    from megalie.vectorfield import FAMILY_VARIABLES, extract_structure, realize_family
+
+    fields = [(k, realize_family(k)) for k in ("Du", "Dt", "Pt", "F1", "F2")]
+    fields.append(("G1", realize_family("G", Poly.const(FAMILY_VARIABLES, 1))))
+    return extract_structure(fields, name="wave6")
+
+
 def exp_ad(g, x, t):
     """exp(t ad_x) from the engine's bracket chains."""
     return _exp_ad(g, x)(Fraction(t))
@@ -254,13 +273,22 @@ class TestNilradical:
 
 class TestDerivationsExp:
     def test_abelian_derivations(self, abelian3):
-        assert len(derivations(abelian3)) == 9
+        der = derivations(abelian3)
+        assert der.dim == 9 and der.is_full()
+
+    def test_dimension_of_der(self, m5, sl2d):
+        cases = [(m5, 6), (sl2d, 3), (wave6(), 6)]
+        cases += [(filiform(n), dim) for n, dim in ((8, 15), (10, 19), (16, 31))]
+        for g, dim in cases:
+            der = derivations(g)
+            assert isinstance(der, Subspace) and der.ambient_dim == g.dim**2, g.name
+            assert der.dim == dim, g.name
 
     def test_leibniz_property(self, m5, heisenberg, sl2):
         for g in (m5, heisenberg, sl2):
             n = g.dim
             e = [unit_vector(n, i) for i in range(n)]
-            for d in derivations(g):
+            for d in derivation_matrices(g):
                 for i in range(n):
                     for j in range(n):
                         lhs = matvec(d, g.bracket(e[i], e[j]))
@@ -419,7 +447,7 @@ class TestStoredForm:
     def test_dense_view_built_on_first_read(self, m5):
         g = algebra_from_dict(algebra_to_dict(m5))
         # the readers of the constants go through the sparse index
-        assert validate(g).ok and derivations(g) and algebra_to_dict(g) == algebra_to_dict(m5)
+        assert validate(g).ok and derivations(g).dim and algebra_to_dict(g) == algebra_to_dict(m5)
         assert _killing_numerators(g) == _killing_numerators(m5)
         assert "c" not in vars(g)
         assert g.c == m5.c and "c" in vars(g) and g.c is g.c
@@ -504,11 +532,7 @@ def dense_derivations(g):
                     row[l * n + i] -= c[l][j][m]
                     row[l * n + j] -= c[i][l][m]
                 rows.append(row)
-    solutions = Subspace.full(n * n)._where_zero(map(integral, rows))
-    return [
-        Matrix([[row[a * n + b] for b in range(n)] for a in range(n)])
-        for row in solutions.basis.entries
-    ]
+    return Subspace.full(n * n)._where_zero(map(integral, rows))
 
 
 def dense_algebra_to_dict(g):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from megalie.algebra import NotNilpotent, _exp_ad, algebra_from_brackets, change_basis
+from megalie.algebra import NotNilpotent, _exp_ad, algebra_from_brackets, change_basis, derivations
 from megalie.automorphisms import (
     ResidualSystem,
     _mismatch,
@@ -624,6 +624,23 @@ class TestAdaptedAlgebra:
         )
         analyze(g)
         assert calls == []
+
+
+class TestFreeParameters:
+    @pytest.mark.parametrize("name, dim", [("m5", 6), ("wave6", 6), ("L8", 15), ("L10", 19), ("L16", 31)])
+    def test_solved_system_has_dim_der_free_parameters(self, name, dim, m5):
+        # Der(g) is the Lie algebra of Aut(g), so a solved parametrization of
+        # Aut(g) has exactly dim Der(g) free parameters
+        if name == "m5":
+            g = m5
+        elif name == "wave6":
+            g = _wave6()
+        else:
+            n = int(name[1:])
+            g = algebra_from_brackets(name, [f"e{i}" for i in range(1, n + 1)], {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+        _, _, _, param = solve_in_adapted_basis(g, closure(g))
+        assert param.solved
+        assert len(param.free_parameters) == derivations(g).dim == dim
 
 
 def reference_extra_members(lattice, basis):

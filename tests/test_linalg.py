@@ -19,6 +19,11 @@ def matvec(m, v):
     return tuple(sum((x * y for x, y in zip(row, v, strict=True)), Fraction(0)) for row in m.entries)
 
 
+def cells(m):
+    """The nonzero entries of m as {(i, j): m[i][j]}, the map form _keeps reads."""
+    return {(i, j): x for i, row in enumerate(m.entries) for j, x in enumerate(row) if x}
+
+
 def identity(n):
     return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -288,6 +293,15 @@ class TestCoercionBoundary:
         assert self.fractions_only(got.basis.entries)
         assert Subspace.full(2)._where_zero([(0, 0)]) == Subspace.full(2)
 
+    def test_full_is_the_canonical_identity(self):
+        # full builds its unit rows and pivots without elimination
+        for n in range(1, 6):
+            full, spanned = Subspace.full(n), Subspace.spanned_by(n, identity(n).entries)
+            assert full == spanned and full.pivots == spanned.pivots == tuple(range(n))
+            assert full.rows == spanned.rows and all(type(x) is int for row in full.rows for x in row)
+            assert hash(full) == hash(spanned) and full.is_full()
+        assert Subspace.full(0) == Subspace.zero(0) and Subspace.full(0).is_full()
+
     def test_subspace_brackets_check_ambient(self, m5):
         from megalie.algebra import bracket_subspaces, transporter
 
@@ -450,7 +464,8 @@ class TestIntegerCoreAgainstReference:
 
     @given(rational_spaces(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_is_invariant_under(self, space, data):
+    def test_keeps(self, space, data):
+        """_keeps on the nonzero cells of m agrees with m applied to each RREF row."""
         cols, rows = space
         # dense, or mostly zero with zero rows and columns, or the zero matrix
         zero = st.just(Fraction(0))
@@ -460,7 +475,7 @@ class TestIntegerCoreAgainstReference:
         basis, pivots = reference_rref(rows, cols)
         images = (matvec(m, row) for row in basis)
         expected = not any(any(reference_reduce(basis, pivots, image)) for image in images)
-        keeps = Subspace.spanned_by(cols, rows).is_invariant_under(m)
+        keeps = Subspace.spanned_by(cols, rows)._keeps(cells(m))
         assert keeps == expected
         # the zero matrix keeps every space
         assert keeps or any(x for row in m.entries for x in row)
@@ -470,6 +485,4 @@ class TestIntegerCoreAgainstReference:
         unit_lower = [[data.draw(rational) if i > j else int(i == j) for j in range(cols)] for i in range(cols)]
         block, p = Matrix(block), Matrix(unit_lower)
         first_columns = [[row[j] for row in p.entries] for j in range(k)]
-        assert Subspace.spanned_by(cols, first_columns).is_invariant_under(p @ block @ p.inverse())
-        with pytest.raises(AmbientMismatch):
-            Subspace.full(cols + 1).is_invariant_under(m)
+        assert Subspace.spanned_by(cols, first_columns)._keeps(cells(p @ block @ p.inverse()))

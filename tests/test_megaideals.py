@@ -305,10 +305,16 @@ def dense_matmul(a, b):
     return Matrix([matvec(columns, row) for row in a.entries], cols=b.cols)
 
 
-def dense_verify(g, s, derivs):
+def derivation_matrices(g, der):
+    """Each canonical row of der = derivations(g), the row-major cells of one basis derivation, as a Matrix."""
+    n = g.dim
+    return [Matrix([row[a * n : (a + 1) * n] for a in range(n)]) for row in der.rows]
+
+
+def dense_verify(g, s, der):
     """verify_megaideal as a dense loop: matvec(d, row) and s.contains per basis row."""
     deriv_ok = True
-    for d in derivs:
+    for d in derivation_matrices(g, der):
         for row in s.basis.entries:
             if not s.contains(matvec(d, row)):
                 deriv_ok = False
@@ -377,17 +383,17 @@ class TestDenseReference:
         for within, of, into in itertools.product(lattice, repeat=3):
             if into.dim <= of.dim:
                 assert transporter(g, within, of, into) == dense_transporter(g, within, of, into)
-        derivs = derivations(g)
+        der = derivations(g)
         members = list(closure(g).members)
         assert set(members) == set(lattice)
         drawn = data.draw(st.lists(spans(g.dim), min_size=2, max_size=3))
         spaces = members + drawn
         for s in spaces:
-            verdict = verify_megaideal(g, s, derivs)
-            assert (verdict.is_ideal, verdict.is_derivation_invariant) == dense_verify(g, s, derivs)
-        assert all(verify_megaideal(g, s, derivs) == MegaidealVerdict(True, True) for s in members)
+            verdict = verify_megaideal(g, s, der)
+            assert (verdict.is_ideal, verdict.is_derivation_invariant) == dense_verify(g, s, der)
+        assert all(verify_megaideal(g, s, der) == MegaidealVerdict(True, True) for s in members)
         row = st.lists(st.integers(-2, 2), min_size=g.dim, max_size=g.dim)
-        for d in derivs[:3]:
+        for d in derivation_matrices(g, der)[:3]:
             other = Matrix(data.draw(st.lists(row, min_size=g.dim, max_size=g.dim)))
             assert d @ other == dense_matmul(d, other)
             assert other @ d == dense_matmul(other, d)
@@ -434,7 +440,7 @@ class TestComputedOnce:
     def outside_series(monkeypatch, *fns):
         """A flag list that is non-empty while one of `fns` runs.
 
-        The structural series, radical and nilradical run their own bracket
+        The structural series and the radical's chain run their own bracket
         computations and transporter solves before the passes; recorders
         skip the calls made under them.
         """
@@ -460,9 +466,7 @@ class TestComputedOnce:
         # table alive while it runs, so the table's identity names the pair.
         solved = []
         original = megalie.algebra._transport
-        in_series = self.outside_series(
-            monkeypatch, megalie.algebra.upper_central_series, megalie.algebra.center
-        )
+        in_series = self.outside_series(monkeypatch, megalie.algebra.upper_central_series)
 
         def recorded(within, images, into):
             if not in_series:
@@ -486,8 +490,7 @@ class TestComputedOnce:
             megalie.algebra.derived_series,
             megalie.algebra.lower_central_series,
             megalie.algebra.upper_central_series,
-            megalie.algebra.radical,
-            megalie.algebra.nilradical_approx,
+            megalie.algebra._nilradical_chain,
         )
 
         def recorded(g, a, b):
@@ -501,6 +504,36 @@ class TestComputedOnce:
         repeated = [pair for pair, count in Counter(pairs).items() if count > 1]
         assert pairs
         assert not repeated, f"{len(repeated)} member pairs bracketed more than once"
+
+    @staticmethod
+    def counted(monkeypatch, original):
+        """The argument tuples of every call of `original` made through the megalie package."""
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
+
+        rebind(monkeypatch, original, recorded)
+        return calls
+
+    def test_closure_builds_the_killing_form_once(self, monkeypatch, m5, sl2d):
+        # the radical is the first term of the nilradical's chain, which reads one Killing form
+        calls = self.counted(monkeypatch, megalie.algebra._killing_numerators)
+        for g in (m5, sl2d, filiform(8), upper_triangular(4)):
+            calls.clear()
+            closure(g)
+            assert len(calls) == 1, g.name
+
+    def test_upper_central_series_brackets_g_once(self, monkeypatch, m5):
+        # every term is solved on the one bracket table of (g, g)
+        calls = self.counted(monkeypatch, megalie.algebra._bracket_images)
+        for g in (m5, upper_triangular(4), filiform(12)):
+            calls.clear()
+            report = upper_central_series(g)
+            full = g.full_space()
+            assert calls == [(g, full, full)], g.name
+        assert len(report.terms) == 11  # the last is L12 itself
 
 
 class TestIntegerCore:
@@ -525,6 +558,26 @@ class TestIntegerCore:
         finally:
             sys.setprofile(None)
         assert len(solved) == len(members) ** 3 > 1
+        assert not entered, f"Fraction code entered: {sorted(set(entered))}"
+
+    def test_derivation_check_constructs_no_fraction(self):
+        # Der(g) is solved and handed to verify_megaideal as int rows of Q^{n^2}
+        g = filiform(8)
+        members = closure(g).members
+        entered = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                entered.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            der = derivations(g)
+            verdicts = [verify_megaideal(g, s, der) for s in members]
+        finally:
+            sys.setprofile(None)
+        assert der.dim == 15 and len(members) > 2
+        assert verdicts == [MegaidealVerdict(True, True)] * len(members)
         assert not entered, f"Fraction code entered: {sorted(set(entered))}"
 
 
