@@ -317,8 +317,8 @@ def upper_central_series(g: LieAlgebra) -> SeriesReport:
 # changes of basis
 
 
-def _induced_algebra(g: LieAlgebra, name: str, names, vectors, to_new: Matrix) -> LieAlgebra:
-    """g's bracket on the new basis `vectors`, read back through `to_new`.
+def _induced_algebra(g: LieAlgebra, vectors, to_new: Matrix) -> LieAlgebra:
+    """g's bracket on the new basis `vectors`, read back through `to_new`, under g's names.
 
     A row of ambient coordinates times to_new gives its coefficients over
     `vectors`.  The brackets of all pairs i < j are stacked as rows and
@@ -328,14 +328,14 @@ def _induced_algebra(g: LieAlgebra, name: str, names, vectors, to_new: Matrix) -
     stacked = Matrix._from_rows((g.bracket(vectors[i], vectors[j]) for i, j in pairs), g.dim)
     coordinates = (stacked @ to_new).entries
     brackets = {pair: dict(enumerate(row)) for pair, row in zip(pairs, coordinates)}
-    return algebra_from_brackets(name, names, brackets)
+    return algebra_from_brackets(g.name, g.basis_names, brackets)
 
 
 def change_basis(g: LieAlgebra, b: Matrix) -> LieAlgebra:
     """Structure constants in the new basis given by the rows of b."""
     if b.rows != g.dim or b.cols != g.dim:
         raise ValueError("change of basis must be square of the algebra dimension")
-    return _induced_algebra(g, g.name, g.basis_names, b.entries, b.inverse())
+    return _induced_algebra(g, b.entries, b.inverse())
 
 
 # ---------------------------------------------------------------------------

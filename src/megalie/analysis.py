@@ -91,9 +91,7 @@ def analyze(
         verdict = verify_megaideal(g, entry.subspace, derivs)
         members.append(
             {
-                "dim": entry.subspace.dim,
-                "basis": matrix_rows(entry.subspace.basis),
-                "provenance": entry.provenance,
+                **subspace_dict(entry.subspace, entry.provenance),
                 "aliases": list(entry.aliases),
                 "essential": entry.essential,
                 "verdict": {
@@ -139,7 +137,7 @@ def analyze(
         aut["invariant_coordinate_subspaces"] = None
         aut["note"] = f"enumeration skipped: dimension exceeds cap {max_enum_dim}"
     else:
-        invariant = enumerate_coordinate_megaideals(g, param, basis, max_enum_dim)
+        invariant = enumerate_coordinate_megaideals(param, basis, max_enum_dim)
         aut["invariant_coordinate_subspaces"] = [
             subspace_dict(s, f"aut-invariant{list(coordinates)}") for coordinates, s in invariant
         ]

@@ -65,7 +65,7 @@ class AdaptedBasis:
     inverse: Matrix
     algebra: LieAlgebra
     flag: tuple[Subspace, ...]
-    extra_coordinate_members: tuple[tuple[int, ...], ...] = ()
+    extra_coordinate_members: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -135,10 +135,6 @@ class AutParametrization:
         return not self.residual_equations
 
     @property
-    def side_conditions(self) -> tuple[Poly, ...]:
-        return self.shape.side_conditions
-
-    @property
     def free_parameters(self) -> tuple[str, ...]:
         return tuple(name for name in self.shape.unknowns if name not in self.assignments)
 
@@ -180,7 +176,7 @@ class AutParametrization:
         does; then that is the first side condition whose substitution by
         the assignments vanishes at point.
         """
-        blocks = zip(self.side_conditions, self.shape.diagonal_blocks(matrix.entries))
+        blocks = zip(self.shape.side_conditions, self.shape.diagonal_blocks(matrix.entries))
         return next((c for c, b in blocks if not Subspace.spanned_by(len(b), b).is_full()), None)
 
 
@@ -227,7 +223,7 @@ def adapted_basis(g: LieAlgebra, lattice: MegaidealLattice) -> AdaptedBasis:
         inside = tuple(k for k, row in enumerate(rows) if member.contains(row))
         if len(inside) == member.dim:
             extras.append(inside)
-    algebra = _induced_algebra(g, g.name, g.basis_names, basis.entries, inverse)
+    algebra = _induced_algebra(g, basis.entries, inverse)
     return AdaptedBasis(basis, inverse, algebra, chain, tuple(sorted(set(extras))))
 
 
@@ -504,10 +500,7 @@ def check_invariant(param: AutParametrization, s: Subspace) -> bool:
 
 
 def enumerate_coordinate_megaideals(
-    g: LieAlgebra,
-    param: AutParametrization,
-    basis: AdaptedBasis,
-    max_dim: int = MAX_ENUM_DIM,
+    param: AutParametrization, basis: AdaptedBasis, max_dim: int = MAX_ENUM_DIM
 ) -> list[tuple[tuple[int, ...], Subspace]]:
     """All coordinate spans (in the adapted basis) fixed by every A.
 
@@ -532,7 +525,7 @@ def enumerate_coordinate_megaideals(
             if any(leaks[j] & ~inside for j in subset):
                 continue
             ambient_rows = [basis.change_of_basis.entries[j] for j in subset]
-            results.append((subset, Subspace.spanned_by(g.dim, ambient_rows)))
+            results.append((subset, Subspace.spanned_by(n, ambient_rows)))
     return results
 
 

@@ -224,9 +224,8 @@ def _cmd_vf_extract(args) -> int:
     chosen = _select_fields(named_fields, args.fields, args.file)
     if not chosen:
         raise CliError(f"{args.file}: no fields given")
-    name = args.name if args.name else ",".join(n for n, _ in chosen)
     try:
-        algebra = extract_structure(chosen, name=name)
+        algebra = extract_structure(chosen, name=args.name or "")
     except ExpansionError as exc:
         raise CliError(f"{args.file}: {exc}") from exc
     except NotClosed as exc:

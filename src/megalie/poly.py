@@ -284,23 +284,6 @@ class Poly:
             total += prod
         return total
 
-    def lift(self, variables: Sequence[str]) -> "Poly":
-        """Same polynomial over a superset variable tuple."""
-        variables = tuple(variables)
-        positions = []
-        for name in self.variables:
-            try:
-                positions.append(variables.index(name))
-            except ValueError:
-                raise ValueError(f"target variables are missing {name!r}") from None
-        out: dict[Exponents, Coefficient] = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * len(variables)
-            for pos, e in zip(positions, exps):
-                key[pos] = e
-            out[tuple(key)] = coeff
-        return Poly._from_terms(variables, out)
-
     # -- structure ---------------------------------------------------------
 
     def leading_term(self) -> tuple[Exponents, Coefficient]:

@@ -1,7 +1,9 @@
 """Polynomial vector fields, Lie brackets, and push-forwards.
 
-Fields live over a declared variable list; components are exact
-polynomials.  The module also realizes the standard generators of the
+Fields and point maps live over a declared variable list.  Their
+components, a family parameter and a polynomial a field is applied to are
+exact polynomials over that same list; one over any other list is refused
+with ValueError.  The module also realizes the standard generators of the
 equivalence algebra of the nonlinear wave equation class
 u_tt = f(x, u_x) u_xx + g(x, u_x) over the coordinates (t, x, u, u_x, f, g),
 extracts structure constants from a closed span of fields, and pushes
@@ -65,7 +67,7 @@ class PolyVectorField:
             if name not in self.variables:
                 raise ValueError(f"component variable {name!r} not declared")
             if p.variables != self.variables:
-                p = p.lift(self.variables)
+                raise ValueError(f"component {name!r} is not over the field's variables")
             if not p.is_zero():
                 clean[name] = p
         object.__setattr__(self, "components", clean)
@@ -99,7 +101,7 @@ class PolyVectorField:
     def apply_to(self, h: Poly) -> Poly:
         """Directional derivative Q(h) = sum_v component_v * dh/dv."""
         if h.variables != self.variables:
-            h = h.lift(self.variables)
+            raise ValueError("polynomial is not over the field's variables")
         terms: dict[Exponents, Coefficient] = {}
         self._add_applied(terms, h, 1)
         return Poly._from_terms(self.variables, terms)
@@ -191,7 +193,7 @@ def realize_family(kind: str, param: Poly | None = None) -> PolyVectorField:
     """Generators of the wave-equation equivalence algebra.
 
     kind is one of 'Du', 'Dt', 'Pt', 'F1', 'F2' (no parameter) or 'D', 'G'
-    (parameter polynomial in x only):
+    (parameter polynomial over FAMILY_VARIABLES, in x only):
 
         Du   = u du + u_x du_x + g dg
         Dt   = t dt - 2f df - 2g dg
@@ -205,11 +207,12 @@ def realize_family(kind: str, param: Poly | None = None) -> PolyVectorField:
     if kind in ("D", "G"):
         if param is None:
             raise ValueError(f"kind {kind!r} needs a parameter polynomial in x")
-        p = param if param.variables == v else param.lift(v)
+        if param.variables != v:
+            raise ValueError("parameter polynomial is not over FAMILY_VARIABLES")
         for name in v:
-            if name != "x" and p.mentions(name):
+            if name != "x" and param.mentions(name):
                 raise ValueError("parameter polynomial may involve x only")
-        px = p.derivative("x")
+        px = param.derivative("x")
         pxx = px.derivative("x")
         u_x = _family_poly("u_x")
         f = _family_poly("f")
@@ -217,13 +220,13 @@ def realize_family(kind: str, param: Poly | None = None) -> PolyVectorField:
             return PolyVectorField(
                 v,
                 {
-                    "x": p,
+                    "x": param,
                     "u_x": -(px * u_x),
                     "f": (px * f).scaled(2),
                     "g": pxx * u_x * f,
                 },
             )
-        return PolyVectorField(v, {"u": p, "u_x": px, "g": -(pxx * f)})
+        return PolyVectorField(v, {"u": param, "u_x": px, "g": -(pxx * f)})
     if param is not None:
         raise ValueError(f"kind {kind!r} takes no parameter")
     table = {
@@ -358,7 +361,7 @@ class PointMap:
             if p is None:
                 p = Poly.var(self.variables, name)
             elif p.variables != self.variables:
-                p = p.lift(self.variables)
+                raise ValueError(f"map component {name!r} is not over the map's variables")
             out[name] = p
         return out
 

@@ -179,7 +179,7 @@ def test_criterion_4_automorphism_solve(m5):
 def test_criterion_5_invariant_enumeration(m5):
     start = time.perf_counter()
     basis, shape, system, param = solve_in_adapted_basis(m5, closure(m5))
-    found = enumerate_coordinate_megaideals(m5, param, basis)
+    found = enumerate_coordinate_megaideals(param, basis)
     elapsed = time.perf_counter() - start
     proper = [s for _, s in found if 0 < s.dim < 5]
     assert len(proper) == 5

@@ -255,7 +255,7 @@ class TestTriangularSolveOther:
         assert system.shape is shape
         param = triangular_solve(system)
         assert param.shape is shape
-        assert param.side_conditions == shape.side_conditions
+        assert param.shape.side_conditions == shape.side_conditions
         free = param.free_parameters
         entry = Poly(free, {exps: m[0, 0] for exps, m in param.form.items() if (0, 0) in m})
         assert entry == parse_poly("a22*a33 - a23*a32", free)
@@ -310,9 +310,9 @@ class TestSampledAutomorphisms:
 
 
 class TestInvariantEnumeration:
-    def test_m5_exactly_five_proper(self, m5, m5_solution):
+    def test_m5_exactly_five_proper(self, m5_solution):
         basis, shape, system, param = m5_solution
-        found = enumerate_coordinate_megaideals(m5, param, basis)
+        found = enumerate_coordinate_megaideals(param, basis)
         proper = [s for _, s in found if 0 < s.dim < 5]
         e = [unit_vector(5, i) for i in range(5)]
         expected = {
@@ -339,7 +339,7 @@ class TestInvariantEnumeration:
                 if check_invariant(param, span(g.dim, *[unit_vector(g.dim, j) for j in subset])):
                     rows = [basis.change_of_basis.entries[j] for j in subset]
                     scanned.append((subset, Subspace.spanned_by(g.dim, rows)))
-        found = enumerate_coordinate_megaideals(g, param, basis)
+        found = enumerate_coordinate_megaideals(param, basis)
         assert found == scanned
         assert len(found) > 2
 
@@ -347,7 +347,7 @@ class TestInvariantEnumeration:
         from megalie.megaideals import verify_megaideal
 
         basis, _, _, param = m5_solution
-        for _, s in enumerate_coordinate_megaideals(m5, param, basis):
+        for _, s in enumerate_coordinate_megaideals(param, basis):
             assert verify_megaideal(m5, s) == MegaidealVerdict(True, True)
 
     def test_check_invariant_examples(self, m5_solution):
@@ -377,7 +377,7 @@ class TestInvariantEnumeration:
     def test_residual_system_refused(self, sl2d):
         basis, shape, system, param = solve_in_adapted_basis(sl2d, closure(sl2d))
         with pytest.raises(ResidualSystem):
-            enumerate_coordinate_megaideals(sl2d, param, basis)
+            enumerate_coordinate_megaideals(param, basis)
         with pytest.raises(ResidualSystem):
             check_invariant(param, Subspace.full(3))
         with pytest.raises(ResidualSystem):  # before the names are checked
@@ -385,10 +385,10 @@ class TestInvariantEnumeration:
         with pytest.raises(ResidualSystem):
             inner_consistency(sl2d, param, basis)
 
-    def test_enumeration_cap(self, m5, m5_solution):
+    def test_enumeration_cap(self, m5_solution):
         basis, _, _, param = m5_solution
         with pytest.raises(ValueError):
-            enumerate_coordinate_megaideals(m5, param, basis, max_dim=4)
+            enumerate_coordinate_megaideals(param, basis, max_dim=4)
 
 
 class TestConjugatedPresentations:
@@ -414,7 +414,7 @@ class TestConjugatedPresentations:
             basis, shape, system, param = solve_in_adapted_basis(g, lattice)
             assert param.residual_equations == ()
             assert len(param.free_parameters) == 6
-            found = enumerate_coordinate_megaideals(g, param, basis)
+            found = enumerate_coordinate_megaideals(param, basis)
             proper = [s for _, s in found if 0 < s.dim < 5]
             assert 4 <= len(proper) <= 5
             for member in lattice.members[1:-1]:
@@ -453,7 +453,7 @@ class TestSixDimensionalExtension:
         basis, shape, system, param = solve_in_adapted_basis(g, lattice)
         assert param.residual_equations == ()
         assert len(param.free_parameters) == 6
-        found = enumerate_coordinate_megaideals(g, param, basis)
+        found = enumerate_coordinate_megaideals(param, basis)
         proper = [s for _, s in found if 0 < s.dim < 6]
         assert len(proper) == 8
         assert inner_consistency(g, param, basis)["ok"]
@@ -643,6 +643,78 @@ class TestFreeParameters:
         assert len(param.free_parameters) == derivations(g).dim == dim
 
 
+def kernel(rows, width):
+    """The null space of a rational matrix, from its RREF: one vector per free column."""
+    if not rows:
+        return Subspace.full(width)
+    reduced, pivots = Matrix(rows, cols=width).rref_with_pivots()
+    vectors = []
+    for f in (c for c in range(width) if c not in pivots):
+        t = [Fraction(0)] * width
+        t[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            t[p] = -reduced.entries[r][f]
+        vectors.append(t)
+    return Subspace.spanned_by(width, vectors)
+
+
+class TestTangentIdentity:
+    """The tangent space of the automorphism equations at A = I is Der(g).
+
+    A(t) = I + tD solves A[x,y] = [Ax,Ay] to first order exactly when D is
+    a derivation, so the Jacobian of the structure equations at the
+    identity, over the shape's unknowns, has Der(g) of the adapted algebra
+    as its kernel, once every derivation is known to vanish off the shape.
+    """
+
+    @staticmethod
+    def jacobian_at_identity(system):
+        shape = system.shape
+        identity = {name: Fraction(int(i == j)) for i, row in enumerate(shape.pattern) for j, name in enumerate(row) if name}
+        return [
+            [eq.derivative(name).evaluate(identity) if eq.mentions(name) else Fraction(0) for name in shape.unknowns]
+            for eq in system.equations
+        ]
+
+    def assert_identity(self, g):
+        """Check the identity on g; return the kernel dimension and whether the system solved."""
+        basis, shape, system, param = solve_in_adapted_basis(g, closure(g))
+        n = g.dim
+        der = derivations(basis.algebra)
+        cells = [(i, j) for i, row in enumerate(shape.pattern) for j, name in enumerate(row) if name]
+        off_shape = [(i, j) for i, row in enumerate(shape.pattern) for j, name in enumerate(row) if not name]
+        for row in der.rows:
+            assert all(row[i * n + j] == 0 for i, j in off_shape), g.name
+        restricted = Subspace.spanned_by(len(cells), [[row[i * n + j] for i, j in cells] for row in der.rows])
+        tangent = kernel(self.jacobian_at_identity(system), len(shape.unknowns))
+        assert tangent == restricted, g.name
+        assert tangent.dim == der.dim, g.name
+        if param.solved:
+            assert len(param.free_parameters) == derivations(g).dim, g.name
+        return tangent.dim, param.solved
+
+    def test_named_algebras(self, m5, sl2d):
+        def filiform(n):
+            return algebra_from_brackets(f"L{n}", [f"e{i}" for i in range(1, n + 1)], {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+        def diagonal(n):
+            return algebra_from_brackets(f"diag{n}", [f"e{i}" for i in range(n)], {(0, i): {i: i} for i in range(1, n)})
+
+        h3_names = [f"x{i}" for i in range(1, 4)] + [f"y{i}" for i in range(1, 4)] + ["z"]
+        h3 = algebra_from_brackets("h3", h3_names, {(i, 3 + i): {6: 1} for i in range(3)})
+        cases = [m5, sl2d, _wave6(), filiform(8), filiform(10), h3, diagonal(5), diagonal(8)]
+        dims = [self.assert_identity(g)[0] for g in cases]
+        assert dims == [6, 3, 6, 15, 19, 28, 8, 14]
+
+    def test_graded_nilpotent_draws(self):
+        from test_megaideals import graded_nilpotent
+
+        drawn = [g for g in map(graded_nilpotent, range(60)) if g is not None][:40]
+        assert len(drawn) == 40
+        solved = sum(self.assert_identity(g)[1] for g in drawn)
+        assert solved >= 27
+
+
 def reference_extra_members(lattice, basis):
     """The extra coordinate members as each member's basis times the inverse,
     kept when every row of its RREF is a unit vector."""
@@ -749,7 +821,7 @@ class TestSolvedFormAgainstReference:
             solved += 1
             n, free = g.dim, param.free_parameters
             entries = reference_entries(param)
-            conditions = param.side_conditions
+            conditions = param.shape.side_conditions
 
             def expected_condition(point):
                 values = dict(zip(free, point))
@@ -781,7 +853,7 @@ class TestSolvedFormAgainstReference:
                     verdicts.add(verdict := check_invariant(param, s))
                     assert verdict == reference_check_invariant(param, s), name
             # an invariant coordinate span plus one more coordinate: each leak decides
-            invariant = [coords for coords, _ in enumerate_coordinate_megaideals(g, param, basis)]
+            invariant = [coords for coords, _ in enumerate_coordinate_megaideals(param, basis)]
             for coords in rng.sample(invariant[1:-1], min(2, len(invariant) - 2)):
                 for j in (j for j in range(n) if j not in coords):
                     s = span(n, *[unit_vector(g.dim, k) for k in (*coords, j)])

@@ -325,12 +325,8 @@ class TestClosedFormDG:
         # [D(p), G(q)] = G(p q') for polynomial parameters of degree <= 4
         rng = random.Random(7)
         for _ in range(25):
-            p = Poly(
-                ("x",), {(k,): Fraction(rng.randint(-3, 3)) for k in range(rng.randint(1, 5))}
-            )
-            q = Poly(
-                ("x",), {(k,): Fraction(rng.randint(-3, 3)) for k in range(rng.randint(1, 5))}
-            )
+            p = Poly(V, {(0, k, 0, 0, 0, 0): Fraction(rng.randint(-3, 3)) for k in range(rng.randint(1, 5))})
+            q = Poly(V, {(0, k, 0, 0, 0, 0): Fraction(rng.randint(-3, 3)) for k in range(rng.randint(1, 5))})
             if p.is_zero() or q.is_zero():
                 continue
             left = lie_bracket(realize_family("D", p), realize_family("G", q))
@@ -355,8 +351,18 @@ class TestFusedKernel:
     def test_apply_to_matches_reference(self, q, h):
         assert q.apply_to(h) == self.reference_apply(q, h)
 
-    def test_apply_to_lifts_a_polynomial_over_fewer_variables(self, family):
-        assert family["Dx2"].apply_to(parse_poly("x^3", ("x",))) == fp("3*x^4")
+    def test_polynomials_over_other_variables_are_refused(self, family):
+        # a polynomial over ("x",) is not re-expressed over the six variables
+        x_only = parse_poly("x^3", ("x",))
+        assert family["Dx2"].apply_to(fp("x^3")) == fp("3*x^4")
+        with pytest.raises(ValueError, match="not over the field's variables"):
+            family["Dx2"].apply_to(x_only)
+        with pytest.raises(ValueError, match="not over the field's variables"):
+            PolyVectorField(V, {"x": x_only})
+        with pytest.raises(ValueError, match="not over FAMILY_VARIABLES"):
+            realize_family("D", x_only)
+        with pytest.raises(ValueError, match="not over the map's variables"):
+            PointMap(V, {"x": x_only}, {})
 
     def test_bracket_builds_no_product_or_sum(self, family, monkeypatch):
         left, right = family["Dx3"], family["Gx2"]
