@@ -18,7 +18,10 @@ LieAlgebra), and every reader, the antisymmetry check included, reads
 that index; the dense tensor `c` is a view built on first read.  The
 index holds int numerators over one common denominator, so brackets of
 int rows, the closure's transporter solves and the solve for Der(g) run
-on ints; the readers that report constants divide at the boundary.
+on ints; the readers that report constants divide at the boundary.  Rows
+here are the sparse {column: int} rows of the linalg module: _bracket
+walks two of them, and every solve hands Subspace._where_zero the int
+image of each canonical row.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .linalg import (
     AmbientMismatch,
     Matrix,
+    Row,
     Subspace,
     Vector,
     format_rat,
@@ -122,24 +126,20 @@ class LieAlgebra:
         x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise AmbientMismatch("bracket arguments must have length dim")
-        return tuple(Fraction(v, self._denominator) for v in self._bracket(x, y))
+        out = self._bracket({i: a for i, a in enumerate(x) if a}, {j: b for j, b in enumerate(y) if b})
+        return tuple(Fraction(out.get(k, 0), self._denominator) for k in range(self.dim))
 
-    def _bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """bracket() times `_denominator`, unchecked; walks only the nonzero entries.
-
-        Int rows give an int row.
-        """
-        out = [0] * self.dim
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                for j, b in ys:
-                    row = self._nonzero.get((i, j))
-                    if row:
-                        f = a * b
-                        for k, q in row:
-                            out[k] += f * q
-        return tuple(out)
+    def _bracket(self, x: Row, y: Row) -> Row:
+        """bracket() times `_denominator` on sparse rows, unchecked; int rows give an int row."""
+        out: dict[int, int] = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                row = self._nonzero.get((i, j))
+                if row:
+                    f = a * b
+                    for k, q in row:
+                        out[k] = out.get(k, 0) + f * q
+        return {k: v for k, v in out.items() if v}
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -220,7 +220,7 @@ def validate(g: LieAlgebra) -> ValidationReport:
 # bracket calculus
 
 
-def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[tuple[int, ...]]]:
+def _bracket_images(g: LieAlgebra, a: Subspace, b: Subspace) -> list[list[Row]]:
     """The bracket table of (a, b): [[w, v] for v in b.rows] for each w in a.rows.
 
     The rows are the canonical int rows, so every bracket is an int row (times
@@ -243,10 +243,12 @@ def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 def _transport(within: Subspace, images: list, into: Subspace) -> Subspace:
     """transporter(g, within, of, into) from images = _bracket_images(g, within, of).
 
-    _reduce is linear, so the remainders of row i are the images of within.rows[i].
+    _reduce is linear, so the remainders of row i, the one against of.rows[j]
+    in columns j n .. j n + n - 1, are the image of within.rows[i].
     """
-    rows = [tuple(chain.from_iterable(map(into._reduce, row))) for row in images]
-    return within._where_zero(zip(*rows))
+    n = within.ambient_dim
+    remainders = (enumerate(map(into._reduce, row)) for row in images)
+    return within._where_zero({j * n + k: x for j, r in row for k, x in r.items()} for row in remainders)
 
 
 def transporter(g: LieAlgebra, within: Subspace, of: Subspace, into: Subspace) -> Subspace:
@@ -363,11 +365,10 @@ def _killing_numerators(g: LieAlgebra) -> list[list[int]]:
 
 def _killing_orthogonal(k: list[list[int]], within: Subspace, against: Subspace) -> Subspace:
     """{x in `within` : K(x, y) = 0 for every y in `against`}; k is K times a positive int."""
-    conditions = []
-    for y in against.rows:
-        ky = [sum(a * b for a, b in zip(row, y)) for row in k]
-        conditions.append([sum(a * b for a, b in zip(w, ky)) for w in within.rows])
-    return within._where_zero(conditions)
+    kys = [[sum(row[a] * b for a, b in y.items()) for row in k] for y in against.rows]
+    return within._where_zero(
+        {j: v for j, ky in enumerate(kys) if (v := sum(ky[a] * b for a, b in w.items()))} for w in within.rows
+    )
 
 
 def radical(g: LieAlgebra) -> Subspace:
@@ -422,11 +423,12 @@ def derivations(g: LieAlgebra) -> Subspace:
     #   sum_k c[i][j][k] D[m][k] - sum_l c[l][j][m] D[l][i] - sum_l c[i][l][m] D[l][j] = 0,
     # so each nonzero constant enters it in up to three places.  It is linear
     # in c, so the int constants of _nonzero give it times the common denominator.
-    equations: dict[tuple[int, int, int], dict[int, int]] = {}
+    # images[a n + b] is {(i n + j) n + m: the coefficient of D[a][b] in equation (i, j, m)}.
+    images: list[dict[int, int]] = [{} for _ in range(n * n)]
 
     def add(i, j, m, unknown, q):
-        eq = equations.setdefault((i, j, m), {})
-        eq[unknown] = eq.get(unknown, 0) + q
+        image, e = images[unknown], (i * n + j) * n + m
+        image[e] = image.get(e, 0) + q
 
     for (a, b), row in g._nonzero.items():
         for k, q in row:
@@ -437,13 +439,7 @@ def derivations(g: LieAlgebra) -> Subspace:
                 add(i, b, k, a * n + i, -q)
             for j in range(a + 1, n):  # c[i][l][m] with (i, l, m) = (a, b, k), for every j > i
                 add(a, j, k, b * n + j, -q)
-    rows = []
-    for key in sorted(equations):
-        row = [0] * (n * n)
-        for unknown, q in equations[key].items():
-            row[unknown] = q
-        rows.append(row)
-    return Subspace.full(n * n)._where_zero(rows)
+    return Subspace.full(n * n)._where_zero({e: q for e, q in image.items() if q} for image in images)
 
 
 def _exp_ad(g: LieAlgebra, x: Sequence):
@@ -461,13 +457,13 @@ def _exp_ad(g: LieAlgebra, x: Sequence):
     if len(x) != n:
         raise AmbientMismatch("bracket arguments must have length dim")
     d = lcm(*(v.denominator for v in x))
-    scaled = tuple(v.numerator * (d // v.denominator) for v in x)
+    scaled = {i: v.numerator * (d // v.denominator) for i, v in enumerate(x) if v}
     chains = []  # (k, j, the k-th bracket of e_j) for each nonzero one
     for j in range(n):
-        row = tuple(int(i == j) for i in range(n))
+        row = {j: 1}
         for k in range(1, n + 1):
             row = g._bracket(scaled, row)
-            if not any(row):
+            if not row:
                 break
             chains.append((k, j, row))
         else:
@@ -480,9 +476,8 @@ def _exp_ad(g: LieAlgebra, x: Sequence):
             weights.append(weights[-1] * t / (k * scale))
         rows = [list(unit_vector(n, i)) for i in range(n)]
         for k, j, chain in chains:
-            for i, q in enumerate(chain):
-                if q:
-                    rows[i][j] += weights[k] * q
+            for i, q in chain.items():
+                rows[i][j] += weights[k] * q
         return Matrix._from_rows(map(tuple, rows), n)
 
     return at

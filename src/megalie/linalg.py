@@ -4,28 +4,30 @@ Canonical subspace arithmetic on int rows, and Matrix, the boundary type
 with Fraction entries (input, products, inverses, RREF).  All values are
 immutable, all results are exact; no floating point enters anywhere.
 
-Internal rows are int tuples.  A Subspace keeps its canonical form as
-primitive int rows, each RREF row times the lcm of its denominators, so
-every pivot is a positive integer and two subspaces are equal precisely
-when their rows are.  A Subspace is a plain value, that form and its
-pivot columns with the Fraction basis cached, and carries no label: the
-report names what it prints.  It is row-reduced once, when spanned_by or
-the trusted _from_rows builds it.  One fraction-free Gauss-Jordan
-routine, _echelon, does every elimination: subspace construction, the
-kernel solve of Subspace._where_zero, and Matrix.rref_with_pivots, which
-scales each row to integers and divides by the pivots at the end.
-_where_zero -- the part of a space that a linear map sends to zero, read
-from the int images of the canonical rows -- is the one kernel solve
-behind intersections and every constructor in the algebra module.
+Internal rows are sparse: a dict {column: int} holding only the nonzero
+entries, never changed once built (like Poly.terms).  A Subspace keeps
+its canonical form as primitive int rows, each RREF row times the lcm of
+its denominators, so every pivot is a positive integer, the least column
+of its row, and two subspaces are equal precisely when their rows are.
+A Subspace is a plain value, that form and its pivot columns with the
+dense Fraction basis cached, and carries no label: the report names what
+it prints.  It is row-reduced once, when spanned_by or the trusted
+_from_rows builds it.  One fraction-free Gauss-Jordan routine, _echelon,
+does every elimination: subspace construction, the kernel solve of
+Subspace._where_zero, and Matrix.rref_with_pivots, which scales each row
+to integers and divides by the pivots at the end.  _where_zero -- the
+part of a space that a linear map sends to zero, given the int image of
+each canonical row -- is the one kernel solve behind intersections and
+every constructor in the algebra module.
 Subspace._keeps, a map's nonzero entries applied to the canonical rows,
 is the one invariance test, behind verify_megaideal (each derivation's
 cells) and check_invariant (the cells of the solved form).
 
 Values become Fractions at the boundary, where they are checked and
 coerced: Matrix(...), Subspace.spanned_by, Subspace.basis and contains.
-The trusted internal paths check nothing:
-Subspace._from_rows, _reduce and _where_zero take int rows,
-Matrix._from_rows Fraction rows.
+The trusted internal paths check nothing: Subspace._from_rows and
+_reduce take sparse int rows, _where_zero sparse int images,
+Matrix._from_rows dense Fraction rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
-IntRow = tuple[int, ...]
+Row = dict[int, int]  # column -> nonzero int; never changed once built
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -152,7 +154,7 @@ class Matrix:
         rows are reduced fraction-free by _echelon, and each reduced row is
         divided by its pivot at the end.
         """
-        rows, pivots = _echelon(map(_integral, self.entries), self.cols)
+        rows, pivots = _echelon(map(_integral, self.entries))
         return _normalized(rows, pivots, self.cols), pivots
 
     def inverse(self) -> "Matrix":
@@ -170,75 +172,69 @@ class Matrix:
 # the integer core
 
 
-def _integral(row: Iterable) -> tuple[int, ...]:
-    """The smallest positive multiple of a rational row with int entries."""
+def _integral(row: Iterable) -> Row:
+    """The smallest positive multiple of a rational row with int entries, as a sparse row."""
     row = tuple(row)
     d = lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (d // x.denominator) for x in row)
+    return {k: x.numerator * (d // x.denominator) for k, x in enumerate(row) if x}
 
 
-def _echelon(rows: Iterable[Sequence[int]], cols: int) -> tuple[list[IntRow], tuple[int, ...]]:
+def _axpy(a: int, x: Row, b: int, y: Row) -> Row:
+    """a x + b y as a new row, for a != 0: an entry that cancels is dropped."""
+    out = {k: a * v for k, v in x.items()} if a != 1 else dict(x)
+    for k, v in y.items():
+        if s := out.get(k, 0) + b * v:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _echelon(rows: Iterable[Row]) -> tuple[list[Row], tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination of int rows; the one elimination.
 
     Returns one row per pivot column, in increasing pivot order: primitive
     (the gcd of its entries is taken out), positive at its pivot and zero in
     every other pivot column.  That is each RREF row times the lcm of its
-    denominators, so the result is exactly as canonical as the RREF.
+    denominators, so the result is exactly as canonical as the RREF.  Each
+    pivot is the least column present in a remaining row, taken from the
+    first such row: the leftmost-first order of dense elimination.
 
-    A reduced row is zero exactly when its gcd is 0, and it is dropped at
-    that step; a row of `done` never becomes zero, being independent of
-    the pivot row.
+    A reduced row is zero exactly when it has no entry, and it is dropped
+    at that step; a row of `done` never becomes zero, being independent of
+    the pivot row.  The given rows are never changed.
     """
-    rest = [tuple(row) for row in rows if any(row)]
-    done: list[IntRow] = []
+    rest = [row for row in rows if row]
+    done: list[Row] = []
     pivots: list[int] = []
-    for c in range(cols):
-        if not rest:
-            break
-        i = next((i for i, row in enumerate(rest) if row[c]), None)
-        if i is None:
-            continue
-        p = rest.pop(i)
-        g = gcd(*p) if p[c] > 0 else -gcd(*p)
+    while rest:
+        c = min(map(min, rest))
+        p = rest.pop(next(i for i, row in enumerate(rest) if c in row))
+        g = gcd(*p.values()) if p[c] > 0 else -gcd(*p.values())
         if g != 1:
-            p = tuple(x // g for x in p)
+            p = {j: x // g for j, x in p.items()}
         a = p[c]
         for group in (done, rest):
             for k, row in enumerate(group):
-                b = row[c]
-                if b:
-                    if a == 1:
-                        row = tuple(x - b * y for x, y in zip(row, p))
-                    else:
-                        row = tuple(a * x - b * y for x, y in zip(row, p))
-                    g = gcd(*row)
-                    if g > 1:
-                        row = tuple(x // g for x in row)
-                    group[k] = row if g else None
-        rest = [row for row in rest if row is not None]
+                if b := row.get(c):
+                    row = _axpy(a, row, -b, p)
+                    g = gcd(*row.values())
+                    group[k] = {j: x // g for j, x in row.items()} if g > 1 else row
+        rest = [row for row in rest if row]
         done.append(p)
         pivots.append(c)
     return done, tuple(pivots)
 
 
-def _combination(coefficients: Iterable[int], rows: Iterable[IntRow], width: int) -> list[int]:
-    """sum c_i rows[i] over the nonzero c_i, for int rows of the given width."""
-    out = [0] * width
-    for c, row in zip(coefficients, rows):
-        if c:
-            out = [x + c * y for x, y in zip(out, row)]
-    return out
-
-
-def _normalized(rows: Sequence[IntRow], pivots: Sequence[int], cols: int) -> Matrix:
-    """The RREF of canonical rows: each row divided by its pivot, as Fractions."""
-    return Matrix._from_rows(
-        (
-            tuple(map(Fraction, row)) if row[p] == 1 else tuple(Fraction(x, row[p]) for x in row)
-            for p, row in zip(pivots, rows)
-        ),
-        cols,
-    )
+def _normalized(rows: Sequence[Row], pivots: Sequence[int], cols: int) -> Matrix:
+    """The RREF of canonical rows: each row divided by its pivot, as dense Fraction rows."""
+    out = []
+    for p, row in zip(pivots, rows):
+        dense = [Fraction(0)] * cols
+        for k, x in row.items():
+            dense[k] = Fraction(x, row[p])
+        out.append(tuple(dense))
+    return Matrix._from_rows(out, cols)
 
 
 class Subspace:
@@ -254,7 +250,8 @@ class Subspace:
     names what it prints.
 
     There are two constructors: spanned_by checks and coerces its vectors,
-    and the trusted _from_rows takes int rows.
+    and the trusted _from_rows takes sparse int rows.  full and _where_zero
+    build rows that are already canonical, and skip the elimination.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
@@ -263,10 +260,10 @@ class Subspace:
         raise TypeError("Subspace has no public constructor; use Subspace.spanned_by")
 
     @staticmethod
-    def _from_rows(ambient_dim: int, rows: Iterable[Sequence[int]]) -> Subspace:
-        """Trusted constructor: the span of int rows of the ambient length."""
+    def _from_rows(ambient_dim: int, rows: Iterable[Row]) -> Subspace:
+        """Trusted constructor: the span of int rows with columns in range(ambient_dim)."""
         space = object.__new__(Subspace)
-        space.__post_init__(ambient_dim, *_echelon(rows, ambient_dim))
+        space.__post_init__(ambient_dim, *_echelon(rows))
         return space
 
     def __post_init__(self, ambient_dim: int, rows, pivots: tuple[int, ...]):
@@ -298,7 +295,7 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         """The whole space: its unit rows are already canonical, so nothing is eliminated."""
         space = object.__new__(Subspace)
-        units = ((0,) * i + (1,) + (0,) * (ambient_dim - i - 1) for i in range(ambient_dim))
+        units = ({i: 1} for i in range(ambient_dim))
         space.__post_init__(ambient_dim, units, tuple(range(ambient_dim)))
         return space
 
@@ -345,36 +342,33 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def _reduce(self, v: Sequence[int]) -> IntRow:
-        """The remainder of an int row of the ambient length, fraction-free and unchecked.
+    def _reduce(self, v: Row) -> Row:
+        """The remainder of an int row in the ambient space, fraction-free and unchecked.
 
         The remainder comes out times the product of the pivot entries,
-        whatever v is: a row whose pivot is not 1 scales v even where v[p]
-        is 0.  So _reduce is linear, and remainders of different vectors
-        can be added.
+        whatever v is: a row whose pivot is not 1 scales v even where v
+        has no entry at it.  So _reduce is linear, and remainders of
+        different vectors can be added.
         """
-        if not any(v):
-            return tuple(v)
         for p, row in zip(self.pivots, self.rows):
-            f, a = v[p], row[p]
-            if a == 1:
-                if f:
-                    v = tuple(x - f * y for x, y in zip(v, row))
-            elif f:
-                v = tuple(a * x - f * y for x, y in zip(v, row))
-            else:
-                v = tuple(a * x for x in v)
-        return tuple(v)
+            if not v:
+                break
+            f, a = v.get(p), row[p]
+            if f:
+                v = _axpy(a, v, -f, row)
+            elif a != 1:
+                v = {k: a * x for k, x in v.items()}
+        return v
 
     def contains(self, v: Sequence) -> bool:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
-        return not any(self._reduce(_integral(v)))
+        return not self._reduce(_integral(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return not any(any(self._reduce(row)) for row in other.rows)
+        return not any(map(self._reduce, other.rows))
 
     def _keeps(self, cells: Mapping[tuple[int, int], int | Fraction]) -> bool:
         """Whether the map with nonzero entries cells = {(i, j): m[i][j]} keeps this space.
@@ -384,36 +378,42 @@ class Subspace:
         canonical int row, and each image must reduce to zero.
         """
         scale = lcm(*(q.denominator for q in cells.values()))
-        scaled = [(i, j, q.numerator * (scale // q.denominator)) for (i, j), q in cells.items()]
+        columns: dict[int, list[tuple[int, int]]] = {}  # j -> [(i, m[i][j] * scale), ...]
+        for (i, j), q in cells.items():
+            columns.setdefault(j, []).append((i, q.numerator * (scale // q.denominator)))
         for row in self.rows:
-            image = [0] * self.ambient_dim
-            for i, j, q in scaled:
-                image[i] += q * row[j]
-            if any(self._reduce(image)):
+            image: dict[int, int] = {}
+            for j, x in row.items():
+                for i, q in columns.get(j, ()):
+                    image[i] = image.get(i, 0) + q * x
+            if self._reduce({i: y for i, y in image.items() if y}):
                 return False
         return True
 
     # -- lattice operations ---------------------------------------------------
 
-    def _where_zero(self, conditions: Iterable[Sequence[int]]) -> "Subspace":
-        """{sum t_i rows[i] : sum t_i e[i] = 0 for every condition e}, on int conditions.
+    def _where_zero(self, images: Iterable[Row]) -> "Subspace":
+        """{sum t_i rows[i] : sum t_i images[i] = 0}, from the int image of each canonical row.
 
-        Condition e lists, for each canonical row, one int component of its
-        image: the images are taken of `rows`, not of the basis rows.
+        The images are taken of `rows`, not of the basis rows.  Each image is
+        tagged with its row, shifted past the last image column, and one
+        elimination of the tagged rows leaves the kernel in the rows whose
+        pivot lands on a tag: their image part is zero, and their tag part
+        is the canonical form of the kernel.
         """
-        reduced, pivots = _echelon(conditions, self.dim)
-        if not pivots:
+        images = list(images)
+        width = 1 + max((k for image in images for k in image), default=-1)
+        if not width:
             return self
-        # kernel vector of free column f: t_f = m, t_p = -e[f] m / e[p] on each reduced e
-        m = lcm(*(e[p] for p, e in zip(pivots, reduced)))
-        vectors = []
-        for f in (c for c in range(self.dim) if c not in pivots):
-            t = [0] * self.dim
-            t[f] = m
-            for p, e in zip(pivots, reduced):
-                t[p] = -e[f] * (m // e[p])
-            vectors.append(_combination(t, self.rows, self.ambient_dim))
-        return Subspace._from_rows(self.ambient_dim, vectors)
+        tags = ({width + k: x for k, x in row.items()} for row in self.rows)
+        rows, pivots = _echelon({**image, **tag} for image, tag in zip(images, tags))
+        space = object.__new__(Subspace)
+        space.__post_init__(
+            self.ambient_dim,
+            ({k - width: x for k, x in row.items()} for p, row in zip(pivots, rows) if p >= width),
+            tuple(p - width for p in pivots if p >= width),
+        )
+        return space
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -422,5 +422,5 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """The part of this space whose remainder against `other` is zero."""
         self._check_ambient(other)
-        return self._where_zero(zip(*map(other._reduce, self.rows)))
+        return self._where_zero(map(other._reduce, self.rows))
 

@@ -94,7 +94,7 @@ def verify_megaideal(g: LieAlgebra, s: Subspace, der: Subspace | None = None) ->
     Subspace._keeps applies to s.
     """
     der = derivations(g) if der is None else der
-    cells = ({divmod(k, g.dim): q for k, q in enumerate(row) if q} for row in der.rows)
+    cells = ({divmod(k, g.dim): q for k, q in row.items()} for row in der.rows)
     return MegaidealVerdict(is_ideal(g, s), all(map(s._keeps, cells)))
 
 

@@ -9,6 +9,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
 
+def dense(row, n):
+    """A sparse row {column: value} as the tuple of its n entries."""
+    return tuple(row.get(k, 0) for k in range(n))
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

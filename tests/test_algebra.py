@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from megalie.algebra import (
     FormatError,
     LieAlgebra,
@@ -60,7 +61,8 @@ def integral(row):
 def derivation_matrices(g):
     """Each canonical row of derivations(g), the row-major cells of one basis derivation, as a Matrix."""
     n = g.dim
-    return [Matrix([row[a * n : (a + 1) * n] for a in range(n)]) for row in derivations(g).rows]
+    rows = (dense(row, n * n) for row in derivations(g).rows)
+    return [Matrix([row[a * n : (a + 1) * n] for a in range(n)]) for row in rows]
 
 
 def filiform(n):
@@ -531,8 +533,11 @@ def dense_derivations(g):
                 for l in range(n):
                     row[l * n + i] -= c[l][j][m]
                     row[l * n + j] -= c[i][l][m]
-                rows.append(row)
-    return Subspace.full(n * n)._where_zero(map(integral, rows))
+                rows.append(integral(row))
+    # the image of unknown u is its column: its coefficient in each equation
+    return Subspace.full(n * n)._where_zero(
+        {e: row[u] for e, row in enumerate(rows) if row[u]} for u in range(n * n)
+    )
 
 
 def dense_algebra_to_dict(g):

@@ -29,11 +29,9 @@ def megalie_bindings():
 
 
 def test_every_target_is_present_and_restored(m5, sl2d, monkeypatch):
-    # Recorder.patch looks targets up in sys.modules only, so import them
-    # all; __main__ would run the CLI
+    # Recorder.patch looks targets up in sys.modules only, so import them all
     for info in pkgutil.iter_modules(megalie.__path__):
-        if info.name != "__main__":
-            importlib.import_module(f"megalie.{info.name}")
+        importlib.import_module(f"megalie.{info.name}")
     monkeypatch.syspath_prepend(str(BENCH))
     from layers import LayerTrace
 

@@ -380,6 +380,13 @@ class TestInternalError:
             cli.main(["validate", str(fixtures_dir / "m5.json")])
 
 
+class TestMainModule:
+    def test_import_runs_nothing(self):
+        # python -m megalie runs the CLI; importing megalie.__main__ does not
+        result = subprocess.run([sys.executable, "-c", "import megalie.__main__"], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
 class TestMalformedInputs:
     """Inputs outside the README grammar are format errors (exit 2), never exit 4."""
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense
 from megalie import linalg
+from megalie.algebra import derivations, transporter
 from megalie.linalg import AmbientMismatch, Matrix, Subspace, rat
+from megalie.megaideals import closure
 
 
 def F(x):
@@ -29,8 +33,15 @@ def identity(n):
 
 
 def kernel(m):
-    """{v : m @ v = 0}, by the engine's one kernel solve: _where_zero on the full space."""
-    return Subspace.full(m.cols)._where_zero(map(lcm_scaled, m.entries))
+    """{v : m @ v = 0}, by the engine's one kernel solve: _where_zero on the full space.
+
+    The image of unit vector j is column j of m, once each row of m is
+    scaled to ints, which keeps the kernel.
+    """
+    rows = [lcm_scaled(row) for row in m.entries]
+    return Subspace.full(m.cols)._where_zero(
+        {i: row[j] for i, row in enumerate(rows) if j in row} for j in range(m.cols)
+    )
 
 
 class TestRat:
@@ -113,13 +124,13 @@ class TestSubspaceOps:
     def test_where_zero_maps_kernel_back(self):
         # canonical rows (1,2,0,0), (0,0,1,-1); the map sends them to 1 and 2
         s = Subspace.spanned_by(4, [[1, 2, 0, 0], [0, 0, 1, -1]])
-        cut = s._where_zero([(1, 2)])
+        cut = s._where_zero([{0: 1}, {0: 2}])
         assert cut == Subspace.spanned_by(4, [[2, 4, -1, 1]])
 
     def test_where_zero_of_zero_map_is_whole_space(self):
         s = Subspace.spanned_by(3, [[1, 1, 0]])
-        assert s._where_zero([(0,), (0,)]) is s
-        assert s._where_zero([]) is s
+        assert s._where_zero([{}]) is s
+        assert Subspace.full(2)._where_zero([{}, {}]) == Subspace.full(2)
         assert Subspace.zero(3)._where_zero([]) == Subspace.zero(3)
 
 
@@ -148,7 +159,7 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             Subspace(3, Matrix([[1, 0, 0]]))
         s = Subspace.spanned_by(3, [("1/2", 1, 0), (F(1), 2, 0)])
-        assert s.rows == ((1, 2, 0),) and s.pivots == (0,)
+        assert s.rows == ({0: 1, 1: 2},) and s.pivots == (0,)
         with pytest.raises(AmbientMismatch):
             Subspace.spanned_by(3, [(1, 0, 0), (1, 0)])
         with pytest.raises(ValueError):
@@ -160,15 +171,15 @@ class TestCanonicalForm:
         calls = []
         original = linalg._echelon
 
-        def counting(rows, cols):
+        def counting(rows):
             rows = list(rows)
             calls.append(len(rows))
-            return original(rows, cols)
+            return original(rows)
 
         monkeypatch.setattr(linalg, "_echelon", counting)
         s = Subspace.spanned_by(4, [[1, 2, 0, 0], [2, 4, 1, 0], [0, 0, 3, 0]])
         assert calls == [3]
-        s._reduce((1, 1, 1, 1))
+        s._reduce({0: 1, 1: 1, 2: 1, 3: 1})
         s.contains([1, 1, 1, 1])
         assert calls == [3]
         # membership and remainders run on the int rows; the Fraction basis stays unbuilt
@@ -279,26 +290,26 @@ class TestCoercionBoundary:
         )
 
     def test_where_zero_with_int_images(self):
-        # the solve runs on int conditions; the basis handed out is still
-        # made of Fraction rows
-        got = Subspace.full(3)._where_zero([(1, 2, 3)])
+        # the solve runs on the int images of the unit rows; the basis handed
+        # out is still made of Fraction rows
+        got = Subspace.full(3)._where_zero([{0: 1}, {0: 2}, {0: 3}])
         assert got.dim == 2
         assert self.fractions_only(got.basis.entries)
-        got = Subspace.full(3)._where_zero([(1, 1, 0), (0, 0, 2)])
+        got = Subspace.full(3)._where_zero([{0: 1}, {0: 1}, {1: 2}])
         assert got == Subspace.spanned_by(3, [(1, -1, 0)])
         assert self.fractions_only(got.basis.entries)
         # the kernel rows come out already reduced, with int entries
-        got = Subspace.full(3)._where_zero([(0, 1, -1)])
+        got = Subspace.full(3)._where_zero([{}, {0: 1}, {0: -1}])
         assert got.basis.entries == ((1, 0, 0), (0, 1, 1))
         assert self.fractions_only(got.basis.entries)
-        assert Subspace.full(2)._where_zero([(0, 0)]) == Subspace.full(2)
+        assert Subspace.full(2)._where_zero([{}, {}]) == Subspace.full(2)
 
     def test_full_is_the_canonical_identity(self):
         # full builds its unit rows and pivots without elimination
         for n in range(1, 6):
             full, spanned = Subspace.full(n), Subspace.spanned_by(n, identity(n).entries)
             assert full == spanned and full.pivots == spanned.pivots == tuple(range(n))
-            assert full.rows == spanned.rows and all(type(x) is int for row in full.rows for x in row)
+            assert full.rows == spanned.rows and all(type(x) is int for row in full.rows for x in row.values())
             assert hash(full) == hash(spanned) and full.is_full()
         assert Subspace.full(0) == Subspace.zero(0) and Subspace.full(0).is_full()
 
@@ -364,9 +375,10 @@ def reference_where_zero(basis, cols, images):
 
 
 def lcm_scaled(row):
-    """A rational row times the lcm of its denominators, as ints."""
+    """A rational row times the lcm of its denominators, as a sparse int row."""
+    row = list(row)
     d = math.lcm(*(x.denominator for x in row))
-    return tuple(int(x * d) for x in row)
+    return {k: int(x * d) for k, x in enumerate(row) if x}
 
 
 rational = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
@@ -411,7 +423,7 @@ class TestIntegerCoreAgainstReference:
         s = Subspace.spanned_by(cols, rows)
         assert s.basis == Matrix._from_rows(basis, cols) and s.pivots == pivots
         assert s.rows == tuple(map(lcm_scaled, basis))
-        assert all(type(x) is int for row in s.rows for x in row)
+        assert all(type(x) is int for row in s.rows for x in row.values())
         from_reference = Subspace.spanned_by(cols, basis[::-1])
         assert from_reference == s and hash(from_reference) == hash(s)
         # the trusted int path reaches the same canonical rows from unreduced ints
@@ -425,7 +437,7 @@ class TestIntegerCoreAgainstReference:
         units = [[int(i == j) for j in range(n)] for i in range(n)]
         full = Subspace.full(n)
         assert full == Subspace.spanned_by(n, units)
-        assert full.rows == tuple(map(tuple, units)) and full.pivots == tuple(range(n))
+        assert full.rows == tuple({i: 1} for i in range(n)) and full.pivots == tuple(range(n))
 
     @given(rational_spaces(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -440,12 +452,12 @@ class TestIntegerCoreAgainstReference:
         d = math.lcm(*(x.denominator for x in u))
         scale = d * math.prod(row[p] for p, row in zip(pivots, s.rows))
         expected = reference_reduce(basis, pivots, tuple(u))
-        assert s._reduce(lcm_scaled(u)) == tuple(x * scale for x in expected)
+        assert dense(s._reduce(lcm_scaled(u)), cols) == tuple(x * scale for x in expected)
         assert s.contains(u) == (not any(expected))
         # on int rows the remainder is one fixed multiple of the true one, so it is linear
-        iu, iw = (tuple(int(x * 720720) for x in v) for v in (u, w))
-        total = tuple(a + b for a, b in zip(iu, iw))
-        assert s._reduce(total) == tuple(a + b for a, b in zip(s._reduce(iu), s._reduce(iw)))
+        iu, iw, total = (lcm_scaled(x * 720720 for x in v) for v in (u, w, map(sum, zip(u, w))))
+        remainders = (dense(s._reduce(v), cols) for v in (iu, iw))
+        assert dense(s._reduce(total), cols) == tuple(map(sum, zip(*remainders)))
 
     @given(rational_spaces(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -456,9 +468,11 @@ class TestIntegerCoreAgainstReference:
         images = data.draw(
             st.lists(st.lists(rational, min_size=width, max_size=width), min_size=s.dim, max_size=s.dim)
         )
-        # images[i] is the image of canonical row i; one int condition per component
-        basis, pivots = reference_where_zero([tuple(map(Fraction, row)) for row in s.rows], cols, images)
-        got = s._where_zero(lcm_scaled(column) for column in zip(*images))
+        # images[i] is the image of canonical row i; all times one lcm, to ints
+        canonical = [tuple(map(Fraction, dense(row, cols))) for row in s.rows]
+        basis, pivots = reference_where_zero(canonical, cols, images)
+        d = math.lcm(*(x.denominator for image in images for x in image))
+        got = s._where_zero(lcm_scaled(x * d for x in image) for image in images)
         assert got.basis == Matrix._from_rows(basis, cols) and got.pivots == pivots
         assert got == Subspace.spanned_by(cols, basis)
 
@@ -486,3 +500,55 @@ class TestIntegerCoreAgainstReference:
         block, p = Matrix(block), Matrix(unit_lower)
         first_columns = [[row[j] for row in p.entries] for j in range(k)]
         assert Subspace.spanned_by(cols, first_columns)._keeps(cells(p @ block @ p.inverse()))
+
+
+def assert_canonical_rows(s):
+    """Sparse canonical rows: nonzero ints only, columns in the ambient range,
+    and the least column of each row its pivot, with a positive value."""
+    assert len(s.rows) == len(s.pivots)
+    for p, row in zip(s.pivots, s.rows):
+        assert all(type(x) is int and x != 0 for x in row.values()), row
+        assert all(0 <= k < s.ambient_dim for k in row), row
+        assert min(row) == p and row[p] > 0, row
+
+
+class TestSparseRows:
+    """Every result has sparse canonical rows, and no operation changes the
+    row dicts it is given: each is compared with a deep copy taken before."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subspace_operations(self, data):
+        cols = data.draw(st.integers(1, 6))
+        rows = data.draw(rational_rows(cols))
+        a, b = Subspace.spanned_by(cols, rows), Subspace.spanned_by(cols, data.draw(rational_rows(cols)))
+        value = st.integers(-4, 4).filter(bool)
+        images = [data.draw(st.dictionaries(st.integers(0, 3), value)) for _ in a.rows]
+        # unreduced int rows: negative leading entries and a common factor
+        ints = [{0: -2, cols: 4}, {cols + 1: -3}] + [lcm_scaled(row) for row in rows]
+        operands = (ints, a.rows, b.rows, images)
+        before = copy.deepcopy(operands)
+        results = [
+            Subspace._from_rows(cols + 2, ints),
+            a.sum(b),
+            a.intersect(b),
+            b.intersect(a),
+            a._where_zero(images),
+        ]
+        assert operands == before
+        for s in results + [a, b]:
+            assert_canonical_rows(s)
+
+    def test_algebra_operations(self, m5, reference_lattices):
+        for g, lattice in [(m5, closure(m5)), reference_lattices["L6/rational"], reference_lattices["h3"]]:
+            members = lattice.members
+            for call in (
+                lambda: [transporter(g, a, b, c) for a in members[:4] for b in members for c in members[-3:]],
+                lambda: [derivations(g)],
+                lambda: closure(g, members[1:4], budget=1).members,
+            ):
+                before = copy.deepcopy(([s.rows for s in members], g._nonzero))
+                results = call()
+                assert ([s.rows for s in members], g._nonzero) == before, g.name
+                for s in results:
+                    assert_canonical_rows(s)

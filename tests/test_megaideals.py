@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import megalie.algebra
+from conftest import dense
 from megalie.algebra import (
     NotAnIdeal,
     algebra_from_brackets,
@@ -308,7 +309,8 @@ def dense_matmul(a, b):
 def derivation_matrices(g, der):
     """Each canonical row of der = derivations(g), the row-major cells of one basis derivation, as a Matrix."""
     n = g.dim
-    return [Matrix([row[a * n : (a + 1) * n] for a in range(n)]) for row in der.rows]
+    rows = (dense(row, n * n) for row in der.rows)
+    return [Matrix([row[a * n : (a + 1) * n] for a in range(n)]) for row in rows]
 
 
 def dense_verify(g, s, der):
@@ -327,12 +329,16 @@ def dense_verify(g, s, der):
 def dense_transporter(g, within, of, into):
     """The transporter through the checked bracket: for each canonical row w of
     `within`, the remainders against `into` of [w, b] over the rows b of `of`,
-    all times the algebra's common denominator, so they are int rows."""
-    images = [
-        [x for b in of.rows for x in into._reduce(tuple(int(y * g._denominator) for y in g.bracket(w, b)))]
-        for w in within.rows
-    ]
-    return within._where_zero(zip(*images))
+    all times the algebra's common denominator, so they are int rows, laid
+    end to end as the image of w."""
+    n = g.dim
+
+    def remainder(w, b):
+        bracket = g.bracket(dense(w, n), dense(b, n))
+        return dense(into._reduce({k: int(y * g._denominator) for k, y in enumerate(bracket) if y}), n)
+
+    images = ([x for b in of.rows for x in remainder(w, b)] for w in within.rows)
+    return within._where_zero({k: x for k, x in enumerate(image) if x} for image in images)
 
 
 @st.composite
@@ -765,7 +771,10 @@ class TestClosureAgainstReference:
             rebind(monkeypatch, original, call)
 
         memoized(megalie.algebra._bracket_images, lambda g, a, b: (g, a, b))
-        memoized(megalie.algebra._transport, lambda a, images, c: (a, tuple(map(tuple, images)), c))
+        def frozen(images):
+            return tuple(tuple(tuple(sorted(image.items())) for image in row) for row in images)
+
+        memoized(megalie.algebra._transport, lambda a, images, c: (a, frozen(images), c))
 
     @staticmethod
     def assert_same(g, budgets=(0, 1, 2, 4)):

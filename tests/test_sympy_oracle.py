@@ -270,11 +270,15 @@ class TestLinearAlgebra:
         null = sympy_matrix(m).nullspace()
         expected = Subspace.spanned_by(m.cols, [[fraction(x) for x in v] for v in null])
         def integral(row):
-            # the row times the lcm of its denominators: an int condition of the one kernel solve
+            # the row times the lcm of its denominators, which keeps the kernel
             d = lcm(*(x.denominator for x in row))
             return [int(x * d) for x in row]
 
-        got = Subspace.full(m.cols)._where_zero(map(integral, m.entries))
+        # the one kernel solve takes the image of each unit vector: a column of m
+        rows = [integral(row) for row in m.entries]
+        got = Subspace.full(m.cols)._where_zero(
+            {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(m.cols)
+        )
         assert got == expected and got.dim == len(null)
 
 
