@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra, _until_fixed
@@ -159,13 +159,25 @@ class AutParametrization:
         return form
 
     def matrix_at(self, point: Sequence[Fraction]) -> Matrix:
-        """The numeric matrix at point, the free parameters' values in order."""
-        n = self.shape.dim
+        """The numeric matrix at point, the free parameters' values in order.
+
+        Summed in ints over one denominator, d^top times the lcm of the
+        coefficients' denominators, where d is the lcm of the values' ones.
+        """
+        n, form = self.shape.dim, self.form
+        d = lcm(*(x.denominator for x in point))
+        values = [x.numerator * (d // x.denominator) for x in point]
+        top = max(map(sum, form), default=0)
+        scale = lcm(*(q.denominator for entries in form.values() for q in entries.values()))
+        cells: dict[tuple[int, int], int] = {}
+        for exps, entries in form.items():
+            value = prod(x**e for x, e in zip(values, exps) if e) * d ** (top - sum(exps))
+            for cell, q in entries.items():
+                cells[cell] = cells.get(cell, 0) + q.numerator * (scale // q.denominator) * value
         rows = [[Fraction(0)] * n for _ in range(n)]
-        for exps, entries in self.form.items():
-            value = prod(x**e for x, e in zip(point, exps) if e)
-            for (i, j), coeff in entries.items():
-                rows[i][j] += coeff * value
+        for (i, j), x in cells.items():
+            if x:
+                rows[i][j] = Fraction(x, scale * d**top)
         return Matrix._from_rows(map(tuple, rows), n)
 
     def vanishing_condition(self, matrix: Matrix) -> Poly | None:

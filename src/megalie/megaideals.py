@@ -16,7 +16,10 @@ indices that fill it, such as ("[{},{}]", a, b) for the product [a, b].
 The passes are semi-naive, as in the evaluation of recursive rules by
 Bancilhon and Ramakrishnan (1986): a pass builds a derivation only when one
 of its operands is a member that the previous pass found, since every
-derivation over older members was built by an earlier pass.
+derivation over older members was built by an earlier pass.  Two exact
+identities answer most constructors without a solve, though every
+derivation is still recorded: tp(a, b, c) = a whenever [a, b] <= c, and
+a <= b gives a + b = b and int(a, b) = a.
 
 The constructor family is sound but not complete: a subspace can be
 invariant under every automorphism without arising from any constructor
@@ -129,11 +132,13 @@ def closure(
     on the first pass), builds exactly the derivations with an operand index
     >= old, in the order a rebuild over all members would list them.  Each
     member pair (a, b) is bracketed once, into a table [[w, v] for v in b]
-    for w in a kept for all passes; [a, b] is its span.
-    Each pass solves its new transporter triples once, into one dict:
-    tp(a, b, c) is one solve on the table's remainders against c, and
-    C(a;b) and N(a;b) read the triples (a, b, 0) and (a, b, b).  A pass
-    that adds no member is the fixpoint.
+    for w in a kept for all passes; [a, b] is its span, kept beside it.
+    Each pass answers its new transporter triples once, into one dict:
+    tp(a, b, c) is a when c contains [a, b], else one solve on the table's
+    remainders against c; C(a;b) and N(a;b) read the triples (a, b, 0) and
+    (a, b, b).  A nested pair a <= b gives a + b = b and int(a, b) = a with
+    no elimination.  Every derivation is recorded as before, in the same
+    order.  A pass that adds no member is the fixpoint.
 
     Stops at a fixpoint or after `budget` passes; a truncated run is
     reported through reached_fixpoint=False on the result.
@@ -172,6 +177,7 @@ def closure(
         add(chain[-1], ("nil(g)",))
 
     table: dict[tuple[int, int], list] = {}
+    products: dict[tuple[int, int], Subspace] = {}  # (a, b) with a <= b -> [a, b] = [b, a]
     old = passes = 0
     reached_fixpoint = False
     while passes < budget:
@@ -184,9 +190,20 @@ def closure(
                 table[(a, b)] = _bracket_images(g, members[a], members[b])
             return table[(a, b)]
 
-        # every triple that names a new member, in (a, b, c) order, solved once
+        def product(a: int, b: int) -> Subspace:
+            key = (a, b) if a <= b else (b, a)
+            if key not in products:
+                products[key] = _span_of_images(g, images(*key))
+            return products[key]
+
+        def tp(a: int, b: int, c: int) -> Subspace:
+            if members[c].contains_subspace(product(a, b)):
+                return members[a]
+            return _transport(members[a], images(a, b), members[c])
+
+        # every triple that names a new member, in (a, b, c) order, answered once
         solved = {
-            (a, b, c): _transport(members[a], images(a, b), members[c])
+            (a, b, c): tp(a, b, c)
             for a in range(count)
             for b in range(count)
             for c in range(0 if max(a, b) >= old else old, count)
@@ -194,10 +211,12 @@ def closure(
         }
         for a in range(count):
             for b in range(max(a, old), count):
-                add(_span_of_images(g, images(a, b)), ("[{},{}]", a, b))
+                add(product(a, b), ("[{},{}]", a, b))
                 if a < b:
-                    add(members[a].sum(members[b]), ("{}+{}", a, b))
-                    add(members[a].intersect(members[b]), ("int({},{})", a, b))
+                    small, big = sorted((members[a], members[b]), key=lambda s: s.dim)
+                    nested = big.contains_subspace(small)
+                    add(big if nested else small.sum(big), ("{}+{}", a, b))
+                    add(small if nested else small.intersect(big), ("int({},{})", a, b))
         for a in range(count):
             for b in range(0 if a >= old else old, count):
                 add(solved[a, b, 0], ("C({};{})", a, b))
@@ -231,9 +250,11 @@ def essential_filter(lattice: MegaidealLattice) -> MegaidealLattice:
     """Flag members that are sums of two other proper members.
 
     Those give no constraints beyond their summands.  Nothing is removed;
-    only the essential flags change.  A pair a, b is tried only when both
-    lie strictly inside member i and dim a + dim b >= dim i: a + b = i
-    needs both, since dim(a + b) <= dim a + dim b.
+    only the essential flags change.  A pair a, b is summed only when both
+    lie strictly inside member i, dim a + dim b >= dim i, and b does not
+    contain a: a + b = i needs all three, since dim(a + b) <= dim a + dim b
+    and a <= b gives a + b = b.  Members are sorted by dimension, so the
+    later of a pair never lies strictly inside the earlier.
     """
     spaces = [e.subspace for e in lattice.entries]
     proper = [s for s in spaces if not s.is_full() and not s.is_zero()]
@@ -241,7 +262,8 @@ def essential_filter(lattice: MegaidealLattice) -> MegaidealLattice:
     for entry, whole in zip(lattice.entries, spaces):
         inside = [a for a in proper if a.dim < whole.dim and whole.contains_subspace(a)]
         inessential = any(
-            a.dim + b.dim >= whole.dim and a.sum(b) == whole for a, b in combinations(inside, 2)
+            a.dim + b.dim >= whole.dim and not b.contains_subspace(a) and a.sum(b) == whole
+            for a, b in combinations(inside, 2)
         )
         flagged.append(replace(entry, essential=not inessential))
     return replace(lattice, entries=tuple(flagged))

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import dense
+from conftest import _rational_conjugate, dense
 from megalie.algebra import NotNilpotent, _exp_ad, algebra_from_brackets, change_basis, derivations
 from megalie.automorphisms import (
     ResidualSystem,
@@ -862,6 +862,33 @@ class TestSolvedFormAgainstReference:
                     verdicts.add(verdict := check_invariant(param, s))
                     assert verdict == reference_check_invariant(param, s), name
         assert solved >= 23 and vanished > 0 and singular_blocks >= 30 and verdicts == {True, False}
+
+
+class TestMatrixAt:
+    def test_int_evaluation_matches_the_cells(self, m5, reference_lattices):
+        # matrix_at sums every cell over one int denominator; the reference
+        # evaluates each cell's polynomial in Fractions
+        rng = random.Random(26)
+        algebras = {name: reference_lattices[name][0] for name in ("L8", "L10", "wave6", "L6/rational")}
+        algebras.update({"m5": m5, "m5/rational": _rational_conjugate(m5)})
+        seen, denominators = set(), 0
+        for name, g in algebras.items():
+            _, _, _, param = solve_in_adapted_basis(g, closure(g))
+            free, entries = param.free_parameters, reference_entries(param)
+            assert param.solved and free, name
+            denominators += any(q.denominator > 1 for cells in param.form.values() for q in cells.values())
+            for trial in range(8):
+                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in free]
+                if trial % 2:
+                    point[rng.randrange(len(point))] = Fraction(0)
+                seen.update((x > 0, x < 0, x.denominator > 1) for x in point)
+                got = param.matrix_at(point).entries
+                values = dict(zip(free, point))
+                assert got == tuple(tuple(e.evaluate(values) for e in row) for row in entries), name
+                assert all(type(x) is Fraction for row in got for x in row), name
+        assert denominators == 2  # the conjugates' forms have non-integral coefficients
+        # (positive, negative, non-integral): zero, and non-integral of both signs
+        assert {(False, False, False), (False, True, True), (True, False, True)} <= seen
 
 
 class TestSubstituteParameters:

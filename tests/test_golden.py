@@ -78,7 +78,8 @@ def wave6():
 
 
 # sha256 of canonical_json(analyze(g)) for the benchmark's algebras, built as
-# in bench/workloads.py, and for h4 and diag9, whose 8x8 block determinants
+# in bench/workloads.py, for L24, whose closure answers the most transporters
+# from containment, and for h4 and diag9, whose 8x8 block determinants
 # (40,320 terms each) are the largest expansion, for the abelian ab7 and ab8,
 # whose one diagonal block is the whole 7x7 and 8x8 matrix, and for rational
 # conjugates of m5 and L6 (solved) and of sl2d (residual), whose structure
@@ -89,6 +90,7 @@ REPORT_SHA256 = {
     "L10": (lambda: filiform(10), "c6f31549028ca7ccd2e5e056886a0611ee857b70cbf647069c3e271102c02a12"),
     "L12": (lambda: filiform(12), "430e51e3240d4fa461ddd50ea78027b426e3a375377d7012cbecbf2ac15dfdfc"),
     "L16": (lambda: filiform(16), "d3015c0574043cb7bb72942099c049a5d261b90688b758afb404de7ad9d344a1"),
+    "L24": (lambda: filiform(24), "2b234ded042ee646e7943fc3cbc1281b984166783871e3cf50cdde2964f0c3a2"),
     "wave6": (wave6, "2e7f30097ba9f99008bc3d28636b677253d7ebf7b557b8232d52557ce6142a1f"),
     "h3": (lambda: heisenberg(3), "9c6da13e175856704edf997d87e701011ea81db396b1adbc4453972127c8fa46"),
     "diag8": (lambda: diagonal(8), "a9f2cc6e578d2bdf1ff20eb65590e19222cd1141fd4aebd33f1dc13611be8dd6"),
