@@ -390,14 +390,15 @@ def _known_nonzero(p: Poly, atoms: Sequence[Poly]) -> bool:
 
 
 def _first_step(
-    equations: Sequence[Poly], unknowns: Sequence[str], atoms: Sequence[Poly]
-) -> tuple[int, str, Poly, Poly] | None:
-    """The first solvable (equation index, unknown, coefficient, solution), or None."""
+    equations: Sequence[Poly], atoms: Sequence[Poly]
+) -> tuple[int, int, Poly, Poly] | None:
+    """The first solvable (equation index, column, coefficient, solution), or None.
+
+    Each equation is tried on the columns its terms have, in shape order.
+    """
     for index, eq in enumerate(equations):
-        for name in unknowns:
-            if not eq.mentions(name):
-                continue
-            decomposition = eq.linear_decompose(name)
+        for column in sorted({i for exps in eq.terms for i, e in enumerate(exps) if e}):
+            decomposition = eq.linear_decompose(eq.variables[column])
             if decomposition is None:
                 continue
             coeff, rest = decomposition
@@ -405,7 +406,7 @@ def _first_step(
                 continue
             quotient = rest.exact_div(coeff)
             if quotient is not None:
-                return index, name, coeff, -quotient
+                return index, column, coeff, -quotient
     return None
 
 
@@ -416,19 +417,23 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
     single unknown, c is a product of declared-nonzero factors (or a
     nonzero rational), and c divides r exactly in the polynomial ring.
     Each step takes the first such unknown, scanning the equations in
-    order and each one's unknowns in shape order.  The assignment is
-    substituted everywhere before the next scan, so no solutions are
-    gained or lost under the shape's side conditions, and a solved
-    unknown appears in no equation again.  Anything left over is returned
-    as the residual system.
+    order and, in each one, the columns it has in shape order; every
+    equation must be over shape.unknowns (ValueError otherwise).  The
+    assignment is substituted everywhere before the next scan, so no
+    solutions are gained or lost under the shape's side conditions, and a
+    solved unknown appears in no equation again.  Anything left over is
+    returned as the residual system.
     """
     shape = system.shape
+    if any(eq.variables != shape.unknowns for eq in system.equations):
+        raise ValueError("equation not over the shape's unknowns")
     atoms = _nonzero_atoms(shape.side_conditions)
     equations = [eq.content_normalized() for eq in system.equations if not eq.is_zero()]
     assignments: dict[str, Poly] = {}
     audit: list[dict] = []
-    while (step := _first_step(equations, shape.unknowns, atoms)) is not None:
-        index, name, coeff, solution = step
+    while (step := _first_step(equations, atoms)) is not None:
+        index, column, coeff, solution = step
+        name = shape.unknowns[column]
         if not coeff.is_constant():
             audit.append(
                 {
@@ -441,7 +446,7 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
         # content-normalized already, so the others are kept as they are.
         substitution = {name: solution}
         assignments = {
-            key: value.substitute(substitution) if value.mentions(name) else value
+            key: value.substitute(substitution) if any(e[column] for e in value.terms) else value
             for key, value in assignments.items()
         }
         assignments[name] = solution
@@ -449,7 +454,7 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
         for pos, other in enumerate(equations):
             if pos == index:
                 continue
-            if other.mentions(name):
+            if any(e[column] for e in other.terms):
                 other = other.substitute(substitution).content_normalized()
                 if other.is_zero():
                     continue

@@ -355,6 +355,9 @@ class PointMap:
         return hash(self._key())
 
     def _complete(self, mapping: Mapping[str, Poly]) -> dict[str, Poly]:
+        for name in mapping:
+            if name not in self.variables:
+                raise ValueError(f"component variable {name!r} not declared")
         out = {}
         for name in self.variables:
             p = mapping.get(name)

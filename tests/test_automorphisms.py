@@ -282,6 +282,30 @@ class TestTriangularSolveOther:
         )
 
 
+class TestTriangularSolveColumns:
+    """The scan reads columns, so it needs the equations over shape.unknowns."""
+
+    def test_equations_over_other_variables_rejected(self, m5_solution):
+        _, shape, system, _ = m5_solution
+        reordered = tuple(reversed(shape.unknowns))
+        for variables in (reordered, shape.unknowns[:-1], shape.unknowns + ("z",)):
+            equations = system.equations + (Poly.var(variables, variables[0]),)
+            with pytest.raises(ValueError, match="not over the shape's unknowns"):
+                triangular_solve(replace(system, equations=equations))
+
+    def test_solve_makes_no_name_lookups(self, monkeypatch):
+        names = [f"e{i}" for i in range(1, 17)]
+        g = algebra_from_brackets("L16", names, {(0, i): {i + 1: 1} for i in range(1, 15)})
+        basis = adapted_basis(g, closure(g))
+        system = structure_equations(basis.algebra, shape_from_flag(basis))
+        calls = []
+        original = Poly.mentions
+        monkeypatch.setattr(Poly, "mentions", lambda p, name: calls.append(name) or original(p, name))
+        param = triangular_solve(system)
+        assert calls == []
+        assert param.assignments and param.residual_equations == ()
+
+
 class TestSampledAutomorphisms:
     def _sample(self, param, rng):
         while True:

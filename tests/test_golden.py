@@ -4,9 +4,11 @@ import hashlib
 import itertools
 import json
 import pathlib
+import re
 
 import pytest
 
+import megalie
 from megalie import cli, vectorfield
 from megalie.algebra import algebra_from_brackets, algebra_from_dict, change_basis
 from megalie.analysis import analyze, canonical_json
@@ -16,6 +18,15 @@ from megalie.poly import Poly
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "out"
+
+
+def test_package_and_reports_carry_one_version():
+    # every report names __version__, so a golden change bumps it; the
+    # packaged version must move with it
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == megalie.__version__
 
 
 @pytest.mark.parametrize("name", ["m5", "sl2d"])

@@ -419,3 +419,19 @@ class TestTriangularSolveReference:
         assert param.residual_equations == residual
         assert param.division_audit == audit
         assert param.shape is shape
+
+    def test_matches_restart_loop_on_filiform_l12(self):
+        # 78 unknowns, and each equation has only a few of them as columns
+        g = _filiform(12)
+        basis = adapted_basis(g, closure(g))
+        shape = shape_from_flag(basis)
+        system = structure_equations(basis.algebra, shape)
+        param = triangular_solve(system)
+        assignments, free, residual, audit = reference_triangular_solve(
+            system.equations, shape.unknowns, shape.side_conditions
+        )
+        assert list(param.assignments.items()) == list(assignments.items())
+        assert param.free_parameters == free
+        assert param.residual_equations == residual
+        assert param.division_audit == audit
+        assert param.shape is shape

@@ -189,6 +189,14 @@ class TestPointMap:
         with pytest.raises(ValueError):
             PointMap(V, {"t": fp("t + 1")}, {"t": fp("t + 1")})
 
+    def test_undeclared_component_rejected(self):
+        # a component for a name outside the variables is an error, as in
+        # PolyVectorField, not a silently dropped entry
+        with pytest.raises(ValueError, match="component variable 'tt' not declared"):
+            PointMap(V, {"tt": fp("t + 1")}, {"tt": fp("t - 1")})
+        with pytest.raises(ValueError, match="component variable 'tt' not declared"):
+            PointMap(V, {}, {"tt": fp("t")})
+
     def test_pushforward_functorial(self, family):
         pm1 = PointMap(V, {"t": fp("t + 1")}, {"t": fp("t - 1")})
         pm2 = PointMap(
