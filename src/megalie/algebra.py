@@ -257,7 +257,7 @@ def transporter(g: LieAlgebra, within: Subspace, of: Subspace, into: Subspace) -
     The bracket table of (within, of), then one kernel solve: x = sum t_i w_i
     over the basis of `within` lies here exactly when sum t_i of the
     remainders of [w_i, b] against `into` is zero.  The megaideal closure
-    keeps each member pair's table, and the upper central series the table
+    keeps the table of each pair (g, b), and the upper central series that
     of (g, g), and they solve every `into` from it through `_transport`.
     This is the workhorse behind centralizers (into = 0), normalizers
     (into = of) and the general invariant-subspace constructor.
@@ -381,16 +381,14 @@ def radical(g: LieAlgebra) -> Subspace:
     return _killing_orthogonal(_killing_numerators(g), full, bracket_subspaces(g, full, full))
 
 
-def _nilradical_chain(g: LieAlgebra) -> tuple[tuple[Subspace, ...], str]:
-    """nilradical_approx's terms from the radical on, and its status, on one Killing form."""
+def _nilradical_chain(g: LieAlgebra, lower: SeriesReport) -> tuple[tuple[Subspace, ...], str]:
+    """nilradical_approx's terms from the radical on, and its status, given g's lower central series."""
     k = _killing_numerators(g)
-    full = g.full_space()
-    chain = _until_fixed(
-        _killing_orthogonal(k, full, bracket_subspaces(g, full, full)), lambda t: _killing_orthogonal(k, t, t)
-    )
-    # nilpotency of the fixed point, using ambient brackets
-    term = _until_fixed(chain[-1], lambda t: bracket_subspaces(g, chain[-1], t))[-1]
-    return chain, "exact" if term.is_zero() else "stalled"
+    square = lower.terms[min(1, len(lower.terms) - 1)]  # [g, g]
+    chain = _until_fixed(_killing_orthogonal(k, g.full_space(), square), lambda t: _killing_orthogonal(k, t, t))
+    top = chain[-1]  # nilpotent when its own lower central series, in ambient brackets, ends at 0
+    terms = lower.terms if top.is_full() else _until_fixed(top, lambda t: bracket_subspaces(g, top, t))
+    return chain, "exact" if terms[-1].is_zero() else "stalled"
 
 
 def nilradical_approx(g: LieAlgebra) -> tuple[Subspace, str]:
@@ -402,7 +400,7 @@ def nilradical_approx(g: LieAlgebra) -> tuple[Subspace, str]:
     'exact' when the fixed point is nilpotent, otherwise 'stalled' (the
     over-approximation is still returned).
     """
-    chain, status = _nilradical_chain(g)
+    chain, status = _nilradical_chain(g, lower_central_series(g))
     return chain[-1], status
 
 

@@ -16,16 +16,14 @@ indices that fill it, such as ("[{},{}]", a, b) for the product [a, b].
 The passes are semi-naive, as in the evaluation of recursive rules by
 Bancilhon and Ramakrishnan (1986): a pass builds a derivation only when one
 of its operands is a member that the previous pass found, since every
-derivation over older members was built by an earlier pass.  Two exact
+derivation over older members was built by an earlier pass.  Exact
 identities answer most constructors without a solve, though every
-derivation is still recorded: tp(a, b, c) = a whenever [a, b] <= c, and
-a <= b gives a + b = b and int(a, b) = a.
+derivation is still recorded: tp(a, b, c) = int(a, tp(g, b, c)), which is
+a when tp(g, b, c) contains a and tp(g, b, c) when a contains it, so each
+(b, c) needs one solve at most; and a <= b gives a + b = b and int(a, b) = a.
 
-The constructor family is sound but not complete: a subspace can be
-invariant under every automorphism without arising from any constructor
-(the automorphism-enumeration route in the automorphisms module finds
-those).  In particular transporter(i0, i1, i2) must be read literally; see
-TRANSPORTER_COMPLETENESS_NOTE.
+The constructor family is sound but not complete, and the transporter is
+read literally; see TRANSPORTER_COMPLETENESS_NOTE.
 """
 
 from __future__ import annotations
@@ -101,11 +99,7 @@ def verify_megaideal(g: LieAlgebra, s: Subspace, der: Subspace | None = None) ->
     return MegaidealVerdict(is_ideal(g, s), all(map(s._keeps, cells)))
 
 
-def closure(
-    g: LieAlgebra,
-    seeds: Sequence[Subspace] = (),
-    budget: int = PASS_BUDGET,
-) -> MegaidealLattice:
+def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BUDGET) -> MegaidealLattice:
     """Close {0, g} plus the seeds under the invariant constructors.
 
     Seeds must be ideals.  Constructors applied once up-front: the derived,
@@ -121,11 +115,10 @@ def closure(
     and int(c, [a, b]) are members.
 
     A derivation is (template, *operands), such as ("tp({},{},{})", a, b, c)
-    or ("Z(g)",), where each operand is the index of a member in insertion
-    order.  Each member keeps its derivations in the order found: the first
-    is its provenance, up to _ALIAS_CAP more are its aliases.  Once the
-    members are sorted and labelled, each derivation is printed by filling
-    its template with the labels of its operands.
+    or ("Z(g)",), each operand the index of a member in insertion order.  A
+    member keeps its derivations in the order found: its provenance, then up
+    to _ALIAS_CAP aliases, printed once the members are sorted and labelled
+    by filling each template with the labels of its operands.
 
     Members are append-only.  A pass that starts with `count` members, of
     which the first `old` were members when the previous pass began (old = 0
@@ -133,12 +126,14 @@ def closure(
     >= old, in the order a rebuild over all members would list them.  Each
     member pair (a, b) is bracketed once, into a table [[w, v] for v in b]
     for w in a kept for all passes; [a, b] is its span, kept beside it.
-    Each pass answers its new transporter triples once, into one dict:
-    tp(a, b, c) is a when c contains [a, b], else one solve on the table's
-    remainders against c; C(a;b) and N(a;b) read the triples (a, b, 0) and
-    (a, b, b).  A nested pair a <= b gives a + b = b and int(a, b) = a with
-    no elimination.  Every derivation is recorded as before, in the same
-    order.  A pass that adds no member is the fixpoint.
+    Each pass answers its new transporter triples once, as
+    tp(a, b, c) = int(a, T) with T = tp(g, b, c), since [a, b] <= c exactly
+    when a <= T.  T is g when c contains [g, b], else one solve on the
+    table of (g, b); int(a, T) is a when T contains a, T when a contains T,
+    else one intersection.  Both are kept for all passes, by (b, c) and by
+    (a, T).  C(a;b) and N(a;b) read the triples (a, b, 0) and (a, b, b).  A
+    nested pair a <= b gives a + b = b and int(a, b) = a with no
+    elimination.  A pass that adds no member is the fixpoint.
 
     Stops at a fixpoint or after `budget` passes; a truncated run is
     reported through reached_fixpoint=False on the result.
@@ -168,16 +163,18 @@ def closure(
         add(term, ("g" + "'" * k if k <= 3 else f"der{k}(g)",))
     for k, term in enumerate(lower.terms[1:], 1):
         add(term, (f"lcs{k + 1}(g)",))
-    add(upper.terms[0], ("Z(g)",))
-    for k, term in enumerate(upper.terms[1:], 1):
-        add(term, (f"ucs{k + 1}(g)",))
-    chain, status = _nilradical_chain(g)
+    for k, term in enumerate(upper.terms):
+        add(term, (f"ucs{k + 1}(g)" if k else "Z(g)",))
+    chain, status = _nilradical_chain(g, lower)
     add(chain[0], ("rad(g)",))
     if status == "exact":
         add(chain[-1], ("nil(g)",))
 
     table: dict[tuple[int, int], list] = {}
     products: dict[tuple[int, int], Subspace] = {}  # (a, b) with a <= b -> [a, b] = [b, a]
+    transporters: dict[tuple[int, int], Subspace] = {}  # (b, c) -> tp(g, b, c)
+    meets: dict[tuple[int, Subspace], Subspace] = {}  # (a, t) -> int(a, t)
+    whole = list(store).index(Subspace.full(n))
     old = passes = 0
     reached_fixpoint = False
     while passes < budget:
@@ -197,9 +194,14 @@ def closure(
             return products[key]
 
         def tp(a: int, b: int, c: int) -> Subspace:
-            if members[c].contains_subspace(product(a, b)):
-                return members[a]
-            return _transport(members[a], images(a, b), members[c])
+            if (b, c) not in transporters:
+                full, into = members[whole], members[c]
+                solve = not into.contains_subspace(product(whole, b))
+                transporters[b, c] = _transport(full, images(whole, b), into) if solve else full
+            t, s = transporters[b, c], members[a]
+            if (a, t) not in meets:
+                meets[a, t] = s if t.contains_subspace(s) else t if s.contains_subspace(t) else s.intersect(t)
+            return meets[a, t]
 
         # every triple that names a new member, in (a, b, c) order, answered once
         solved = {
