@@ -40,6 +40,7 @@ from .algebra import (
     _nilradical_chain,
     _span_of_images,
     _transport,
+    bracket_subspaces,
     derivations,
     derived_series,
     is_ideal,
@@ -124,16 +125,18 @@ def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BU
     which the first `old` were members when the previous pass began (old = 0
     on the first pass), builds exactly the derivations with an operand index
     >= old, in the order a rebuild over all members would list them.  Each
-    member pair (a, b) is bracketed once, into a table [[w, v] for v in b]
-    for w in a kept for all passes; [a, b] is its span, kept beside it.
-    Each pass answers its new transporter triples once, as
-    tp(a, b, c) = int(a, T) with T = tp(g, b, c), since [a, b] <= c exactly
-    when a <= T.  T is g when c contains [g, b], else one solve on the
-    table of (g, b); int(a, T) is a when T contains a, T when a contains T,
-    else one intersection.  Both are kept for all passes, by (b, c) and by
-    (a, T).  C(a;b) and N(a;b) read the triples (a, b, 0) and (a, b, b).  A
-    nested pair a <= b gives a + b = b and int(a, b) = a with no
-    elimination.  A pass that adds no member is the fixpoint.
+    member b has one record, built in the pass that finds it and kept for
+    all passes: the bracket table [[w, v] for v in b] for w in g of (g, b),
+    its span [g, b], and the transporters tp(g, b, c) solved on it.  Each
+    pass answers its new transporter triples once, as tp(a, b, c) =
+    int(a, T) with T = tp(g, b, c), since [a, b] <= c exactly when a <= T.
+    T is g when c contains [g, b], else one solve on b's table; int(a, T)
+    is a when T contains a, T when a contains T, else one intersection,
+    kept by (a, T) for all passes.  Any other Lie product [a, b] is spanned
+    once, in the one pass that lists the pair, and not kept.  C(a;b) and
+    N(a;b) read the triples (a, b, 0) and (a, b, b).  A nested pair a <= b
+    gives a + b = b and int(a, b) = a with no elimination.  A pass that
+    adds no member is the fixpoint.
 
     Stops at a fixpoint or after `budget` passes; a truncated run is
     reported through reached_fixpoint=False on the result.
@@ -170,9 +173,7 @@ def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BU
     if status == "exact":
         add(chain[-1], ("nil(g)",))
 
-    table: dict[tuple[int, int], list] = {}
-    products: dict[tuple[int, int], Subspace] = {}  # (a, b) with a <= b -> [a, b] = [b, a]
-    transporters: dict[tuple[int, int], Subspace] = {}  # (b, c) -> tp(g, b, c)
+    records: list[tuple[list, Subspace, dict]] = []  # per member b: table of (g, b), [g, b], {c: tp(g, b, c)}
     meets: dict[tuple[int, Subspace], Subspace] = {}  # (a, t) -> int(a, t)
     whole = list(store).index(Subspace.full(n))
     old = passes = 0
@@ -181,24 +182,17 @@ def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BU
         passes += 1
         members = list(store)
         count = len(members)
-
-        def images(a: int, b: int) -> list:
-            if (a, b) not in table:
-                table[(a, b)] = _bracket_images(g, members[a], members[b])
-            return table[(a, b)]
-
-        def product(a: int, b: int) -> Subspace:
-            key = (a, b) if a <= b else (b, a)
-            if key not in products:
-                products[key] = _span_of_images(g, images(*key))
-            return products[key]
+        full = members[whole]
+        for b in range(old, count):
+            table = _bracket_images(g, full, members[b])
+            records.append((table, _span_of_images(g, table), {}))
 
         def tp(a: int, b: int, c: int) -> Subspace:
-            if (b, c) not in transporters:
-                full, into = members[whole], members[c]
-                solve = not into.contains_subspace(product(whole, b))
-                transporters[b, c] = _transport(full, images(whole, b), into) if solve else full
-            t, s = transporters[b, c], members[a]
+            table, span, transporters = records[b]
+            if c not in transporters:
+                into = members[c]
+                transporters[c] = full if into.contains_subspace(span) else _transport(full, table, into)
+            t, s = transporters[c], members[a]
             if (a, t) not in meets:
                 meets[a, t] = s if t.contains_subspace(s) else t if s.contains_subspace(t) else s.intersect(t)
             return meets[a, t]
@@ -213,7 +207,8 @@ def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BU
         }
         for a in range(count):
             for b in range(max(a, old), count):
-                add(product(a, b), ("[{},{}]", a, b))
+                product = records[b][1] if a == whole else bracket_subspaces(g, members[a], members[b])
+                add(product, ("[{},{}]", a, b))
                 if a < b:
                     small, big = sorted((members[a], members[b]), key=lambda s: s.dim)
                     nested = big.contains_subspace(small)

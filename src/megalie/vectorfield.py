@@ -245,31 +245,12 @@ def realize_family(kind: str, param: Poly | None = None) -> PolyVectorField:
 # structure extraction
 
 
-def _flatten_basis(fields: Sequence[PolyVectorField]):
-    variables = fields[0].variables
-    keys = set()
-    for fld in fields:
-        for name, p in fld.components.items():
-            idx = variables.index(name)
-            for exps in p.terms:
-                keys.add((idx, exps))
-    return sorted(keys, key=lambda key: (key[0], sum(key[1]), tuple(-e for e in key[1])))
-
-
-def _flatten(fld: PolyVectorField, keys) -> list[Fraction]:
-    variables = fld.variables
-    out = []
-    for idx, exps in keys:
-        p = fld.components.get(variables[idx])
-        out.append(p.terms.get(exps, Fraction(0)) if p is not None else Fraction(0))
-    return out
-
-
 def extract_structure(named_fields: Sequence[tuple[str, PolyVectorField]], name: str = "") -> LieAlgebra:
     """Structure constants of a span of fields closed under the bracket.
 
-    The m fields, then the brackets of the pairs i < j, are flattened over
-    the joint monomial basis into the columns of one matrix, reduced once.
+    The m fields, then the brackets of the pairs i < j, are the columns of
+    one matrix, a row per (variable, exponents) key of their terms in any
+    order (which changes neither the RREF nor its pivots), reduced once.
     The first field column without a pivot raises LinearlyDependent (the
     relation sets that field to 1); else the first pivot past the fields is
     the first bracket outside their span, raising NotClosed for its pair;
@@ -289,12 +270,17 @@ def extract_structure(named_fields: Sequence[tuple[str, PolyVectorField]], name:
     m = len(fields)
     pairs = list(combinations(range(m), 2))
     brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
-    keys = _flatten_basis(fields + brackets)
-    if not keys:
+    rows: dict[tuple, dict[int, Coefficient]] = {}  # (variable, exponents) -> {column: coefficient}
+    for column, fld in enumerate(fields + brackets):
+        for variable, p in fld.components.items():
+            for exps, q in p.terms.items():
+                rows.setdefault((variable, exps), {})[column] = q
+    if not rows:
         # every field is zero
         raise LinearlyDependent({n: Fraction(1) for n in names})
-    columns = [_flatten(fld, keys) for fld in fields + brackets]
-    reduced, pivots = Matrix(list(zip(*columns)), cols=len(columns)).rref_with_pivots()
+    width = m + len(pairs)
+    matrix = Matrix([[row.get(k, 0) for k in range(width)] for row in rows.values()], cols=width)
+    reduced, pivots = matrix.rref_with_pivots()
     free = next((f for f in range(m) if f >= len(pivots) or pivots[f] != f), None)
     if free is not None:
         # columns 0 .. free-1 are the pivots of rows 0 .. free-1

@@ -2,6 +2,7 @@ import fractions
 import itertools
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -468,8 +469,8 @@ class TestComputedOnce:
 
     def test_closure_solves_each_member_triple_once(self, monkeypatch):
         # Every solve of the passes goes through algebra._transport with the
-        # bracket table of one member pair.  The closure keeps each pair's
-        # table alive while it runs, so the table's identity names the pair.
+        # bracket table of one pair (g, b).  The closure keeps that table in
+        # b's record while it runs, so the table's identity names b.
         solved = []
         original = megalie.algebra._transport
         in_series = self.outside_series(monkeypatch, megalie.algebra.upper_central_series)
@@ -508,8 +509,9 @@ class TestComputedOnce:
             assert len(calls) == solves, g.name
 
     def test_closure_brackets_each_member_pair_once(self, monkeypatch):
-        # Lie products and transporters of all passes read one bracket table
-        # per member pair, so no pair of members is bracketed twice.
+        # Each member b's record holds the one table of (g, b), which every
+        # transporter and the product [g, b] read; any other product [a, b]
+        # is spanned once, so no pair of members is bracketed twice.
         pairs = []
         original = megalie.algebra._bracket_images
         in_series = self.outside_series(
@@ -531,6 +533,37 @@ class TestComputedOnce:
         repeated = [pair for pair, count in Counter(pairs).items() if count > 1]
         assert pairs
         assert not repeated, f"{len(repeated)} member pairs bracketed more than once"
+
+    def test_closure_keeps_only_the_tables_of_g(self, monkeypatch):
+        # The closure keeps one bracket table per member b, that of (g, b).
+        # Any other pair's table is dropped once its span [a, b] is taken,
+        # so none is alive at a solve of the passes.
+        class Table(list):
+            pass  # a list that a weak reference can follow
+
+        built = []  # (a, weak reference to the table of (a, b))
+        alive = []  # per solve, the tables of pairs (a, b) with a != g still alive
+        bracket_images, transport = megalie.algebra._bracket_images, megalie.algebra._transport
+        in_series = self.outside_series(monkeypatch, megalie.algebra.upper_central_series)
+        g = filiform(8)
+        full = g.full_space()
+
+        def recorded_images(g, a, b):
+            table = Table(bracket_images(g, a, b))
+            built.append((a, weakref.ref(table)))
+            return table
+
+        def recorded_transport(*args):
+            if not in_series:
+                alive.append(sum(a != full and table() is not None for a, table in built))
+            return transport(*args)
+
+        rebind(monkeypatch, bracket_images, recorded_images)
+        rebind(monkeypatch, transport, recorded_transport)
+        lattice = closure(g)
+        assert lattice.reached_fixpoint and lattice.passes_used > 1
+        assert alive and any(a != full for a, _ in built)
+        assert max(alive) == 0, f"{max(alive)} tables of pairs (a, b) with a != g alive at a solve"
 
     @staticmethod
     def counted(monkeypatch, original):

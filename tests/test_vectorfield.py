@@ -28,8 +28,6 @@ from megalie.vectorfield import (
     pointmap_to_dict,
     pushforward,
     realize_family,
-    _flatten,
-    _flatten_basis,
     verify_homomorphism,
 )
 
@@ -458,22 +456,28 @@ def reference_solve(a, b):
     return tuple(x)
 
 
+def reference_flatten(fld, keys):
+    """The coefficients of fld at the (variable, exponents) keys."""
+    return [fld.components[v].terms.get(exps, 0) if v in fld.components else 0 for v, exps in keys]
+
+
 def reference_extract(named_fields, name=""):
     names = [n for n, _ in named_fields]
     fields = [fld for _, fld in named_fields]
     m = len(fields)
     brackets = {(i, j): lie_bracket(fields[i], fields[j]) for i, j in itertools.combinations(range(m), 2)}
-    keys = _flatten_basis(fields + list(brackets.values()))
+    every = fields + list(brackets.values())
+    keys = sorted({(v, exps) for fld in every for v, p in fld.components.items() for exps in p.terms})
     if not keys:
         raise LinearlyDependent({n: Fraction(1) for n in names})
-    transposed = Matrix(list(zip(*(_flatten(fld, keys) for fld in fields))), cols=m)
+    transposed = Matrix(list(zip(*(reference_flatten(fld, keys) for fld in fields))), cols=m)
     dependence = reference_kernel_rows(transposed)
     if dependence:
         witness = dependence[0]
         raise LinearlyDependent({names[k]: witness[k] for k in range(m) if witness[k] != 0})
     constants = {}
     for (i, j), br in brackets.items():
-        coords = reference_solve(transposed, _flatten(br, keys))
+        coords = reference_solve(transposed, reference_flatten(br, keys))
         if coords is None:
             raise NotClosed(names[i], names[j], br)
         constants[(i, j)] = dict(enumerate(coords))
