@@ -21,10 +21,11 @@ digits ['/' digits].  Parentheses nest at most _MAX_NESTING deep, and no
 exponent, product or parsed polynomial has total degree above MAX_DEGREE.
 
 The work of expanding products is bounded too.  A product of polynomials
-with a and b terms forms a*b term pairs; one parse, one substitute_all
-call, and one Lie bracket of vector fields (src/megalie/vectorfield.py)
-forms at most MAX_PAIRS of them in all.  So a short input can neither
-parse, bracket nor push forward into millions of terms.
+with a and b terms forms a*b term pairs; one parse, one Lie bracket of
+vector fields (src/megalie/vectorfield.py) and one substitute_all call,
+which forms only products that substitute a moved coordinate in a
+push-forward, form at most MAX_PAIRS of them in all.  So a short input can
+neither parse, bracket nor push forward into millions of terms.
 """
 
 from __future__ import annotations
@@ -393,11 +394,16 @@ class Poly:
 def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[Poly]:
     """[p.substitute(mapping) for p in polys], with one memo of image powers for all.
 
-    Every product counts its term pairs before it is expanded; past
-    MAX_PAIRS in all, ExpansionError is raised instead.
+    Only the variables the mapping names are substituted, so the budget
+    counts only their products; a push-forward maps only the coordinates its
+    map moves.  Every product counts its term pairs before it is expanded;
+    past MAX_PAIRS in all, ExpansionError is raised instead.
     """
     powers: dict[tuple[int, int], Terms] = {}
     pairs = 0
+    variables = polys[0].variables if polys else ()
+    # in variable order: each term multiplies its images in it, which the pair count follows
+    mapped = sorted((variables.index(name), image) for name, image in mapping.items() if name in variables)
 
     def times(left: Terms, right: Terms) -> dict[Exponents, Coefficient]:
         nonlocal pairs
@@ -410,7 +416,6 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, Poly]) -> list[P
     for p in polys:
         if any(image.variables != p.variables for image in mapping.values()):
             raise ValueError("substitution images must be over the polynomial's variables")
-        mapped = [(idx, mapping[name]) for idx, name in enumerate(p.variables) if name in mapping]
         out: dict[Exponents, Coefficient] = {}
         for exps, coeff in p.terms.items():
             kept = list(exps)

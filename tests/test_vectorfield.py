@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import megalie.vectorfield as vectorfield
 from megalie.algebra import algebra_from_brackets
 from megalie.linalg import Matrix, unit_vector
-from megalie.poly import Poly, parse_poly
+from megalie.poly import MAX_PAIRS, ExpansionError, Poly, parse_poly
 from megalie.vectorfield import (
     FAMILY_VARIABLES,
     LinearlyDependent,
@@ -40,6 +41,19 @@ def fp(text):
 
 def xpoly(text):
     return parse_poly(text, V)
+
+
+def load_map(fixtures_dir, name):
+    return pointmap_from_dict(json.loads((fixtures_dir / "maps" / f"{name}.json").read_text()))
+
+
+def wave_generators():
+    """Du, Dt, Pt, F1, F2 and D(x^k), G(x^k) for k <= 8: 23 named fields."""
+    named = [(kind, realize_family(kind)) for kind in ("Du", "Dt", "Pt", "F1", "F2")]
+    for k in range(9):
+        param = xpoly(f"x^{k}")
+        named += [(f"D{k}", realize_family("D", param)), (f"G{k}", realize_family("G", param))]
+    return named
 
 
 @pytest.fixture(scope="module")
@@ -352,10 +366,57 @@ class TestFusedKernel:
             total = total + p * h.derivative(name)
         return total
 
+    @staticmethod
+    def reference_substitute(p, mapping):
+        # sum of coefficient * prod image^e, by Poly products and sums
+        total = Poly.zero(p.variables)
+        for exps, coeff in p.terms.items():
+            term = Poly.const(p.variables, coeff)
+            for name, e in zip(p.variables, exps):
+                term = term * mapping[name] ** e
+            total = total + term
+        return total
+
     @given(small_field, small_poly)
     @settings(max_examples=60, deadline=None)
     def test_apply_to_matches_reference(self, q, h):
         assert q.apply_to(h) == self.reference_apply(q, h)
+
+    @given(small_field, small_field)
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_matches_reference(self, q1, q2):
+        # [Q1, Q2]^i = Q1(Q2^i) - Q2(Q1^i)
+        zero = Poly.zero(SMALL_VARS)
+        expected = {
+            name: self.reference_apply(q1, q2.components.get(name, zero))
+            - self.reference_apply(q2, q1.components.get(name, zero))
+            for name in SMALL_VARS
+        }
+        assert lie_bracket(q1, q2) == PolyVectorField(SMALL_VARS, expected)
+
+    def test_pushforward_matches_reference(self, family, fixtures_dir):
+        # (T_* Q)^i = sum_j Q^j d(forward^i)/dz_j, substituted with the completed inverse
+        shipped = [load_map(fixtures_dir, name) for name in ("tshift", "uscale", "ugauge")]
+        composites = [a.then(b) for a, b in itertools.permutations(shipped, 2)]
+        for pm in shipped + composites + [PointMap.identity(V)]:
+            for q in family.values():
+                expected = {
+                    name: self.reference_substitute(self.reference_apply(q, pm.forward[name]), pm.inverse)
+                    for name in V
+                }
+                assert pushforward(pm, q) == PolyVectorField(V, expected)
+
+    def test_bracket_pair_budget(self):
+        # 2 * n1 * n2 term pairs are counted before any is formed; fields along
+        # x with components in y and z only bracket to zero without expanding
+        def along_x(count):
+            exps = [(0, a, b) for a in range(16) for b in range(16)][:count]
+            return PolyVectorField(SMALL_VARS, {"x": Poly(SMALL_VARS, dict.fromkeys(exps, 1))})
+
+        assert 2 * 250 * 200 == MAX_PAIRS
+        assert lie_bracket(along_x(250), along_x(200)).is_zero()
+        with pytest.raises(ExpansionError, match="expands past 100000 term pairs"):
+            lie_bracket(along_x(250), along_x(201))
 
     def test_polynomials_over_other_variables_are_refused(self, family):
         # a polynomial over ("x",) is not re-expressed over the six variables
@@ -402,14 +463,8 @@ class TestIntegerCoefficients:
         # The wave generators, the D(x^k), G(x^k) parameters and the tshift
         # and ugauge maps all have int coefficients, so brackets and
         # push-forwards run on ints: no Fraction code runs at all.
-        named = [(kind, realize_family(kind)) for kind in ("Du", "Dt", "Pt", "F1", "F2")]
-        for k in range(9):
-            param = xpoly(f"x^{k}")
-            named += [(f"D{k}", realize_family("D", param)), (f"G{k}", realize_family("G", param))]
-        maps = [
-            pointmap_from_dict(json.loads((fixtures_dir / "maps" / f"{name}.json").read_text()))
-            for name in ("tshift", "ugauge")
-        ]
+        named = wave_generators()
+        maps = [load_map(fixtures_dir, name) for name in ("tshift", "ugauge")]
         entered = []
 
         def watch(frame, event, arg):
@@ -426,6 +481,47 @@ class TestIntegerCoefficients:
         assert any(not br.is_zero() for br in brackets)
         assert all(report["ok"] and report["pairs"] == 23 * 22 // 2 for report in reports)
         assert not entered, f"Fraction code entered: {sorted(set(entered))}"
+
+
+class TestSavedWork:
+    def test_verify_homomorphism_pushes_only_moved_coordinates_and_nonzero_brackets(
+        self, fixtures_dir, monkeypatch
+    ):
+        # tshift moves t alone; T_* 0 = 0, so a zero bracket is compared as it is
+        tshift = load_map(fixtures_dir, "tshift")
+        named = wave_generators()
+        mappings, pushed = [], []
+        substitute_all, pushforward = vectorfield.substitute_all, vectorfield.pushforward
+
+        def recorded_substitute_all(polys, mapping):
+            mappings.append(mapping)
+            return substitute_all(polys, mapping)
+
+        def recorded_pushforward(pm, q):
+            pushed.append(q)
+            return pushforward(pm, q)
+
+        monkeypatch.setattr(vectorfield, "substitute_all", recorded_substitute_all)
+        monkeypatch.setattr(vectorfield, "pushforward", recorded_pushforward)
+        report = verify_homomorphism(tshift, named)
+        monkeypatch.undo()
+        assert report == {"ok": True, "pairs": 253, "failures": []}
+        assert mappings and all(mapping.keys() == {"t"} for mapping in mappings)
+        assert all(image != Poly.var(V, name) for m in mappings for name, image in m.items())
+        fields = [fld for _, fld in named]
+        brackets = [lie_bracket(a, b) for a, b in itertools.combinations(fields, 2)]
+        nonzero = [br for br in brackets if not br.is_zero()]
+        assert len(nonzero) == 124
+        assert pushed == fields + nonzero
+
+    def test_pushforward_forms_no_identity_products(self, fixtures_dir):
+        # 20,001 terms in the five coordinates tshift fixes: substituting the
+        # completed inverse would form 5 one-pair products per term, past the
+        # 100,000-pair budget; only t is substituted, and no term mentions it
+        exps = itertools.product(range(1, 30), repeat=4)
+        terms = {(0, a, b, c, d, 1): 1 for a, b, c, d in itertools.islice(exps, 20001)}
+        q = PolyVectorField(V, {"x": Poly(V, terms)})
+        assert pushforward(load_map(fixtures_dir, "tshift"), q) == q
 
 
 # reference: a kernel solve for dependence, then one solve per bracket
