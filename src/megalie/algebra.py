@@ -35,13 +35,14 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from .linalg import (
     AmbientMismatch,
+    Cells,
     Matrix,
     Row,
     Subspace,
     Vector,
+    _evaluate,
     format_rat,
     rat,
-    unit_vector,
     vec,
 )
 
@@ -440,15 +441,16 @@ def derivations(g: LieAlgebra) -> Subspace:
     return Subspace.full(n * n)._where_zero({e: q for e, q in image.items() if q} for image in images)
 
 
-def _exp_ad(g: LieAlgebra, x: Sequence):
-    """t -> exp(t ad_x), from the bracket chains [x, [x, ... e_j]] computed once.
+def _exp_ad(g: LieAlgebra, x: Sequence) -> Callable[[Fraction], Cells]:
+    """t -> the nonzero cells of exp(t ad_x), from the bracket chains [x, [x, ... e_j]].
 
-    Column j of exp(t ad_x) is the sum over k of t^k/k! (ad_x)^k e_j.  The
-    chains run on int rows: x times the lcm d of its denominators is an int
-    row, so the k-th bracket of e_j is (d * g._denominator)^k (ad_x)^k e_j,
-    and each t weighs it by t^k / (k! (d * g._denominator)^k).
-    NotNilpotent is raised here when a chain is still nonzero after dim
-    brackets, that is, when (ad_x)^dim != 0.
+    exp(t ad_x) is the matrix polynomial sum of t^k M_k, with M_0 = I and
+    column j of M_k equal to (ad_x)^k e_j / k!.  It is kept in the form of
+    a solved automorphism family, {(k,): cells of M_k}, and each t is
+    evaluated by linalg._evaluate.  The chains run on int rows: x times the
+    lcm d of its denominators is an int row, so the k-th bracket of e_j is
+    (d * g._denominator)^k (ad_x)^k e_j.  NotNilpotent is raised here when a
+    chain is still nonzero after dim brackets, that is, when (ad_x)^dim != 0.
     """
     x = vec(x)
     n = g.dim
@@ -456,29 +458,20 @@ def _exp_ad(g: LieAlgebra, x: Sequence):
         raise AmbientMismatch("bracket arguments must have length dim")
     d = lcm(*(v.denominator for v in x))
     scaled = {i: v.numerator * (d // v.denominator) for i, v in enumerate(x) if v}
-    chains = []  # (k, j, the k-th bracket of e_j) for each nonzero one
+    form = {(0,): {(j, j): Fraction(1) for j in range(n)}}
     for j in range(n):
-        row = {j: 1}
+        row, denominator = {j: 1}, 1
         for k in range(1, n + 1):
             row = g._bracket(scaled, row)
             if not row:
                 break
-            chains.append((k, j, row))
+            denominator *= k * d * g._denominator  # k! (d * g._denominator)^k
+            cells = form.setdefault((k,), {})
+            for i, q in row.items():
+                cells[i, j] = Fraction(q, denominator)
         else:
             raise NotNilpotent("ad_x is not nilpotent")
-    scale = d * g._denominator
-
-    def at(t: Fraction) -> Matrix:
-        weights = [Fraction(1)]
-        for k in range(1, n + 1):
-            weights.append(weights[-1] * t / (k * scale))
-        rows = [list(unit_vector(n, i)) for i in range(n)]
-        for k, j, chain in chains:
-            for i, q in chain.items():
-                rows[i][j] += weights[k] * q
-        return Matrix._from_rows(map(tuple, rows), n)
-
-    return at
+    return lambda t: _evaluate(form, (t,))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ rational) are solved, every division is audited, and whatever cannot be
 eliminated this way is reported as a residual system rather than forced.
 
 A solved parametrization keeps one form of its matrix, A = sum of x^e M_e
-over monomials in the free parameters x.  A subspace is invariant when
-each M_e keeps it; the invariant coordinate subspaces are enumerated
-(2^n scans) from the form's zero pattern; one evaluation at a point, with
-the side conditions tested as the rank of each diagonal block of the
-numeric matrix, serves substitute_parameters and the match of inner
-automorphisms exp(t ad_x), computed inside the adapted algebra, against
-the form.
+over monomials in the free parameters x, stored as {e: nonzero cells of
+M_e}.  A subspace is invariant when each M_e keeps it; the invariant
+coordinate subspaces are enumerated (2^n scans) from the form's zero
+pattern.  An inner automorphism exp(t ad_x), computed inside the adapted
+algebra, has the same form, a polynomial in t, and linalg._evaluate, the
+one evaluator, turns either form into the nonzero cells at a point.  The
+side conditions are tested as the rank of each diagonal block read from
+those cells.  The match of inner automorphisms against the form compares
+cells; only substitute_parameters builds a Matrix from them.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
 from typing import Sequence
 
 from .algebra import LieAlgebra, NotNilpotent, _exp_ad, _induced_algebra, _until_fixed
-from .linalg import AmbientMismatch, Matrix, Subspace, format_rat, rat
+from .linalg import AmbientMismatch, Cells, Matrix, Subspace, _evaluate, format_rat, rat
 from .megaideals import MegaidealLattice
 from .poly import MAX_PAIRS, ExpansionError, Poly
 
@@ -95,16 +96,12 @@ class AutShape:
 
     def __post_init__(self):
         object.__setattr__(self, "unknowns", tuple(name for row in self.pattern for name in row if name))
-        blocks = self.diagonal_blocks(self.pattern)
+        blocks = ([row[a:b] for row in self.pattern[a:b]] for a, b in zip((0, *self.blocks), self.blocks))
         object.__setattr__(self, "side_conditions", tuple(_symbolic_det(b, self.unknowns) for b in blocks))
 
     @property
     def dim(self) -> int:
         return len(self.pattern)
-
-    def diagonal_blocks(self, rows: Sequence[Sequence]) -> list[list[Sequence]]:
-        """The diagonal blocks of a dim x dim grid of rows, one per block end."""
-        return [[row[a:b] for row in rows[a:b]] for a, b in zip((0, *self.blocks), self.blocks)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ class AutParametrization:
         return tuple(name for name in self.shape.unknowns if name not in self.assignments)
 
     @cached_property
-    def form(self) -> dict[tuple[int, ...], dict[tuple[int, int], Fraction]]:
+    def form(self) -> dict[tuple[int, ...], Cells]:
         """A = sum of x^e M_e over the free parameters x, as {e: {(i, j): nonzero M_e[i][j]}}.
 
         Built on first read; raises ResidualSystem when residual equations remain.
@@ -158,38 +155,24 @@ class AutParametrization:
                         form.setdefault(tuple(exps[k] for k in free), {})[i, j] = coeff
         return form
 
-    def matrix_at(self, point: Sequence[Fraction]) -> Matrix:
-        """The numeric matrix at point, the free parameters' values in order.
+    def matrix_at(self, point: Sequence[Fraction]) -> Cells:
+        """The nonzero cells of the matrix at point, the free parameters' values in order."""
+        return _evaluate(self.form, point)
 
-        Summed in ints over one denominator, d^top times the lcm of the
-        coefficients' denominators, where d is the lcm of the values' ones.
-        """
-        n, form = self.shape.dim, self.form
-        d = lcm(*(x.denominator for x in point))
-        values = [x.numerator * (d // x.denominator) for x in point]
-        top = max(map(sum, form), default=0)
-        scale = lcm(*(q.denominator for entries in form.values() for q in entries.values()))
-        cells: dict[tuple[int, int], int] = {}
-        for exps, entries in form.items():
-            value = prod(x**e for x, e in zip(values, exps) if e) * d ** (top - sum(exps))
-            for cell, q in entries.items():
-                cells[cell] = cells.get(cell, 0) + q.numerator * (scale // q.denominator) * value
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), x in cells.items():
-            if x:
-                rows[i][j] = Fraction(x, scale * d**top)
-        return Matrix._from_rows(map(tuple, rows), n)
-
-    def vanishing_condition(self, matrix: Matrix) -> Poly | None:
-        """The side condition of the first diagonal block of matrix that is singular, or None.
+    def vanishing_condition(self, cells: Cells) -> Poly | None:
+        """The side condition of the first diagonal block of cells that is singular, or None.
 
         Each block's rank comes from one elimination, not from expanding its
-        determinant.  matrix must carry the shape's zeros, as matrix_at(point)
+        determinant.  cells must carry the shape's zeros, as matrix_at(point)
         does; then that is the first side condition whose substitution by
         the assignments vanishes at point.
         """
-        blocks = zip(self.shape.side_conditions, self.shape.diagonal_blocks(matrix.entries))
-        return next((c for c, b in blocks if not Subspace.spanned_by(len(b), b).is_full()), None)
+        ends = self.shape.blocks
+        for condition, a, b in zip(self.shape.side_conditions, (0, *ends), ends):
+            block = [[cells.get((i, j), 0) for j in range(a, b)] for i in range(a, b)]
+            if not Subspace.spanned_by(b - a, block).is_full():
+                return condition
+        return None
 
 
 def _unknown_name(i: int, j: int, n: int) -> str:
@@ -492,11 +475,12 @@ def substitute_parameters(param: AutParametrization, values: dict) -> Matrix:
     unknown = [name for name in values if name not in free]
     if missing or unknown:
         raise ValueError(f"values must name the free parameters: missing {missing}, not free {unknown}")
-    matrix = param.matrix_at([rat(values[name]) for name in free])
-    condition = param.vanishing_condition(matrix)
+    cells = param.matrix_at([rat(values[name]) for name in free])
+    condition = param.vanishing_condition(cells)
     if condition is not None:
         raise ValueError(f"side condition {condition.to_str()} vanishes")
-    return matrix
+    n = param.shape.dim
+    return Matrix._from_rows((tuple(cells.get((i, j), Fraction(0)) for j in range(n)) for i in range(n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +534,15 @@ def enumerate_coordinate_megaideals(
 # consistency against inner automorphisms
 
 
-def _mismatch(param: AutParametrization, matrix: Matrix, point: list) -> dict | None:
-    """The first matrix entry or side condition that point violates, or None."""
+def _mismatch(param: AutParametrization, cells: Cells, point: list) -> dict | None:
+    """The first cell, in row-major order, or side condition that point violates, or None."""
     expected = param.matrix_at(point)
-    for i, (want, got) in enumerate(zip(expected.entries, matrix.entries)):
-        for j, (a, b) in enumerate(zip(want, got)):
-            if a != b:
-                return {"row": i + 1, "col": j + 1, "expected": format_rat(a), "actual": format_rat(b)}
-    condition = param.vanishing_condition(matrix)
+    wrong = [cell for cell in expected.keys() | cells.keys() if expected.get(cell) != cells.get(cell)]
+    if wrong:
+        i, j = min(wrong)
+        a, b = expected.get((i, j), 0), cells.get((i, j), 0)
+        return {"row": i + 1, "col": j + 1, "expected": format_rat(a), "actual": format_rat(b)}
+    condition = param.vanishing_condition(cells)
     return None if condition is None else {"side_condition": condition.substitute(param.assignments).to_str()}
 
 
@@ -576,8 +561,9 @@ def inner_consistency(
 
     The check runs inside basis.algebra: the change of basis is an algebra
     isomorphism, so exp(t ad e_i) in the adapted basis is exp(t ad' x_i)
-    there, where x_i is row i of basis.inverse.  The bracket chains of
-    ad' x_i are computed once per basis element and weighed for each t.
+    there, where x_i is row i of basis.inverse.  Its form is built once per
+    basis element and evaluated at each t, as the parametrization's form is
+    at the point read off its cells.
     """
     param.form  # a residual system raises ResidualSystem before any other check
     free = param.free_parameters
@@ -592,9 +578,9 @@ def inner_consistency(
         except NotNilpotent:
             continue
         for t in T_VALUES:
-            adapted = exp_at(t)
-            point = [adapted.entries[i][j] for i, j in free_positions]
-            mismatch = _mismatch(param, adapted, point)
+            cells = exp_at(t)
+            point = [cells.get(cell, Fraction(0)) for cell in free_positions]
+            mismatch = _mismatch(param, cells, point)
             entry = {"element": g.basis_names[idx], "t": format_rat(t), "matched": mismatch is None}
             if mismatch is None:
                 entry["parameters"] = {name: format_rat(x) for name, x in zip(free, point)}

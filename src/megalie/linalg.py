@@ -21,7 +21,11 @@ each canonical row -- is the one kernel solve behind intersections and
 every constructor in the algebra module.
 Subspace._keeps, a map's nonzero entries applied to the canonical rows,
 is the one invariance test, behind verify_megaideal (each derivation's
-cells) and check_invariant (the cells of the solved form).
+cells) and check_invariant (the cells of the solved form).  _evaluate,
+the other reader of cells, is the one evaluator of a matrix polynomial
+sum of x^e M_e given as {e: cells of M_e}: it returns the nonzero cells at
+a point, summed in ints, for the solved automorphism family and for
+exp(t ad_x) alike.
 
 Values become Fractions at the boundary, where they are checked and
 coerced: Matrix(...), Subspace.spanned_by, Subspace.basis and contains.
@@ -34,11 +38,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
 Row = dict[int, int]  # column -> nonzero int; never changed once built
+Cells = dict[tuple[int, int], Fraction]  # (row, column) -> nonzero entry of a matrix
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -424,3 +429,26 @@ class Subspace:
         self._check_ambient(other)
         return self._where_zero(map(other._reduce, self.rows))
 
+
+# ---------------------------------------------------------------------------
+# cells of linear maps
+
+
+def _evaluate(form: Mapping[tuple[int, ...], Cells], point: Sequence[Fraction]) -> Cells:
+    """The nonzero cells of the matrix polynomial sum of x^e M_e at x = point.
+
+    form is {e: {(i, j): nonzero M_e[i][j]}}, point the values of x in
+    order.  The one evaluator: every cell is summed in ints over one
+    denominator, d^top times the lcm of the coefficients' denominators,
+    where d is the lcm of the values' ones and top the greatest degree.
+    """
+    d = lcm(*(x.denominator for x in point))
+    values = [x.numerator * (d // x.denominator) for x in point]
+    top = max(map(sum, form), default=0)
+    scale = lcm(*(q.denominator for entries in form.values() for q in entries.values()))
+    cells: dict[tuple[int, int], int] = {}
+    for exps, entries in form.items():
+        value = prod(x**e for x, e in zip(values, exps) if e) * d ** (top - sum(exps))
+        for cell, q in entries.items():
+            cells[cell] = cells.get(cell, 0) + q.numerator * (scale // q.denominator) * value
+    return {cell: Fraction(x, scale * d**top) for cell, x in cells.items() if x}

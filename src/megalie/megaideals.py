@@ -197,14 +197,6 @@ def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BU
                 meets[a, t] = s if t.contains_subspace(s) else t if s.contains_subspace(t) else s.intersect(t)
             return meets[a, t]
 
-        # every triple that names a new member, in (a, b, c) order, answered once
-        solved = {
-            (a, b, c): tp(a, b, c)
-            for a in range(count)
-            for b in range(count)
-            for c in range(0 if max(a, b) >= old else old, count)
-            if members[c].dim <= members[b].dim
-        }
         for a in range(count):
             for b in range(max(a, old), count):
                 product = records[b][1] if a == whole else bracket_subspaces(g, members[a], members[b])
@@ -216,10 +208,14 @@ def closure(g: LieAlgebra, seeds: Sequence[Subspace] = (), budget: int = PASS_BU
                     add(small if nested else small.intersect(big), ("int({},{})", a, b))
         for a in range(count):
             for b in range(0 if a >= old else old, count):
-                add(solved[a, b, 0], ("C({};{})", a, b))
-                add(solved[a, b, b], ("N({};{})", a, b))
-        for triple, space in solved.items():
-            add(space, ("tp({},{},{})", *triple))
+                add(tp(a, b, 0), ("C({};{})", a, b))
+                add(tp(a, b, b), ("N({};{})", a, b))
+        # every triple that names a new member, in (a, b, c) order
+        for a in range(count):
+            for b in range(count):
+                for c in range(0 if max(a, b) >= old else old, count):
+                    if members[c].dim <= members[b].dim:
+                        add(tp(a, b, c), ("tp({},{},{})", a, b, c))
         if len(store) == count:
             reached_fixpoint = True
             break

@@ -304,18 +304,16 @@ class Poly:
         idx = self.variables.index(name)
         coeff: dict[Exponents, Coefficient] = {}
         rest: dict[Exponents, Coefficient] = {}
-        saw_linear = False
         for exps, c in self.terms.items():
             e = exps[idx]
             if e == 0:
                 rest[exps] = c
             elif e == 1:
-                saw_linear = True
                 key = tuple(0 if i == idx else x for i, x in enumerate(exps))
                 coeff[key] = c
             else:
                 return None
-        if not saw_linear:
+        if not coeff:
             return None
         return Poly._from_terms(self.variables, coeff), Poly._from_terms(self.variables, rest)
 
@@ -365,27 +363,18 @@ class Poly:
     def to_str(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
+        parts = []  # "+ body" or "- body", the magnitude first unless it is 1 on a non-constant term
         for exps in sorted(self.terms, key=_monomial_sort_key, reverse=True):
             coeff = self.terms[exps]
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in compress(zip(self.variables, exps), exps)
             ]
-            mag = abs(coeff)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([format_rat(mag)] + factors)
-            else:
-                body = format_rat(mag)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = f"-{first_body}" if first_sign == "-" else first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            if not factors or abs(coeff) != 1:
+                factors.insert(0, format_rat(abs(coeff)))
+            parts.append(f"{'-' if coeff < 0 else '+'} {'*'.join(factors)}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
     def __str__(self) -> str:
         return self.to_str()

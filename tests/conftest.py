@@ -14,6 +14,13 @@ def dense(row, n):
     return tuple(row.get(k, 0) for k in range(n))
 
 
+def cells_matrix(cells, n):
+    """The n x n Matrix whose nonzero entries are cells {(i, j): value}, the dense reference."""
+    from megalie.linalg import Matrix
+
+    return Matrix([[cells.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

@@ -1,13 +1,13 @@
 import operator
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense
+from conftest import _rational_conjugate, cells_matrix, dense
 from megalie.algebra import (
     FormatError,
     LieAlgebra,
@@ -79,8 +79,8 @@ def wave6():
 
 
 def exp_ad(g, x, t):
-    """exp(t ad_x) from the engine's bracket chains."""
-    return _exp_ad(g, x)(Fraction(t))
+    """exp(t ad_x) from the engine's bracket chains, its cells laid out as a Matrix."""
+    return cells_matrix(_exp_ad(g, x)(Fraction(t)), g.dim)
 
 
 def M5_SUBSPACES(m5):
@@ -333,6 +333,33 @@ class TestDerivationsExp:
                             lhs = matvec(e, g.bracket(u[i], u[j]))
                             rhs = g.bracket(matvec(e, u[i]), matvec(e, u[j]))
                             assert lhs == rhs
+
+    def test_exp_ad_matches_the_dense_series(self, m5, heisenberg):
+        # the cells of exp(t ad_x) are those of I + sum over k of t^k/k! (ad_x)^k
+        fractional_checked = 0
+        for g in (m5, heisenberg, _rational_conjugate(filiform(6))):
+            n = g.dim
+            # zero in the last coordinate, since ad Dt is not nilpotent in m5
+            fractional = [Fraction((-1) ** k * (k + 1), k + 2) for k in range(n - 1)] + [0]
+            for x in [unit_vector(n, i) for i in range(n)] + [fractional]:
+                ad = dense_ad(g, x)
+                powers = [Matrix([[int(i == j) for j in range(n)] for i in range(n)])]
+                for _ in range(n):
+                    powers.append(powers[-1] @ ad)
+                if any(v for row in powers[-1].entries for v in row):
+                    with pytest.raises(NotNilpotent):
+                        _exp_ad(g, x)
+                    continue
+                fractional_checked += x is fractional
+                for t in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-7, 5)):
+                    cells = _exp_ad(g, x)(t)
+                    assert all(cells.values())
+                    expected = [
+                        [sum(t**k / factorial(k) * p.entries[i][j] for k, p in enumerate(powers)) for j in range(n)]
+                        for i in range(n)
+                    ]
+                    assert cells_matrix(cells, n) == Matrix(expected)
+        assert fractional_checked == 3
 
 
 class TestChangeBasis:

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import _rational_conjugate, dense
+from conftest import _rational_conjugate, cells_matrix, dense
 from megalie.algebra import NotNilpotent, _exp_ad, algebra_from_brackets, change_basis, derivations
 from megalie.automorphisms import (
     ResidualSystem,
@@ -575,6 +575,45 @@ class TestInnerConsistency:
         point = [Fraction(1)] * len(param.free_parameters)
         assert _mismatch(param, param.matrix_at(point), point) is None
 
+    def test_first_wrong_cell_in_row_major_order_is_reported(self, m5_solution):
+        # two cells of each wrong assignment disagree; the cells come latest first,
+        # and each report names the earlier cell, whichever side lacks it
+        _, shape, _, param = m5_solution
+        point = [Fraction(1)] * len(param.free_parameters)
+        cells = dict(reversed(sorted(param.matrix_at(point).items())))
+        one, zero = (parse_poly(c, shape.unknowns) for c in ("1", "0"))
+        for changed, report in [
+            ({"a14": param.assignments["a14"] + one, "a34": one}, {"row": 1, "col": 4, "expected": "1", "actual": "0"}),
+            ({"a12": zero, "a34": one}, {"row": 1, "col": 2, "expected": "0", "actual": "1"}),
+        ]:
+            wrong = replace(param, assignments={**param.assignments, **changed})
+            assert _mismatch(wrong, cells, point) == report
+
+    def test_builds_no_matrix(self, m5, monkeypatch):
+        # exp(t ad_x) and the solved form are compared cell by cell
+        l10 = algebra_from_brackets("L10", [f"e{i}" for i in range(1, 11)], {(0, i): {i + 1: 1} for i in range(1, 9)})
+        solutions = []
+        for g in (m5, l10):
+            basis, _, _, param = solve_in_adapted_basis(g, closure(g))
+            solutions.append((g, basis, param))
+        calls = []
+        original_init, original_from_rows = Matrix.__init__, Matrix._from_rows
+
+        def init(self, *args, **kwargs):
+            calls.append("__init__")
+            original_init(self, *args, **kwargs)
+
+        def from_rows(rows, cols):
+            calls.append("_from_rows")
+            return original_from_rows(rows, cols)
+
+        monkeypatch.setattr(Matrix, "__init__", init)
+        monkeypatch.setattr(Matrix, "_from_rows", staticmethod(from_rows))
+        for g, basis, param in solutions:
+            report = inner_consistency(g, param, basis)
+            assert report["ok"] and report["checks"], g.name
+        assert calls == []
+
 
 def _wave6():
     from megalie.vectorfield import FAMILY_VARIABLES, extract_structure, realize_family
@@ -612,7 +651,7 @@ class TestAdaptedAlgebra:
                 continue
             adapted = _exp_ad(basis.algebra, basis.inverse.entries[i])
             for t in (Fraction(1), Fraction(-1), Fraction(1, 2)):
-                assert adapted(t) == b_t_inv @ original(t) @ b_t
+                assert cells_matrix(adapted(t), g.dim) == b_t_inv @ cells_matrix(original(t), g.dim) @ b_t
                 matched += 1
         assert matched > 0
 
@@ -851,12 +890,13 @@ class TestSolvedFormAgainstReference:
 
             def expected_condition(point):
                 values = dict(zip(free, point))
-                matrix = param.matrix_at(point)
-                assert matrix.entries == tuple(tuple(e.evaluate(values) for e in row) for row in entries), name
+                cells = param.matrix_at(point)
+                grid = tuple(tuple(e.evaluate(values) for e in row) for row in entries)
+                assert cells_matrix(cells, n).entries == grid, name
                 expected = next(
                     (c for c in conditions if c.substitute(param.assignments).evaluate(values) == 0), None
                 )
-                assert param.vanishing_condition(matrix) == expected, name
+                assert param.vanishing_condition(cells) == expected, name
                 return expected
 
             for trial in range(6):
@@ -906,10 +946,12 @@ class TestMatrixAt:
                 if trial % 2:
                     point[rng.randrange(len(point))] = Fraction(0)
                 seen.update((x > 0, x < 0, x.denominator > 1) for x in point)
-                got = param.matrix_at(point).entries
+                cells = param.matrix_at(point)
                 values = dict(zip(free, point))
-                assert got == tuple(tuple(e.evaluate(values) for e in row) for row in entries), name
-                assert all(type(x) is Fraction for row in got for x in row), name
+                assert cells_matrix(cells, g.dim).entries == tuple(
+                    tuple(e.evaluate(values) for e in row) for row in entries
+                ), name
+                assert all(type(x) is Fraction and x for x in cells.values()), name
         assert denominators == 2  # the conjugates' forms have non-integral coefficients
         # (positive, negative, non-integral): zero, and non-integral of both signs
         assert {(False, False, False), (False, True, True), (True, False, True)} <= seen
