@@ -11,6 +11,8 @@ sound triangular elimination: only equations that are linear in a single
 unknown whose coefficient is a declared-nonzero factor (or a nonzero
 rational) are solved, every division is audited, and whatever cannot be
 eliminated this way is reported as a residual system rather than forced.
+Each step rewrites only the equations; the solutions are back-substituted
+once, from the last step to the first, when the elimination ends.
 
 A solved parametrization keeps one form of its matrix, A = sum of x^e M_e
 over monomials in the free parameters x, stored as {e: nonzero cells of
@@ -26,6 +28,7 @@ cells; only substitute_parameters builds a Matrix from them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -309,6 +312,8 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
     for (p, q), row in g._nonzero.items():
         for m, coeff in row:
             component[m].append((p, q, coeff))
+    zero = (0,) * len(variables)
+    units = {name: zero[:k] + (1,) + zero[k + 1 :] for k, name in enumerate(variables)}
     equations: dict[Poly, None] = {}  # insertion-ordered set
     for i in range(n):
         for j in range(i + 1, n):
@@ -318,24 +323,17 @@ def structure_equations(g: LieAlgebra, shape: AutShape) -> PolySystem:
                     name = shape.pattern[m][k]
                     if name is None:
                         continue
-                    exps = _variable_exps(variables, {name: 1})
-                    terms[exps] = terms.get(exps, 0) + coeff
+                    terms[units[name]] = terms.get(units[name], 0) + coeff
                 for p, q, coeff in component[m]:
                     name_p, name_q = shape.pattern[p][i], shape.pattern[q][j]
                     if name_p is None or name_q is None:
                         continue
-                    counts = {name_p: 1}
-                    counts[name_q] = counts.get(name_q, 0) + 1
-                    exps = _variable_exps(variables, counts)
+                    exps = tuple(map(operator.add, units[name_p], units[name_q]))
                     terms[exps] = terms.get(exps, 0) - coeff
                 poly = Poly(variables, terms).content_normalized()
                 if not poly.is_zero():
                     equations.setdefault(poly)
     return PolySystem(shape, tuple(equations))
-
-
-def _variable_exps(variables: tuple[str, ...], counts: dict[str, int]) -> tuple[int, ...]:
-    return tuple(counts.get(name, 0) for name in variables)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +400,19 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
     Each step takes the first such unknown, scanning the equations in
     order and, in each one, the columns it has in shape order; every
     equation must be over shape.unknowns (ValueError otherwise).  The
-    assignment is substituted everywhere before the next scan, so no
-    solutions are gained or lost under the shape's side conditions, and a
-    solved unknown appears in no equation again.  Anything left over is
-    returned as the residual system.
+    solution is substituted into the equations that mention the unknown
+    before the next scan, so no solutions are gained or lost under the
+    shape's side conditions, and a solved unknown appears in no equation
+    again.  The assignments are back-substituted once, after the last
+    step: each gets the final values of the unknowns solved after it.
+    Anything left over is returned as the residual system.
     """
     shape = system.shape
     if any(eq.variables != shape.unknowns for eq in system.equations):
         raise ValueError("equation not over the shape's unknowns")
     atoms = _nonzero_atoms(shape.side_conditions)
     equations = [eq.content_normalized() for eq in system.equations if not eq.is_zero()]
-    assignments: dict[str, Poly] = {}
+    assignments: dict[str, Poly] = {}  # in step order, each raw until the loop ends
     audit: list[dict] = []
     while (step := _first_step(equations, atoms)) is not None:
         index, column, coeff, solution = step
@@ -425,24 +425,22 @@ def triangular_solve(system: PolySystem) -> AutParametrization:
                     "divided_by": coeff.content_normalized().to_str(),
                 }
             )
-        # Only polynomials that mention the unknown change; the equations are
-        # content-normalized already, so the others are kept as they are.
-        substitution = {name: solution}
-        assignments = {
-            key: value.substitute(substitution) if any(e[column] for e in value.terms) else value
-            for key, value in assignments.items()
-        }
         assignments[name] = solution
-        new_equations = []
-        for pos, other in enumerate(equations):
-            if pos == index:
-                continue
-            if any(e[column] for e in other.terms):
-                other = other.substitute(substitution).content_normalized()
-                if other.is_zero():
-                    continue
-            new_equations.append(other)
-        equations = new_equations
+        del equations[index]
+        # Only equations that mention the unknown change, the others stay
+        # content-normalized; backwards, so one that vanishes is deleted in place.
+        for pos in reversed(range(len(equations))):
+            if any(e[column] for e in equations[pos].terms):
+                equations[pos] = equations[pos].substitute({name: solution}).content_normalized()
+                if equations[pos].is_zero():
+                    del equations[pos]
+    # A raw solution mentions no unknown solved before it, so walking back
+    # from the last step, the solved unknowns it mentions are final already.
+    for name in reversed(assignments):
+        solution = assignments[name]
+        mentioned = {shape.unknowns[i] for exps in solution.terms for i, e in enumerate(exps) if e}
+        if later := mentioned & assignments.keys():
+            assignments[name] = solution.substitute({x: assignments[x] for x in later})
     residual = tuple(dict.fromkeys(equations))  # deduplicated, in order
     return AutParametrization(shape, assignments, residual, tuple(audit))
 

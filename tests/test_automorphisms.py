@@ -293,17 +293,30 @@ class TestTriangularSolveColumns:
             with pytest.raises(ValueError, match="not over the shape's unknowns"):
                 triangular_solve(replace(system, equations=equations))
 
-    def test_solve_makes_no_name_lookups(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def l16_system(self):
         names = [f"e{i}" for i in range(1, 17)]
         g = algebra_from_brackets("L16", names, {(0, i): {i + 1: 1} for i in range(1, 15)})
         basis = adapted_basis(g, closure(g))
-        system = structure_equations(basis.algebra, shape_from_flag(basis))
+        return structure_equations(basis.algebra, shape_from_flag(basis))
+
+    def test_solve_makes_no_name_lookups(self, monkeypatch, l16_system):
         calls = []
         original = Poly.mentions
         monkeypatch.setattr(Poly, "mentions", lambda p, name: calls.append(name) or original(p, name))
-        param = triangular_solve(system)
+        param = triangular_solve(l16_system)
         assert calls == []
         assert param.assignments and param.residual_equations == ()
+
+    def test_each_assignment_is_substituted_once(self, monkeypatch, l16_system):
+        # No step rewrites an equation of filiform L16, so every substitution
+        # is a back-substitution after the loop, at most one per assignment.
+        calls = []
+        original = Poly.substitute
+        monkeypatch.setattr(Poly, "substitute", lambda p, mapping: calls.append(p) or original(p, mapping))
+        param = triangular_solve(l16_system)
+        assert len(param.assignments) == 105 and param.residual_equations == ()
+        assert len(calls) <= len(param.assignments)
 
 
 class TestSampledAutomorphisms:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _rational_conjugate
 from megalie.algebra import algebra_from_brackets, change_basis
 from megalie.automorphisms import (
     _symbolic_det,
@@ -401,37 +402,34 @@ def unit_triangular_conjugator(draw, n):
     return Matrix(below) @ Matrix(above)
 
 
+def assert_matches_reference(g):
+    basis = adapted_basis(g, closure(g))
+    shape = shape_from_flag(basis)
+    system = structure_equations(basis.algebra, shape)
+    param = triangular_solve(system)
+    assignments, free, residual, audit = reference_triangular_solve(
+        system.equations, shape.unknowns, shape.side_conditions
+    )
+    assert list(param.assignments.items()) == list(assignments.items())
+    assert param.free_parameters == free
+    assert param.residual_equations == residual
+    assert param.division_audit == audit
+    assert param.shape is shape
+
+
 class TestTriangularSolveReference:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_matches_restart_loop(self, data, m5, sl2d):
         g = data.draw(st.sampled_from([m5, sl2d, _heisenberg(3), _filiform(6)]))
-        g = change_basis(g, data.draw(unit_triangular_conjugator(g.dim)))
-        basis = adapted_basis(g, closure(g))
-        shape = shape_from_flag(basis)
-        system = structure_equations(basis.algebra, shape)
-        param = triangular_solve(system)
-        assignments, free, residual, audit = reference_triangular_solve(
-            system.equations, shape.unknowns, shape.side_conditions
-        )
-        assert list(param.assignments.items()) == list(assignments.items())
-        assert param.free_parameters == free
-        assert param.residual_equations == residual
-        assert param.division_audit == audit
-        assert param.shape is shape
+        assert_matches_reference(change_basis(g, data.draw(unit_triangular_conjugator(g.dim))))
 
-    def test_matches_restart_loop_on_filiform_l12(self):
-        # 78 unknowns, and each equation has only a few of them as columns
-        g = _filiform(12)
-        basis = adapted_basis(g, closure(g))
-        shape = shape_from_flag(basis)
-        system = structure_equations(basis.algebra, shape)
-        param = triangular_solve(system)
-        assignments, free, residual, audit = reference_triangular_solve(
-            system.equations, shape.unknowns, shape.side_conditions
-        )
-        assert list(param.assignments.items()) == list(assignments.items())
-        assert param.free_parameters == free
-        assert param.residual_equations == residual
-        assert param.division_audit == audit
-        assert param.shape is shape
+    # L12 and L16: many unknowns, and each equation has only a few of them as
+    # columns.  The rational conjugates put fractions into back-substituted
+    # assignments, and m5's rewrites equations mid-solve; h3 and sl2d end
+    # with a residual system.
+    @pytest.mark.parametrize("name", ["L12", "L16", "sl2d", "h3", "m5/rational", "L6/rational", "sl2d/rational"])
+    def test_matches_restart_loop_on(self, name, m5, sl2d):
+        base, _, conjugate = name.partition("/")
+        g = _filiform(int(base[1:])) if base[0] == "L" else {"m5": m5, "sl2d": sl2d, "h3": _heisenberg(3)}[base]
+        assert_matches_reference(_rational_conjugate(g) if conjugate else g)
